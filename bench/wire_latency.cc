@@ -5,11 +5,12 @@
 //   inproc          C closed-loop clients submit one workload at a time
 //                   straight into engine::ScoringService — the PR 3
 //                   serving baseline the wire path is measured against.
-//   remote          the same clients, each with its own net::WireClient,
-//                   against a net::WireServer on a loopback Unix socket
-//                   fronting an identical service: one workload per score
-//                   frame, so p50/p99 isolates the per-request wire cost
-//                   (frame codec + syscalls + record serialization).
+//   remote          closed-loop clients, each with its own net::WireClient,
+//                   against a net::ReactorServer on a loopback Unix socket
+//                   fronting an identical service: one workload per plain
+//                   score frame, so p50/p99 isolates the per-request wire
+//                   cost (frame codec + syscalls + record serialization).
+//                   Swept over connection counts.
 //   remote_batched  the wire API used as intended — each score frame
 //                   carries the client's whole workload slice, so framing
 //                   and record shipping amortize across the batch. This is
@@ -22,22 +23,12 @@
 //                   BatchScorer bitwise — then Rollback and verify the
 //                   PREVIOUS epoch's scores come back bitwise. Zero failed
 //                   requests allowed anywhere.
-//   reactor         the per-request closed-loop clients again, but against
-//                   the single-threaded epoll ReactorServer instead of the
-//                   thread-per-connection WireServer — swept over
-//                   connection counts to show one event-loop thread
-//                   holding many sockets.
-//   pipelined       net::AsyncWireClient against the reactor: one workload
-//                   per kScoreRequestPipelined frame with a 16-deep
-//                   in-flight window per connection, so round trips
-//                   overlap instead of serializing. Same connection sweep;
-//                   this is the mode whose qps is compared against the
-//                   blocking per-request wire at the top connection count.
-//   reactor_publish_rollback
-//                   the publish_rollback phase repeated against the
-//                   reactor: checksum-verified publish, bitwise post-swap
-//                   and post-rollback scores, zero failures — under
-//                   concurrent reactor score traffic.
+//   pipelined       net::AsyncWireClient against the same server: one
+//                   workload per kScoreRequestPipelined frame with a
+//                   16-deep in-flight window per connection, so round
+//                   trips overlap instead of serializing. Same connection
+//                   sweep as `remote`, whose qps it is compared against at
+//                   the top connection count.
 //
 // Every remote prediction is compared bitwise against the in-process
 // BatchScorer on the same model: the wire must be a transport, not a
@@ -62,7 +53,6 @@
 #include "net/async_client.h"
 #include "net/reactor_server.h"
 #include "net/wire_client.h"
-#include "net/wire_server.h"
 #include "util/stats.h"
 #include "util/sync.h"
 #include "util/timer.h"
@@ -234,7 +224,7 @@ DriveOut DriveRemote(const std::string& address,
   return out;
 }
 
-// Drives `clients` AsyncWireClient connections against a ReactorServer:
+// Drives `clients` AsyncWireClient connections against the server:
 // one workload per pipelined frame, `window` requests in flight per
 // connection. Latency is submit→harvest per request (harvested in
 // submission order, so it reflects the amortized wire cost a caller
@@ -265,8 +255,8 @@ DriveOut DrivePipelined(const std::string& address,
       const std::vector<size_t> slice = SliceFor(c, clients, batches.size());
       const std::string tenant = StrFormat("pipelined-client-%d", c);
       // Per-workload payloads prepared outside the timed region, exactly
-      // like the per-request blocking mode, so the comparison isolates
-      // the transport.
+      // like the plain per-request mode, so the comparison isolates the
+      // framing.
       std::vector<std::vector<workloads::QueryRecord>> member_records;
       std::vector<std::vector<core::WorkloadBatch>> member_batches;
       member_records.reserve(slice.size());
@@ -353,11 +343,8 @@ WireRow MakeDriveRow(const std::string& mode, int clients, int passes,
 
 // Publish model2 over the wire under concurrent score traffic, verify the
 // post-swap steady state is model2 bitwise, roll back, verify model1's
-// scores return bitwise. Works unchanged against either server (the
-// checksum trust boundary and the registry epoch machinery live behind
-// the shared dispatcher).
+// scores return bitwise.
 WireRow RunPublishRollback(const std::string& address,
-                           const std::string& mode,
                            const std::vector<workloads::QueryRecord>& records,
                            const std::vector<core::WorkloadBatch>& batches,
                            const core::LearnedWmpModel& swap_model,
@@ -386,7 +373,7 @@ WireRow RunPublishRollback(const std::string& address,
   }
 
   WireRow row;
-  row.mode = mode;
+  row.mode = "publish_rollback";
   row.clients = clients;
   row.workloads = batches.size() * 2;
   row.queries = CountQueries(batches) * 2;
@@ -442,9 +429,7 @@ WireRow RunPublishRollback(const std::string& address,
   row.errors = control_errors + bg_errors.load();
   row.bitwise_identical = bitwise;
 
-  TablePrinter table(
-      StrFormat("wire_latency — PublishAll + Rollback over the wire (%s)",
-                mode.c_str()));
+  TablePrinter table("wire_latency — PublishAll + Rollback over the wire");
   table.SetHeader({"publish epoch", "rollback epoch", "bg errors",
                    "bitwise (swap/rollback)"});
   table.AddRow(
@@ -579,7 +564,7 @@ int main(int argc, char** argv) {
     std::cerr << "registry record failed: " << rec.status() << "\n";
     return 1;
   }
-  net::WireServer server(&service, &registry, "bench");
+  net::ReactorServer server(&service, &registry, "bench");
   if (Status st = server.Listen(address); !st.ok()) {
     std::cerr << "listen failed: " << st << "\n";
     return 1;
@@ -589,77 +574,45 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  for (const bool batched : {false, true}) {
-    rows.push_back(MakeDriveRow(
-        batched ? "remote_batched" : "remote", clients, passes, batches,
-        DriveRemote(address, records, batches, clients, passes,
-                    batched ? 0 : 1),
-        want1->predictions));
-  }
+  rows.push_back(MakeDriveRow(
+      "remote_batched", clients, passes, batches,
+      DriveRemote(address, records, batches, clients, passes, 0),
+      want1->predictions));
 
   // --- publish + rollback under concurrent remote traffic ---
-  rows.push_back(RunPublishRollback(address, "publish_rollback", records,
-                                    batches, *m2, want1->predictions,
-                                    want2->predictions, clients));
+  rows.push_back(RunPublishRollback(address, records, batches, *m2,
+                                    want1->predictions, want2->predictions,
+                                    clients));
 
-  // --- event-loop reactor + pipelined client: connection sweep ---
-  // The reactor fronts the SAME service and registry as the blocking
-  // server (two transports, one engine), so its scores are compared
-  // against the identical in-process reference. The blocking per-request
-  // mode is re-driven at each sweep point to give the pipelined mode an
-  // apples-to-apples baseline at the same connection count.
-  const std::string reactor_address =
-      StrFormat("unix:/tmp/wmp_wire_latency.%d.reactor.sock",
-                static_cast<int>(::getpid()));
-  net::ReactorServer reactor(&service, &registry, "bench");
-  if (Status st = reactor.Listen(reactor_address); !st.ok()) {
-    std::cerr << "reactor listen failed: " << st << "\n";
-    return 1;
-  }
-  if (Status st = reactor.Start(); !st.ok()) {
-    std::cerr << "reactor start failed: " << st << "\n";
-    return 1;
-  }
+  // --- plain vs pipelined frames: connection sweep ---
+  // Both modes send one workload per frame over the same server, so the
+  // only difference at each sweep point is the in-flight window.
   const std::vector<int> sweep =
       args.quick ? std::vector<int>{2, 8} : std::vector<int>{1, 2, 4, 8};
   const size_t kWindow = 16;
-  double blocking_qps_top = 0.0, pipelined_qps_top = 0.0;
+  double plain_qps_top = 0.0, pipelined_qps_top = 0.0;
   for (int n : sweep) {
-    WireRow blocking_row = MakeDriveRow(
+    WireRow plain_row = MakeDriveRow(
         "remote", n, passes, batches,
         DriveRemote(address, records, batches, n, passes, 1),
         want1->predictions);
-    WireRow reactor_row = MakeDriveRow(
-        "reactor", n, passes, batches,
-        DriveRemote(reactor_address, records, batches, n, passes, 1),
-        want1->predictions);
     WireRow pipelined_row = MakeDriveRow(
         "pipelined", n, passes, batches,
-        DrivePipelined(reactor_address, records, batches, n, passes, kWindow),
+        DrivePipelined(address, records, batches, n, passes, kWindow),
         want1->predictions);
-    if (n == sweep.back()) {
-      blocking_qps_top = blocking_row.qps;
-      pipelined_qps_top = pipelined_row.qps;
-    }
-    rows.push_back(std::move(blocking_row));
-    rows.push_back(std::move(reactor_row));
+    plain_qps_top = plain_row.qps;  // the last sweep point wins
+    pipelined_qps_top = pipelined_row.qps;
+    rows.push_back(std::move(plain_row));
     rows.push_back(std::move(pipelined_row));
   }
-  if (blocking_qps_top > 0) {
+  if (plain_qps_top > 0) {
     std::printf(
-        "pipelined reactor at %d connections: %.0f q/s vs blocking "
-        "per-request %.0f q/s — %.2fx (window %zu)\n\n",
-        sweep.back(), pipelined_qps_top, blocking_qps_top,
-        pipelined_qps_top / blocking_qps_top, kWindow);
+        "pipelined at %d connections: %.0f q/s vs plain per-request "
+        "%.0f q/s — %.2fx (window %zu)\n\n",
+        sweep.back(), pipelined_qps_top, plain_qps_top,
+        pipelined_qps_top / plain_qps_top, kWindow);
   }
 
-  // --- publish + rollback against the reactor, under reactor traffic ---
-  rows.push_back(RunPublishRollback(reactor_address,
-                                    "reactor_publish_rollback", records,
-                                    batches, *m2, want1->predictions,
-                                    want2->predictions, clients));
-
-  reactor.Shutdown();
   server.Shutdown();
   service.Stop();
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Fleet smoke: the router's failure model through the real binaries.
-# Starts THREE `wmpctl serve --reactor` predictor nodes, streams a query
+# Starts THREE `wmpctl serve` predictor nodes, streams a query
 # log through `wmpctl fleet score` while one node is kill -9'd mid-stream
 # (the score step exits nonzero on ANY failed workload, so "zero failed
 # scores across a node death" is asserted by the exit code), proves that a
@@ -38,7 +38,7 @@ start_node() {
   local i="$1"
   local sock_var="SOCK$((i + 1))"
   local sock="${!sock_var}"
-  "$BUILD/wmpctl" serve --reactor --listen="unix:$sock" --model="$MODEL" \
+  "$BUILD/wmpctl" serve --listen="unix:$sock" --model="$MODEL" \
     --name=default >"$WORK/node$((i + 1)).log" 2>&1 &
   NODE_PIDS[i]=$!
   for _ in $(seq 100); do
@@ -59,7 +59,7 @@ echo "== generate + train two artifacts (the fleet rollout payloads)"
 "$BUILD/wmpctl" train --log="$LOG" --model="$MODEL2" --templates=12 \
   --batch=10 --seed=7
 
-echo "== start a 3-node predictor fleet (reactor transport)"
+echo "== start a 3-node predictor fleet"
 for i in 0 1 2; do start_node "$i"; done
 
 echo "== fleet status: every node healthy on one consistent epoch"

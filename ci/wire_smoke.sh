@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
 # Wire-protocol smoke: the full out-of-process serving loop through the
 # real binaries — start `wmpctl serve` on a loopback Unix socket, stream a
-# log through `wmpctl score --connect` in chunks, roll out a retrained
-# model with `wmpctl train --publish --connect` (which asserts zero failed
-# requests and bitwise post-swap scores), roll it back, and shut the
-# server down cleanly. The loop runs TWICE: once against the blocking
-# thread-per-connection server, once against the epoll reactor
-# (`serve --reactor`) with the pipelined client (`score --pipeline`) —
-# same protocol, same scores, different transport. Any nonzero step fails
-# the script.
+# log through `wmpctl score --connect` in chunks (plain frames, then
+# pipelined with `--pipeline=16`), roll out a retrained model with
+# `wmpctl train --publish --connect` (which asserts zero failed requests
+# and bitwise post-swap scores), roll it back, score again, and shut the
+# server down cleanly. Any nonzero step fails the script.
 set -euo pipefail
 
 BUILD=${1:-build}
@@ -30,48 +27,42 @@ echo "== generate + train the first artifact"
 "$BUILD/wmpctl" generate --benchmark=tpcc --queries=600 --out="$LOG"
 "$BUILD/wmpctl" train --log="$LOG" --model="$MODEL" --templates=12 --batch=10
 
-# run_loop <tag> <serve extra flags> <score extra flags>
-run_loop() {
-  local tag="$1" serve_flags="$2" score_flags="$3"
-  local sock="$WORK/wire-$tag.sock"
-  local server_log="$WORK/server-$tag.log"
+SOCK="$WORK/wire.sock"
+SERVER_LOG="$WORK/server.log"
 
-  echo "== [$tag] start wmpctl serve $serve_flags on unix:$sock"
-  # shellcheck disable=SC2086
-  "$BUILD/wmpctl" serve --listen="unix:$sock" --model="$MODEL" \
-    --name=smoke --warm-log="$LOG" $serve_flags >"$server_log" 2>&1 &
-  SERVER_PID=$!
-  for _ in $(seq 100); do
-    [[ -S "$sock" ]] && break
-    kill -0 "$SERVER_PID" 2>/dev/null || { cat "$server_log"; exit 1; }
-    sleep 0.1
-  done
-  [[ -S "$sock" ]] || { echo "server socket never appeared"; cat "$server_log"; exit 1; }
+echo "== start wmpctl serve on unix:$SOCK"
+"$BUILD/wmpctl" serve --listen="unix:$SOCK" --model="$MODEL" \
+  --name=smoke --warm-log="$LOG" >"$SERVER_LOG" 2>&1 &
+SERVER_PID=$!
+for _ in $(seq 100); do
+  [[ -S "$SOCK" ]] && break
+  kill -0 "$SERVER_PID" 2>/dev/null || { cat "$SERVER_LOG"; exit 1; }
+  sleep 0.1
+done
+[[ -S "$SOCK" ]] || { echo "server socket never appeared"; cat "$SERVER_LOG"; exit 1; }
 
-  echo "== [$tag] score the log over the wire in chunks"
-  # shellcheck disable=SC2086
-  "$BUILD/wmpctl" score --log="$LOG" --connect="unix:$sock" --chunk=150 \
-    --batch=10 $score_flags
+echo "== score the log over the wire in chunks (plain frames)"
+"$BUILD/wmpctl" score --log="$LOG" --connect="unix:$SOCK" --chunk=150 \
+  --batch=10
 
-  echo "== [$tag] retrain (different seed) and publish over the wire"
-  "$BUILD/wmpctl" train --log="$LOG" --model="$MODEL" --templates=12 \
-    --batch=10 --seed=7 --publish --connect="unix:$sock" --name=smoke
+echo "== score it again with 16 pipelined frames in flight"
+"$BUILD/wmpctl" score --log="$LOG" --connect="unix:$SOCK" --chunk=150 \
+  --batch=10 --pipeline=16
 
-  echo "== [$tag] roll the publish back"
-  "$BUILD/wmpctl" rollback --connect="unix:$sock" --name=smoke
+echo "== retrain (different seed) and publish over the wire"
+"$BUILD/wmpctl" train --log="$LOG" --model="$MODEL" --templates=12 \
+  --batch=10 --seed=7 --publish --connect="unix:$SOCK" --name=smoke
 
-  echo "== [$tag] score again after rollback"
-  # shellcheck disable=SC2086
-  "$BUILD/wmpctl" score --log="$LOG" --connect="unix:$sock" --chunk=150 \
-    --batch=10 $score_flags
+echo "== roll the publish back"
+"$BUILD/wmpctl" rollback --connect="unix:$SOCK" --name=smoke
 
-  echo "== [$tag] clean shutdown"
-  kill -INT "$SERVER_PID"
-  wait "$SERVER_PID"
-  SERVER_PID=""
-  cat "$server_log"
-}
+echo "== score again after rollback"
+"$BUILD/wmpctl" score --log="$LOG" --connect="unix:$SOCK" --chunk=150 \
+  --batch=10
 
-run_loop blocking "" ""
-run_loop reactor "--reactor" "--pipeline=16"
+echo "== clean shutdown"
+kill -INT "$SERVER_PID"
+wait "$SERVER_PID"
+SERVER_PID=""
+cat "$SERVER_LOG"
 echo "wire smoke OK"

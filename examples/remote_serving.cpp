@@ -2,7 +2,7 @@
 //
 // examples/online_serving.cpp shows the IN-process serving layer; this
 // example adds the process boundary a real DBMS integration has: the
-// predictor runs behind a socket (net::WireServer) and the admission
+// predictor runs behind a socket (net::ReactorServer) and the admission
 // controller talks to it with net::WireClient — score a workload before
 // admitting it, retrain and publish without restarting, roll back a bad
 // model in one call.
@@ -11,7 +11,8 @@
 // server on a loopback Unix socket inside this process; `wmpctl serve`
 // is the same stack as an actual daemon. The flow:
 //
-//   1. Train a model, stand up ScoringService + ModelRegistry + WireServer.
+//   1. Train a model, stand up ScoringService + ModelRegistry +
+//      ReactorServer.
 //   2. A client connects and scores workloads over the wire — predictions
 //      are bitwise what an in-process BatchScorer computes.
 //   3. Retrain and Publish() the artifact over the wire: every shard
@@ -30,8 +31,8 @@
 #include "engine/batch_scorer.h"
 #include "engine/model_registry.h"
 #include "engine/scoring_service.h"
+#include "net/reactor_server.h"
 #include "net/wire_client.h"
-#include "net/wire_server.h"
 #include "util/strings.h"
 #include "workloads/dataset.h"
 
@@ -64,7 +65,7 @@ int main() {
   engine::ModelRegistry registry;
   if (!registry.Record("tpcc", model).ok()) return 1;
 
-  net::WireServer server(&service, &registry, "tpcc");
+  net::ReactorServer server(&service, &registry, "tpcc");
   const std::string address =
       StrFormat("unix:/tmp/wmp_remote_serving.%d.sock",
                 static_cast<int>(::getpid()));

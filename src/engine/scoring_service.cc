@@ -291,12 +291,8 @@ void ScoringService::WarmShard(Shard* shard) {
 }
 
 void ScoringService::SetCompletionCallback(std::function<void()> callback) {
-  std::shared_ptr<const std::function<void()>> next;
-  if (callback) {
-    next = std::make_shared<const std::function<void()>>(std::move(callback));
-  }
   std::lock_guard<std::mutex> lock(completion_callback_mutex_);
-  completion_callback_ = std::move(next);
+  completion_callback_ = std::move(callback);
 }
 
 void ScoringService::Fulfill(Shard* shard, Request* request,
@@ -406,12 +402,11 @@ void ScoringService::Flush(Shard* shard,
 }
 
 void ScoringService::NotifyCompletion() {
-  std::shared_ptr<const std::function<void()>> callback;
-  {
-    std::lock_guard<std::mutex> lock(completion_callback_mutex_);
-    callback = completion_callback_;
-  }
-  if (callback) (*callback)();
+  // Runs under the lock, so once SetCompletionCallback(nullptr) returns no
+  // dispatcher is still inside the old callback: the reactor closes the
+  // wakeup fd its callback writes right after unregistering.
+  std::lock_guard<std::mutex> lock(completion_callback_mutex_);
+  if (completion_callback_) completion_callback_();
 }
 
 void ScoringService::DispatcherLoop(Shard* shard) {

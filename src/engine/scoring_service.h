@@ -268,7 +268,8 @@ class ScoringService {
   /// event-loop net::ReactorServer parks Submit futures and must not block
   /// a thread in get(), so it registers a callback that writes its wakeup
   /// fd and drains completed futures from the loop. The callback must be
-  /// cheap and must not call back into the service.
+  /// cheap and must not call back into the service. Once this returns, no
+  /// thread is still running the previous callback.
   void SetCompletionCallback(std::function<void()> callback);
 
   /// Stable tenant/model-key router: util::HashString(tenant) mod shards.
@@ -340,10 +341,9 @@ class ScoringService {
   std::mutex publish_all_mutex_;  // serializes cross-shard rollouts
   mutable std::mutex warm_corpus_mutex_;
   std::shared_ptr<const WarmCorpus> warm_corpus_;
-  /// Swapped whole via shared_ptr so dispatchers snapshot it without
-  /// holding a lock across the user callback.
+  /// Invoked under its mutex: unregistering waits out a running callback.
   mutable std::mutex completion_callback_mutex_;
-  std::shared_ptr<const std::function<void()>> completion_callback_;
+  std::function<void()> completion_callback_;
 
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> completed_{0};

@@ -1,5 +1,7 @@
 #include "net/async_client.h"
 
+#include <sys/socket.h>
+
 #include <utility>
 
 #include "net/socket.h"
@@ -216,11 +218,16 @@ bool AsyncWireClient::alive() const {
 
 void AsyncWireClient::Close() {
   FailAll(Status::FailedPrecondition("client closed"));
-  // CloseConnection shuts down both directions first, waking the reader
-  // out of a parked ReadFrame; FailAll already woke the timer.
-  CloseConnection(fd_);
+  // Shut down, join, THEN close: shutdown wakes the reader out of a parked
+  // ReadFrame (FailAll already woke the timer) while the fd number stays
+  // ours, so no thread can read a descriptor the kernel has handed to
+  // another connection. A concurrent SubmitScore writes under
+  // write_mutex_ and sees either the shut-down socket or fd_ == -1.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   if (reader_.joinable()) reader_.join();
   if (timer_.joinable()) timer_.join();
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  CloseFd(fd_);
   fd_ = -1;
 }
 

@@ -102,8 +102,9 @@ class AsyncWireClient {
   /// True until a stream-level failure (or Close) kills the connection.
   bool alive() const;
 
-  /// Fails every outstanding future with a "client closed" status, closes
-  /// the socket, joins the reader. Idempotent; also run by the destructor.
+  /// Fails every outstanding future with a "client closed" status, shuts
+  /// the socket down, joins the reader and timer threads, then closes the
+  /// socket. Idempotent; also run by the destructor.
   void Close();
 
  private:
@@ -137,7 +138,7 @@ class AsyncWireClient {
   bool dead_ = false;
   Status death_status_;
 
-  std::mutex write_mutex_;  // frame writes are atomic on the wire
+  std::mutex write_mutex_;  // frame writes are atomic; guards fd_'s close
 };
 
 }  // namespace wmp::net

@@ -2,25 +2,22 @@
 #define WMP_NET_DISPATCH_H_
 
 /// \file dispatch.h
-/// Transport-independent request execution shared by the blocking
-/// net::WireServer and the event-loop net::ReactorServer.
+/// Request execution for net::ReactorServer — the protocol boundary
+/// between WMF1 frames and engine::ScoringService / engine::ModelRegistry.
 ///
-/// Both servers speak the same WMF1 frames and land work on the same
-/// engine::ScoringService / engine::ModelRegistry; what differs is purely
-/// how bytes arrive (thread-per-connection blocking reads vs. one reactor
-/// multiplexing every socket). Everything that is NOT transport lives
-/// here: decode, validation (including the publish artifact checksum,
-/// which DecodePublishRequest enforces), registry/service calls, and
-/// response encoding. That is what keeps the two servers bitwise
-/// interchangeable — a response frame depends only on the request frame
-/// and the service state, never on which server built it.
+/// The reactor owns only transport: sockets, buffers, frame reassembly,
+/// ordering. Everything else lives here: decode, validation (including
+/// the publish artifact checksum, which DecodePublishRequest enforces),
+/// registry/service calls, and response encoding. A response frame
+/// depends only on the request frame and the service state, which is what
+/// lets every wire test and bench gate served scores bitwise against the
+/// in-process engine::BatchScorer.
 ///
 /// Scoring is the one request that is intentionally split: SubmitScore
 /// enqueues every workload of a request and hands back the futures, and
 /// BuildScoreResponse turns collected outcomes into the response frame.
-/// The blocking server calls them back to back (get() between the two);
-/// the reactor parks the futures and finishes the response as the service
-/// fulfills them, without ever blocking the event loop.
+/// The reactor parks the futures in between and finishes the response as
+/// the service fulfills them, without ever blocking the event loop.
 
 #include <future>
 #include <memory>
@@ -70,7 +67,7 @@ class RequestDispatcher {
   /// Re-publishes the previous registry epoch of the named model.
   Frame HandleRollback(const Frame& request) const;
 
-  /// Service counters + the calling server's own counters.
+  /// Service counters + the server's own counters.
   Frame HandleStats(const WireServerCounters& server) const;
 
   /// \name Fleet control plane (kHealth / kStage / kCommit / kAbort).
@@ -96,7 +93,7 @@ class RequestDispatcher {
   Frame HandleAbort(const Frame& request);
   /// @}
 
-  /// The response for a frame type no server understands.
+  /// The response for a frame type the server does not understand.
   static Frame UnexpectedFrame(FrameType type);
 
   engine::ScoringService* service() const { return service_; }

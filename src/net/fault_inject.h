@@ -6,8 +6,9 @@
 /// behind the fleet router's failure tests.
 ///
 /// Every blocking frame read/write in src/net (ReadFrame/WriteFrame, i.e.
-/// both wire clients and the blocking server) consults the process-global
-/// armed FaultInjector, which may, per operation:
+/// both wire clients; the reactor's nonblocking I/O does not pass through
+/// here) consults the process-global armed FaultInjector, which may, per
+/// operation:
 ///
 ///   kDelay      sleep before performing the op (delay storms, slow peers)
 ///   kDrop       report a write as sent without sending it — the peer

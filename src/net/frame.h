@@ -4,7 +4,8 @@
 /// \file frame.h
 /// Length-prefixed binary frame codec — the unit of the wire protocol.
 ///
-/// Every message between net::WireClient and net::WireServer is one frame:
+/// Every message between a client (net::WireClient, net::AsyncWireClient)
+/// and net::ReactorServer is one frame:
 ///
 ///   offset 0  u32  magic  0x31464D57 ("WMF1", little-endian)
 ///   offset 4  u8   type   (FrameType)
@@ -53,8 +54,8 @@ enum class FrameType : uint8_t {
   /// in flight on one connection and the server answers in COMPLETION
   /// order, not request order — the correlation id is how responses find
   /// their request. The plain (non-pipelined) frame types above keep strict
-  /// request/response ordering, which is what makes the blocking client a
-  /// usable equivalence oracle against either server.
+  /// request/response ordering, which is what the blocking
+  /// net::WireClient relies on.
   /// @{
   kScoreRequestPipelined = 10,
   kScoreResponsePipelined = 11,

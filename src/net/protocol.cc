@@ -129,7 +129,7 @@ Result<PublishRequest> DecodePublishRequest(const std::string& payload) {
   WMP_ASSIGN_OR_RETURN(request.model_bytes, r.ReadString());
   WMP_ASSIGN_OR_RETURN(request.artifact_hash, r.ReadU64());
   // An empty name is valid at the protocol layer — the server substitutes
-  // its default registry name (see WireServer::HandlePublish).
+  // its default registry name (see RequestDispatcher::HandlePublish).
   if (request.model_bytes.empty()) {
     return Status::InvalidArgument("publish request carries no artifact");
   }

@@ -8,8 +8,9 @@
 /// All payloads are built from util/io's little-endian length-prefixed
 /// primitives, and every Decode is bounds-checked — a malformed or
 /// truncated payload yields a Status, never UB. The encodings are shared
-/// verbatim by net::WireServer and net::WireClient (and unit-tested
-/// symmetrically), so the two sides cannot drift.
+/// verbatim by net::ReactorServer (through net::RequestDispatcher) and
+/// both clients (and unit-tested symmetrically), so the two sides cannot
+/// drift.
 ///
 /// Request/response summary:
 ///
@@ -145,7 +146,7 @@ struct WireServerCounters {
   /// misbehavior, distinct from local resource blips below.
   uint64_t protocol_errors = 0;
   /// Transient accept() failures (EMFILE under a connection burst,
-  /// ECONNABORTED); the server backs off and keeps accepting.
+  /// ECONNABORTED); the server counts them and keeps accepting.
   uint64_t accept_failures = 0;
 };
 

@@ -3,7 +3,7 @@
 
 /// \file reactor_server.h
 /// Single-threaded event-loop front end for engine::ScoringService — the
-/// production wire server for many concurrent controllers on a small box.
+/// wire server that `wmpctl serve` runs and every remote client talks to.
 ///
 /// Architecture
 ///
@@ -13,21 +13,20 @@
 ///                           │  reassembly, write backpressure,
 ///                           │  idle timeouts
 ///                           ▼
-///              net::RequestDispatcher (decode/validate/encode — shared
-///                           │          with the blocking WireServer)
+///              net::RequestDispatcher (decode/validate/encode)
+///                           │
 ///                           ▼
 ///              engine::ScoringService ──flush──▶ completion doorbell
 ///                           ▲                    (eventfd/self-pipe)
 ///                           └── score futures parked, never get() on
 ///                               the loop thread
 ///
-///  * **Why a reactor.** The blocking WireServer spends a thread (and its
-///    context switches) per socket; on the 1-core deployment tens of
-///    controllers already burn the core on scheduling. The reactor
-///    multiplexes every socket from one thread, and — because score work
-///    is handed to the service asynchronously — the service's cross-client
-///    micro-batching finally sees MANY sockets' requests in one flush
-///    window instead of one request per blocked handler thread.
+///  * **Why a reactor.** A thread per socket spends its context switches
+///    on scheduling; on a 1-core deployment tens of controllers would burn
+///    the core. The reactor multiplexes every socket from one thread, and
+///    — because score work is handed to the service asynchronously — the
+///    service's cross-client micro-batching sees MANY sockets' requests in
+///    one flush window instead of one request per blocked thread.
 ///  * **Score requests never block the loop.** A decoded score request is
 ///    submitted (RequestDispatcher::SubmitScore), its futures parked, and
 ///    the loop goes back to the poller. The service's completion callback
@@ -36,20 +35,19 @@
 ///    zero-timeout polls and writes the responses. Publish/rollback/stats
 ///    frames execute inline — they are control-plane rare and must
 ///    serialize against rollouts anyway.
-///  * **Ordering.** Plain frames keep the blocking protocol's strict
-///    request→response order per connection (an ordered response-slot
-///    queue holds completed responses until their predecessors finish).
-///    kScoreRequestPipelined frames answer in completion order, matched by
-///    correlation id — that is what lets net::AsyncWireClient keep N
-///    requests in flight per connection.
+///  * **Ordering.** Plain frames keep strict request→response order per
+///    connection, which the blocking net::WireClient relies on (an ordered
+///    response-slot queue holds completed responses until their
+///    predecessors finish). kScoreRequestPipelined frames answer in
+///    completion order, matched by correlation id — that is what lets
+///    net::AsyncWireClient keep N requests in flight per connection.
 ///  * **Backpressure.** Responses are buffered per connection and written
 ///    as the socket accepts them (write interest toggles on partial
 ///    writes). When a slow reader's buffer passes the high watermark the
 ///    reactor stops READING that connection until the buffer drains below
 ///    half — bounded memory per connection, no stalling anyone else.
-///  * **Hostile input.** Same contract as the blocking server (shared
-///    decode paths): size caps before allocation, bounds-checked decode,
-///    kError per request where the stream is still framed; a
+///  * **Hostile input.** Size caps before allocation, bounds-checked
+///    decode, kError per request where the stream is still framed; a
 ///    desynchronized stream gets a best-effort kError and the connection
 ///    is flushed and closed. Other connections never notice. Connections
 ///    idle past `idle_timeout_ms` are closed.
@@ -83,8 +81,7 @@ namespace wmp::net {
 struct ReactorServerOptions {
   /// Receiver-side frame bound (see FrameLimits).
   size_t max_payload_bytes = 64ull << 20;
-  /// Listen backlog (deeper than the blocking server's: one thread accepts
-  /// for everyone).
+  /// Listen backlog (deep: one thread accepts for everyone).
   int backlog = 128;
   /// Pause reading a connection whose outbound buffer exceeds this many
   /// bytes; resume below half of it.
@@ -93,8 +90,8 @@ struct ReactorServerOptions {
   int64_t idle_timeout_ms = 5 * 60 * 1000;
 };
 
-/// Reactor counters: the wire-visible set (shared shape with the blocking
-/// server so stats frames stay comparable) plus loop-specific ones.
+/// Reactor counters: the set the stats frame carries (WireServerCounters)
+/// plus loop-specific ones.
 struct ReactorCounters {
   WireServerCounters wire;
   uint64_t backpressure_pauses = 0;  ///< reads paused on the high watermark

@@ -154,21 +154,13 @@ Result<int> Listener::Accept() {
       return conn;
     }
     if (errno == EINTR) continue;
-    if (fd_ < 0 || errno == EBADF || errno == EINVAL) {
-      return Status::FailedPrecondition("listener closed");
-    }
     return Errno("accept");
   }
 }
 
 void Listener::Close() {
-  if (fd_ >= 0) {
-    // shutdown() wakes a thread blocked in accept() on some platforms;
-    // close() finishes the job on Linux.
-    ::shutdown(fd_, SHUT_RDWR);
-    CloseFd(fd_);
-    fd_ = -1;
-  }
+  CloseFd(fd_);
+  fd_ = -1;
   if (!unix_path_.empty()) {
     ::unlink(unix_path_.c_str());
     unix_path_.clear();

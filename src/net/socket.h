@@ -3,8 +3,8 @@
 
 /// \file socket.h
 /// Address parsing and socket setup shared by the wire-protocol endpoints:
-/// the blocking net::WireServer/net::WireClient pair and the event-loop
-/// net::ReactorServer/net::AsyncWireClient pair.
+/// the event-loop net::ReactorServer and its two clients, the blocking
+/// net::WireClient and the pipelined net::AsyncWireClient.
 ///
 /// Addresses come in two spellings:
 ///
@@ -15,9 +15,9 @@
 ///                          port, reported back by Listener::port()
 ///
 /// Everything here is thin POSIX. Sockets are created blocking (what the
-/// thread-per-connection server wants); the reactor flips its listener and
-/// every accepted connection to nonblocking via SetNonBlocking and drives
-/// them from one poll/epoll loop (see reactor_server.h).
+/// clients want); the reactor flips its listener and every accepted
+/// connection to nonblocking via SetNonBlocking and drives them from one
+/// poll/epoll loop (see reactor_server.h).
 
 #include <sys/types.h>
 
@@ -43,12 +43,14 @@ class Listener {
   Status Listen(const std::string& address, int backlog = 16);
 
   /// Blocks until a client connects; returns the connection fd. Fails with
-  /// FailedPrecondition once Close() has been called (the accept loop's
-  /// shutdown signal).
+  /// FailedPrecondition after Close(). The reactor accepts nonblocking on
+  /// fd() instead; this serves hand-rolled test servers (e.g. one that
+  /// accepts and then never answers).
   Result<int> Accept();
 
-  /// Closes the listening socket (wakes a blocked Accept) and removes the
-  /// Unix socket file. Idempotent.
+  /// Closes the listening socket and removes the Unix socket file.
+  /// Idempotent. Must not race an Accept on another thread: a closed fd
+  /// number can be reused before the blocked call notices.
   void Close();
 
   bool listening() const { return fd_ >= 0; }
@@ -102,8 +104,8 @@ ssize_t ReadSome(int fd, void* data, size_t n);
 void CloseConnection(int fd);
 
 /// Sets or clears O_NONBLOCK on `fd`. The reactor flips every accepted
-/// connection (and the listener itself) to nonblocking; the blocking
-/// endpoints never call this.
+/// connection (and the listener itself) to nonblocking; the clients never
+/// call this.
 Status SetNonBlocking(int fd, bool nonblocking);
 
 /// EINTR-correct close(2), safe on -1 — the one way every endpoint

@@ -1,5 +1,7 @@
 #include "net/wire_client.h"
 
+#include <poll.h>
+
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -22,7 +24,15 @@ WireClient::WireClient(std::string address, WireClientOptions options)
 WireClient::~WireClient() { Close(); }
 
 Status WireClient::Connect() {
-  if (fd_ >= 0) return Status::OK();
+  if (fd_ >= 0) {
+    // A plain connection holds no unread bytes between round trips, so a
+    // readable socket means the server hung up (e.g. its idle timeout).
+    // Reconnect now: a write into the dead TCP stream would only fail at
+    // the response read, where a non-idempotent request cannot resend.
+    pollfd pending{fd_, POLLIN, 0};
+    if (::poll(&pending, 1, 0) == 0) return Status::OK();
+    Close();
+  }
   WMP_ASSIGN_OR_RETURN(fd_, ConnectTo(address_, options_.connect_timeout_ms));
   if (Status st = SetIoDeadlines(fd_, options_.read_timeout_ms,
                                  options_.write_timeout_ms);

@@ -7,8 +7,9 @@
 ///
 ///  * **Connection reuse.** One client holds one blocking connection and
 ///    pipelines request/response pairs over it; Connect is automatic on
-///    first use and after an I/O failure (one transparent reconnect per
-///    call — a restarted server looks like a slow call, not an error).
+///    first use, after an I/O failure (one transparent reconnect per call
+///    — a restarted server looks like a slow call, not an error), and
+///    when the server has closed the idle pooled connection.
 ///  * **Batched score requests.** `ScoreWorkloads` mirrors
 ///    engine::BatchScorer::ScoreWorkloads: one frame carries the whole
 ///    record batch plus every workload's member indices, the server
@@ -64,7 +65,7 @@ struct WireClientOptions {
   uint64_t jitter_seed = 0;
 };
 
-/// \brief One reusable client connection to a net::WireServer.
+/// \brief One reusable client connection to a net::ReactorServer.
 class WireClient {
  public:
   explicit WireClient(std::string address, WireClientOptions options = {});
@@ -74,6 +75,7 @@ class WireClient {
   WireClient& operator=(const WireClient&) = delete;
 
   /// Establishes the connection now (otherwise the first call does).
+  /// Reconnects first if the server has hung up on the pooled one.
   Status Connect();
   /// Drops the connection; the next call reconnects.
   void Close();

@@ -1,7 +1,7 @@
 // End-to-end tests of the event-loop serving stack: net::ReactorServer
-// driven by blocking clients (plain frames keep strict ordering, so the
-// blocking WireClient doubles as the equivalence oracle), the pipelined
-// net::AsyncWireClient, and the reactor's transport edge cases —
+// driven by the blocking net::WireClient (plain frames, strict ordering),
+// the pipelined net::AsyncWireClient, every score gated bitwise against
+// in-process engine::BatchScorer, and the reactor's transport edge cases —
 // fragmented frames, slow-reader backpressure, oversize/malformed frame
 // isolation, idle reaping, and publish/rollback under live traffic.
 

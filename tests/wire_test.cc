@@ -1,6 +1,6 @@
-// End-to-end tests of the out-of-process serving stack: net::WireServer +
-// net::WireClient over a loopback Unix socket, the named ModelRegistry
-// with rollback, ScoringService::PublishAll, and the post-publish
+// End-to-end tests of the out-of-process serving stack: net::ReactorServer
+// + net::WireClient over loopback sockets, the named ModelRegistry with
+// rollback, ScoringService::PublishAll, and the post-publish
 // template-cache warmer.
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,9 +22,9 @@
 #include "engine/model_registry.h"
 #include "engine/scoring_service.h"
 #include "net/frame.h"
+#include "net/reactor_server.h"
 #include "net/socket.h"
 #include "net/wire_client.h"
-#include "net/wire_server.h"
 #include "util/io.h"
 #include "util/strings.h"
 #include "workloads/dataset.h"
@@ -252,7 +253,7 @@ TEST_F(WireTest, PingScoreAndStatsOverUnixSocket) {
   engine::ScoringService service({model_});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
-  net::WireServer server(&service, &registry, "default");
+  net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("basic");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -297,7 +298,7 @@ TEST_F(WireTest, PingScoreAndStatsOverUnixSocket) {
 
 TEST_F(WireTest, ConcurrentClientsAllBitwise) {
   engine::ScoringService service({model_, model_});
-  net::WireServer server(&service, nullptr, "default");
+  net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("conc");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -344,7 +345,7 @@ TEST_F(WireTest, PublishUnderTrafficThenRollbackRestoresPriorEpochScores) {
   service.SetWarmCorpus(&dataset_->records);
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
-  net::WireServer server(&service, &registry, "default");
+  net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("pub");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -414,7 +415,7 @@ TEST_F(WireTest, PublishUnderTrafficThenRollbackRestoresPriorEpochScores) {
 
 TEST_F(WireTest, MalformedFramesGetCleanErrorsAndServerSurvives) {
   engine::ScoringService service({model_});
-  net::WireServer server(&service, nullptr, "default");
+  net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("bad");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -467,7 +468,7 @@ TEST_F(WireTest, MalformedFramesGetCleanErrorsAndServerSurvives) {
   // The server is still healthy for well-behaved clients.
   net::WireClient client(address);
   EXPECT_TRUE(client.Ping().ok());
-  EXPECT_GT(server.stats().protocol_errors, 0u);
+  EXPECT_GT(server.stats().wire.protocol_errors, 0u);
   server.Shutdown();
   service.Stop();
 }
@@ -476,7 +477,7 @@ TEST_F(WireTest, PublishRejectsCorruptArtifactAndKeepsServing) {
   engine::ScoringService service({model_});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
-  net::WireServer server(&service, &registry, "default");
+  net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("corrupt");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -522,7 +523,7 @@ TEST_F(WireTest, PublishChecksumCatchesWireCorruptionBeforeAnyEpoch) {
   engine::ScoringService service({model_});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
-  net::WireServer server(&service, &registry, "default");
+  net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("cksum");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -571,7 +572,7 @@ TEST_F(WireTest, PublishedArtifactServesThroughCompiledEnsemble) {
   engine::ScoringService service({model2_});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model2_)).ok());
-  net::WireServer server(&service, &registry, "default");
+  net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("compiled");
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
@@ -609,19 +610,49 @@ TEST_F(WireTest, PublishedArtifactServesThroughCompiledEnsemble) {
 TEST_F(WireTest, ClientReconnectsAfterServerRestart) {
   engine::ScoringService service({model_});
   const std::string address = SocketAddress("restart");
-  auto server = std::make_unique<net::WireServer>(&service, nullptr, "d");
+  auto server = std::make_unique<net::ReactorServer>(&service, nullptr, "d");
   ASSERT_TRUE(server->Listen(address).ok());
   ASSERT_TRUE(server->Start().ok());
   net::WireClient client(address);
   ASSERT_TRUE(client.Ping().ok());
   server->Shutdown();
-  server = std::make_unique<net::WireServer>(&service, nullptr, "d");
+  server = std::make_unique<net::ReactorServer>(&service, nullptr, "d");
   ASSERT_TRUE(server->Listen(address).ok());
   ASSERT_TRUE(server->Start().ok());
   // The pooled connection died with the old server; the next call must
   // transparently reconnect.
   EXPECT_TRUE(client.Ping().ok());
   server->Shutdown();
+  service.Stop();
+}
+
+TEST_F(WireTest, PublishAfterIdleCloseReconnectsAndAppliesOnceOverTcp) {
+  // The server reaps the client's pooled connection while it sits idle.
+  // On TCP a write into that dead stream still "succeeds" and the failure
+  // only shows at the response read, where a publish may not be resent —
+  // so the client must notice the hangup before writing.
+  engine::ScoringService service({model_});
+  engine::ModelRegistry registry;
+  auto first = registry.Record("default", Borrow(model_));
+  ASSERT_TRUE(first.ok());
+  net::ReactorServerOptions options;
+  options.idle_timeout_ms = 50;
+  net::ReactorServer server(&service, &registry, "default", options);
+  ASSERT_TRUE(server.Listen("127.0.0.1:0").ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  net::WireClient client(server.address());
+  ASSERT_TRUE(client.Ping().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ASSERT_GE(server.stats().idle_closed, 1u);
+
+  auto epoch = client.Publish("default", *model2_);
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  EXPECT_EQ(*epoch, *first + 1);
+  EXPECT_EQ(registry.NumEpochs("default"), 2u);
+  EXPECT_EQ(service.stats().models_published, 1u)
+      << "the publish must be applied exactly once";
+  server.Shutdown();
   service.Stop();
 }
 

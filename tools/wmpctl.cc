@@ -34,8 +34,8 @@
 //
 //   wmpctl serve --listen=ADDR --model=model.wmp [--name=default]
 //                [--shards=N] [--warm-log=log.txt]
-//       Stand up the out-of-process scoring server (net::WireServer over
-//       ScoringService + ModelRegistry) on "unix:/path.sock" or
+//       Stand up the out-of-process scoring server (net::ReactorServer
+//       over ScoringService + ModelRegistry) on "unix:/path.sock" or
 //       "host:port". Runs until SIGINT/SIGTERM, then drains and prints
 //       the serving stats. --warm-log registers a corpus so every
 //       publish re-warms the template cache in the background.
@@ -74,7 +74,6 @@
 #include "net/fleet.h"
 #include "net/reactor_server.h"
 #include "net/wire_client.h"
-#include "net/wire_server.h"
 #include "plan/explain.h"
 #include "plan/features.h"
 #include "plan/plan_parser.h"
@@ -130,7 +129,7 @@ int Usage() {
                "  wmpctl serve    --listen=ADDR --model=PATH "
                "[--name=default] [--shards=N]\n"
                "                 [--warm-log=PATH] [--max-batch=64] "
-               "[--max-delay-us=200] [--reactor]\n"
+               "[--max-delay-us=200]\n"
                "  wmpctl score    --log=PATH (--connect=ADDR | "
                "--model=PATH) [--batch=S]\n"
                "                 [--chunk=4096] [--tenant=NAME] "
@@ -608,12 +607,10 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
   return errors.load() == 0 ? 0 : 1;
 }
 
-// wmpctl serve — the out-of-process serving daemon: a wire server fronting
-// a sharded ScoringService, with a ModelRegistry so remote publishes are
-// rollback-able. --reactor swaps the blocking thread-per-connection server
-// for the single-threaded epoll reactor (same protocol, same scores; the
-// reactor additionally speaks the pipelined score frames). Blocks until
-// SIGINT/SIGTERM.
+// wmpctl serve — the out-of-process serving daemon: the epoll reactor
+// fronting a sharded ScoringService, with a ModelRegistry so remote
+// publishes are rollback-able. It answers plain and pipelined score frames
+// alike. Blocks until SIGINT/SIGTERM.
 int CmdServe(const std::map<std::string, std::string>& flags) {
   const std::string address = FlagOr(flags, "listen", "");
   const std::string model_path = FlagOr(flags, "model", "");
@@ -672,59 +669,41 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
     return Fail(recorded.status());
   }
 
-  const bool use_reactor = FlagOr(flags, "reactor", "0") != "0";
-  std::unique_ptr<net::WireServer> blocking;
-  std::unique_ptr<net::ReactorServer> reactor;
-  if (use_reactor) {
-    reactor = std::make_unique<net::ReactorServer>(&service, &registry, name);
-  } else {
-    blocking = std::make_unique<net::WireServer>(&service, &registry, name);
+  net::ReactorServer server(&service, &registry, name);
+  if (Status listen = server.Listen(address); !listen.ok()) {
+    return Fail(listen);
   }
-  Status listen = use_reactor ? reactor->Listen(address)
-                              : blocking->Listen(address);
-  if (!listen.ok()) return Fail(listen);
 
-  // The accept/event loop runs in the background; this thread sigwaits for
-  // the (already blocked) shutdown signals and tears down with ordinary
+  // The event loop runs in the background; this thread sigwaits for the
+  // (already blocked) shutdown signals and tears down with ordinary
   // signal-unsafe calls, not inside a handler.
-  Status started = use_reactor ? reactor->Start() : blocking->Start();
-  if (!started.ok()) return Fail(started);
-  std::printf("serving '%s' (%d shard%s, %s) on %s — SIGINT/SIGTERM stops\n",
+  if (Status started = server.Start(); !started.ok()) return Fail(started);
+  std::printf("serving '%s' (%d shard%s) on %s — SIGINT/SIGTERM stops\n",
               name.c_str(), num_shards, num_shards == 1 ? "" : "s",
-              use_reactor ? "reactor" : "blocking",
-              use_reactor ? reactor->address().c_str()
-                          : blocking->address().c_str());
+              server.address().c_str());
   std::fflush(stdout);
   int sig = 0;
   sigwait(&set, &sig);
   std::printf("signal %d: shutting down\n", sig);
-  if (use_reactor) {
-    reactor->Shutdown();
-  } else {
-    blocking->Shutdown();
-  }
+  server.Shutdown();
   service.Stop();
 
   const engine::ServiceStats st = service.stats();
-  const net::WireServerCounters wc =
-      use_reactor ? reactor->stats().wire : blocking->stats();
+  const net::ReactorCounters rc = server.stats();
   std::printf(
       "served %llu requests (%llu failed) over %llu connections, "
       "%llu frames, %llu protocol errors\n",
       static_cast<unsigned long long>(st.completed + st.failed),
       static_cast<unsigned long long>(st.failed),
-      static_cast<unsigned long long>(wc.connections_accepted),
-      static_cast<unsigned long long>(wc.frames_served),
-      static_cast<unsigned long long>(wc.protocol_errors));
-  if (use_reactor) {
-    const net::ReactorCounters rc = reactor->stats();
-    std::printf(
-        "  reactor: %llu pipelined frames, %llu backpressure pauses, "
-        "%llu idle connections reaped\n",
-        static_cast<unsigned long long>(rc.pipelined_frames),
-        static_cast<unsigned long long>(rc.backpressure_pauses),
-        static_cast<unsigned long long>(rc.idle_closed));
-  }
+      static_cast<unsigned long long>(rc.wire.connections_accepted),
+      static_cast<unsigned long long>(rc.wire.frames_served),
+      static_cast<unsigned long long>(rc.wire.protocol_errors));
+  std::printf(
+      "  %llu pipelined frames, %llu backpressure pauses, "
+      "%llu idle connections reaped\n",
+      static_cast<unsigned long long>(rc.pipelined_frames),
+      static_cast<unsigned long long>(rc.backpressure_pauses),
+      static_cast<unsigned long long>(rc.idle_closed));
   std::printf(
       "  models published %llu, template entries warmed %llu, histogram "
       "hit rate %.1f%%, template hit rate %.1f%%, traversal kernel %s\n",
@@ -739,9 +718,9 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
 // QueryLogReader in --chunk-sized slices, each scored remotely
 // (--connect) or locally (--model), so the resident set never exceeds
 // ~one chunk of parsed records regardless of log size. With --pipeline[=N]
-// (requires --connect and a --reactor server) each workload travels as its
-// own pipelined frame with up to N in flight, so wire latency amortizes
-// instead of gating every workload on a round trip.
+// (requires --connect) each workload travels as its own pipelined frame
+// with up to N in flight, so wire latency amortizes instead of gating
+// every workload on a round trip.
 int CmdScore(const std::map<std::string, std::string>& flags) {
   const std::string log_path = FlagOr(flags, "log", "");
   const std::string address = FlagOr(flags, "connect", "");
@@ -915,7 +894,7 @@ int CmdScore(const std::map<std::string, std::string>& flags) {
   if (!cold_split.empty()) std::printf("%s\n", cold_split.c_str());
   if (pipelined != nullptr) {
     // The async client only speaks score frames; fetch the closing stats
-    // over a throwaway plain client (the reactor serves both dialects).
+    // over a throwaway plain client (the server speaks both dialects).
     pipelined->Close();
     remote = std::make_unique<net::WireClient>(address);
   }
