@@ -325,7 +325,7 @@ size_t TemplateModel::SerializedBytes() const {
 Result<int> ChooseNumTemplates(
     const std::vector<workloads::QueryRecord>& records,
     const std::vector<uint32_t>& train_indices, const std::vector<int>& ks,
-    uint64_t seed) {
+    uint64_t seed, std::vector<double>* inertias) {
   if (ks.empty()) return Status::InvalidArgument("empty k candidate list");
   if (train_indices.empty()) {
     return Status::InvalidArgument("no training queries");
@@ -337,9 +337,11 @@ Result<int> ChooseNumTemplates(
   ml::KMeansOptions base;
   base.seed = seed;
   base.n_init = 1;  // the sweep itself provides robustness
-  WMP_ASSIGN_OR_RETURN(std::vector<double> inertias,
+  WMP_ASSIGN_OR_RETURN(std::vector<double> curve,
                        ml::KMeansElbowCurve(scaled, ks, base));
-  return ks[ml::PickElbow(inertias)];
+  const int k = ks[ml::PickElbow(curve)];
+  if (inertias != nullptr) *inertias = std::move(curve);
+  return k;
 }
 
 namespace {

@@ -180,11 +180,12 @@ class TemplateModel {
 
 /// \brief The paper's elbow tuning for `k` (§III-B1 cites the elbow
 /// method): runs plan-feature k-means over each candidate in `ks` and picks
-/// the inertia-curve elbow. Returns the chosen k.
+/// the inertia-curve elbow. Returns the chosen k; when `inertias` is
+/// non-null it also receives the curve, one entry per `ks` entry.
 Result<int> ChooseNumTemplates(
     const std::vector<workloads::QueryRecord>& records,
     const std::vector<uint32_t>& train_indices, const std::vector<int>& ks,
-    uint64_t seed = 42);
+    uint64_t seed = 42, std::vector<double>* inertias = nullptr);
 
 }  // namespace wmp::core
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <string>
 
 #include "ml/regressor.h"
 #include "util/parallel.h"
@@ -11,6 +13,13 @@
 namespace wmp::ml {
 
 namespace {
+
+// Rows per ParallelFor chunk in RunOnce's two row scans (the k-means++
+// distance update and the Lloyd assignment). Each row's result is written to
+// its own slot and every sum over rows runs serially afterwards, so the
+// chunking never changes a bit. 256 splits a 3,000-row training log into
+// twelve chunks; larger grains left cores idle on such logs.
+constexpr size_t kRowGrain = 256;
 
 // One full k-means++ init followed by Lloyd iterations.
 // Returns (centroids, inertia).
@@ -26,9 +35,12 @@ std::pair<Matrix, double> RunOnce(const Matrix& x, int k, int max_iters,
   std::copy(x.RowPtr(first), x.RowPtr(first) + d, centroids.RowPtr(0));
   for (size_t c = 1; c < kk; ++c) {
     const double* prev = centroids.RowPtr(c - 1);
-    for (size_t i = 0; i < n; ++i) {
-      min_dist[i] = std::min(min_dist[i], SquaredDistance(x.RowPtr(i), prev, d));
-    }
+    util::ParallelFor(n, kRowGrain, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        min_dist[i] =
+            std::min(min_dist[i], SquaredDistance(x.RowPtr(i), prev, d));
+      }
+    });
     double total = 0.0;
     for (double v : min_dist) total += v;
     size_t chosen;
@@ -51,24 +63,22 @@ std::pair<Matrix, double> RunOnce(const Matrix& x, int k, int max_iters,
 
   // --- Lloyd iterations ---
   std::vector<int> labels(n, 0);
+  std::vector<double> best(n, 0.0);
   double prev_inertia = std::numeric_limits<double>::max();
   double inertia = prev_inertia;
   for (int it = 0; it < max_iters; ++it) {
-    inertia = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double* row = x.RowPtr(i);
-      double best = std::numeric_limits<double>::max();
-      int best_c = 0;
-      for (size_t c = 0; c < kk; ++c) {
-        const double dist = SquaredDistance(row, centroids.RowPtr(c), d);
-        if (dist < best) {
-          best = dist;
-          best_c = static_cast<int>(c);
-        }
+    // Labels from the serving assignment kernel, then each row's distance to
+    // its label; the inertia sums those distances in row order.
+    util::ParallelFor(n, kRowGrain, [&](size_t begin, size_t end) {
+      NearestCentroids(x.RowPtr(begin), end - begin, centroids,
+                       labels.data() + begin);
+      for (size_t i = begin; i < end; ++i) {
+        best[i] = SquaredDistance(
+            x.RowPtr(i), centroids.RowPtr(static_cast<size_t>(labels[i])), d);
       }
-      labels[i] = best_c;
-      inertia += best;
-    }
+    });
+    inertia = 0.0;
+    for (double v : best) inertia += v;
     // Recompute centroids.
     Matrix sums(kk, d);
     std::vector<size_t> counts(kk, 0);
@@ -104,7 +114,8 @@ Status KMeans::Fit(const Matrix& x, const KMeansOptions& options) {
     return Status::InvalidArgument("KMeans::Fit on empty matrix");
   }
   if (options.num_clusters < 1) {
-    return Status::InvalidArgument("num_clusters must be >= 1");
+    return Status::InvalidArgument("num_clusters must be >= 1, got " +
+                                   std::to_string(options.num_clusters));
   }
   const int k =
       std::min<int>(options.num_clusters, static_cast<int>(x.rows()));
@@ -187,15 +198,27 @@ Result<KMeans> KMeans::Deserialize(BinaryReader* reader) {
 Result<std::vector<double>> KMeansElbowCurve(const Matrix& x,
                                              const std::vector<int>& ks,
                                              const KMeansOptions& base) {
-  std::vector<double> inertias;
-  inertias.reserve(ks.size());
-  for (int k : ks) {
-    KMeans km;
-    KMeansOptions opt = base;
-    opt.num_clusters = k;
-    WMP_RETURN_IF_ERROR(km.Fit(x, opt));
-    inertias.push_back(km.inertia());
-  }
+  // Fits are independent (each seeds its own Rng from base.seed), so they
+  // run concurrently, each into its own slot. Claiming the largest k first
+  // keeps the longest fit from starting last.
+  std::vector<size_t> order(ks.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return ks[a] > ks[b]; });
+  std::vector<double> inertias(ks.size(), 0.0);
+  std::vector<Status> statuses(ks.size());
+  util::ParallelFor(order.size(), 1, [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      const size_t i = order[j];
+      KMeans km;
+      KMeansOptions opt = base;
+      opt.num_clusters = ks[i];
+      statuses[i] = km.Fit(x, opt);
+      inertias[i] = km.inertia();
+    }
+  });
+  // The first failure in `ks` order, as a serial sweep would report it.
+  for (const Status& st : statuses) WMP_RETURN_IF_ERROR(st);
   return inertias;
 }
 

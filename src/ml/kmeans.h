@@ -7,6 +7,12 @@
 /// This is the paper's template learner (Algorithm 1): queries featurized
 /// from their plans are clustered, and each cluster is a *query template*.
 /// `inertia()` feeds the elbow method the paper uses to tune `k`.
+///
+/// Determinism: Fit and KMeansElbowCurve run on the util::ParallelFor worker
+/// pool, and their results are the same bits at every thread count
+/// (`--threads`, ScopedParallelism), one thread included. Parallel scans
+/// write one slot per row (or per k), and every sum over rows (inertia,
+/// k-means++ seeding total, centroid sums) runs serially in row order.
 
 #include <cstdint>
 #include <vector>
@@ -62,6 +68,11 @@ class KMeans {
 
 /// \brief Runs k-means for each k in `ks` and returns the inertias, the raw
 /// material of an elbow plot.
+///
+/// The fits run concurrently on the worker pool, largest k first; each is
+/// seeded from `base.seed` alone, so the curve equals fitting every k on its
+/// own. A k above the row count clamps as in Fit. On failure returns the
+/// first error in `ks` order.
 Result<std::vector<double>> KMeansElbowCurve(const Matrix& x,
                                              const std::vector<int>& ks,
                                              const KMeansOptions& base);

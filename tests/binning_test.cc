@@ -327,7 +327,9 @@ TEST(BinColumnTest, StridedAccessReadsAndWritesTheRightSlots) {
       EXPECT_EQ(out[r * 3 + f], binner.BinValue(f, x.At(r, f)));
       // Neighbouring slots untouched.
       for (size_t g = 0; g < 3; ++g) {
-        if (g != f) EXPECT_EQ(out[r * 3 + g], 0xee);
+        if (g != f) {
+          EXPECT_EQ(out[r * 3 + g], 0xee);
+        }
       }
     }
   }

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
+#include "core/featurizer.h"
+#include "core/template_learner.h"
 #include "ml/dbscan.h"
 #include "ml/kmeans.h"
 #include "util/io.h"
+#include "util/parallel.h"
 #include "util/random.h"
+#include "workloads/dataset.h"
 
 namespace wmp::ml {
 namespace {
@@ -89,6 +94,28 @@ TEST(KMeansTest, ErrorsOnBadInput) {
   EXPECT_TRUE(km.Assign({1.0, 2.0}).status().IsFailedPrecondition());
 }
 
+// The sweep fits its candidates concurrently, largest k first, yet reports
+// the error a serial sweep would: the first bad k in `ks` order, not the
+// first fit to finish or to be claimed.
+TEST(KMeansTest, ElbowCurveReportsFirstBadKInKsOrder) {
+  Matrix x = ThreeBlobs(20, 15);
+  for (int threads : {1, 4}) {
+    util::ScopedParallelism scope(threads);
+    auto curve = KMeansElbowCurve(x, {10, 0, 20, -1}, {.seed = 1});
+    ASSERT_TRUE(curve.status().IsInvalidArgument()) << threads;
+    EXPECT_EQ(curve.status().message(), "num_clusters must be >= 1, got 0");
+    // Largest k first claims 0 before -2; the error is still -2's.
+    curve = KMeansElbowCurve(x, {-2, 0, 10}, {.seed = 1});
+    ASSERT_TRUE(curve.status().IsInvalidArgument()) << threads;
+    EXPECT_EQ(curve.status().message(), "num_clusters must be >= 1, got -2");
+    // A k above the row count (60) still clamps instead of failing.
+    curve = KMeansElbowCurve(x, {3, 500}, {.seed = 1});
+    ASSERT_TRUE(curve.ok()) << curve.status().ToString();
+    ASSERT_EQ(curve->size(), 2u);
+    EXPECT_LE((*curve)[1], (*curve)[0]);
+  }
+}
+
 TEST(KMeansTest, DeterministicForSameSeed) {
   Matrix x = ThreeBlobs(30, 11);
   KMeans a, b;
@@ -164,6 +191,86 @@ TEST_P(KMeansAssignmentProperty, NearestCentroidInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Ks, KMeansAssignmentProperty,
                          ::testing::Values(1, 2, 3, 4, 6, 10, 20));
+
+// ---------- results do not depend on the thread count ----------
+
+// Bit patterns, so a comparison tells -0.0 from 0.0 and fails on NaN.
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> bits(v.size());
+  std::memcpy(bits.data(), v.data(), v.size() * sizeof(double));
+  return bits;
+}
+
+// `n` rows of 22 columns (the plan-feature width) scattered around 60
+// centers; thousands of rows split Fit's row scans over the pool.
+Matrix ManyRows(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  const size_t d = 22, centers = 60;
+  Matrix c(centers, d);
+  for (double& v : c.data()) v = rng.Normal(0, 3.0);
+  Matrix x(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t b = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(centers) - 1));
+    for (size_t j = 0; j < d; ++j) x.At(i, j) = c.At(b, j) + rng.Normal(0, 1.0);
+  }
+  return x;
+}
+
+// Runs `fn` with this thread's ParallelFor calls capped at `threads`.
+template <typename Fn>
+auto AtThreads(int threads, Fn fn) {
+  util::ScopedParallelism scope(threads);
+  return fn();
+}
+
+TEST(KMeansThreadsTest, FitIsBitwiseEqualAtOneAndFourThreads) {
+  const Matrix x = ManyRows(5000, 21);
+  const KMeansOptions opt{.num_clusters = 40, .n_init = 3, .seed = 9};
+  KMeans one, four;
+  ASSERT_TRUE(AtThreads(1, [&] { return one.Fit(x, opt); }).ok());
+  ASSERT_TRUE(AtThreads(4, [&] { return four.Fit(x, opt); }).ok());
+  ASSERT_EQ(four.num_clusters(), 40);
+  EXPECT_EQ(Bits(one.centroids().data()), Bits(four.centroids().data()));
+  EXPECT_EQ(Bits({one.inertia()}), Bits({four.inertia()}));
+}
+
+TEST(KMeansThreadsTest, ElbowCurveIsBitwiseEqualAtOneAndFourThreads) {
+  const Matrix x = ManyRows(2000, 22);
+  std::vector<int> ks;
+  for (int k = 10; k <= 100; k += 10) ks.push_back(k);
+  const KMeansOptions base{.n_init = 1, .seed = 5};
+  auto one = AtThreads(1, [&] { return KMeansElbowCurve(x, ks, base); });
+  auto four = AtThreads(4, [&] { return KMeansElbowCurve(x, ks, base); });
+  ASSERT_TRUE(one.ok() && four.ok());
+  ASSERT_EQ(four->size(), ks.size());
+  EXPECT_EQ(Bits(*one), Bits(*four));
+  // Each slot holds its own k's fit.
+  KMeans k70;
+  ASSERT_TRUE(k70.Fit(x, {.num_clusters = 70, .n_init = 1, .seed = 5}).ok());
+  EXPECT_EQ(Bits({k70.inertia()}), Bits({(*four)[6]}));
+}
+
+TEST(KMeansThreadsTest, ChooseNumTemplatesIsEqualAtOneAndFourThreads) {
+  workloads::DatasetOptions dopt;
+  dopt.num_queries = 3000;
+  dopt.seed = 23;
+  auto data = workloads::BuildDataset(workloads::Benchmark::kTpcds, dopt);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const auto indices = core::AllIndices(data->records.size());
+  std::vector<int> ks;
+  for (int k = 10; k <= 100; k += 10) ks.push_back(k);
+  std::vector<double> curve_one, curve_four;
+  auto choose = [&](std::vector<double>* curve) {
+    return core::ChooseNumTemplates(data->records, indices, ks, 42, curve);
+  };
+  auto one = AtThreads(1, [&] { return choose(&curve_one); });
+  auto four = AtThreads(4, [&] { return choose(&curve_four); });
+  ASSERT_TRUE(one.ok() && four.ok());
+  EXPECT_EQ(*one, *four);
+  ASSERT_EQ(curve_four.size(), ks.size());
+  EXPECT_EQ(Bits(curve_one), Bits(curve_four));
+}
 
 // ---------- DBSCAN ----------
 

@@ -97,7 +97,8 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
     if (std::strncmp(a, "--", 2) != 0) continue;
     const char* eq = std::strchr(a, '=');
     if (eq == nullptr) {
-      flags[a + 2] = "1";
+      // Not `= "1"`: GCC 12 reports a false -Wrestrict on that overload.
+      flags[a + 2] = std::string(1, '1');
     } else {
       flags[std::string(a + 2, eq)] = eq + 1;
     }
@@ -373,10 +374,22 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
     // Elbow-tune k over a standard candidate grid.
     std::vector<int> ks;
     for (int k = 10; k <= 100; k += 10) ks.push_back(k);
-    auto chosen = core::ChooseNumTemplates(*records, indices, ks, opt.seed);
+    std::vector<double> inertias;
+    Stopwatch sweep;
+    auto chosen = core::ChooseNumTemplates(*records, indices, ks, opt.seed,
+                                           &inertias);
+    const double sweep_ms = sweep.ElapsedMillis();
     if (!chosen.ok()) return Fail(chosen.status());
     opt.templates.num_templates = *chosen;
     std::printf("elbow-tuned k = %d\n", opt.templates.num_templates);
+    // What the sweep cost and the curve the elbow was read from, so a
+    // retrain's time and its k are explainable from the CLI.
+    std::printf("elbow sweep: %zu fits in %.1f ms; inertia by k:", ks.size(),
+                sweep_ms);
+    for (size_t i = 0; i < ks.size(); ++i) {
+      std::printf(" %d:%.1f", ks[i], inertias[i]);
+    }
+    std::printf("\n");
   }
   auto model = core::LearnedWmpModel::Train(*records, indices, opt);
   if (!model.ok()) return Fail(model.status());
