@@ -20,7 +20,6 @@
 
 #include "bench_common.h"
 #include "engine/batch_scorer.h"
-#include "ml/compiled_tree.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 
@@ -34,9 +33,6 @@ struct ThroughputRow {
   // bin-space ensemble — the default serving path), or "batch_reference"
   // (BatchScorer with compiled routing off: the raw-space regressor walk).
   std::string mode;
-  // Traversal kernel of compiled runs ("scalar", "lockstep8", ...);
-  // "reference" when the compiled path is off or absent.
-  std::string kernel = "reference";
   int batch_size = 0;
   int threads = 0;
   size_t queries = 0;
@@ -47,10 +43,10 @@ struct ThroughputRow {
 std::string ToJson(const ThroughputRow& r) {
   return StrFormat(
       "{\"figure\":\"fig7_batch_throughput\",\"benchmark\":\"%s\","
-      "\"mode\":\"%s\",\"kernel\":\"%s\",\"batch_size\":%d,\"threads\":%d,"
+      "\"mode\":\"%s\",\"batch_size\":%d,\"threads\":%d,"
       "\"queries\":%zu,\"ms\":%.3f,\"queries_per_sec\":%.1f}",
-      r.benchmark.c_str(), r.mode.c_str(), r.kernel.c_str(), r.batch_size,
-      r.threads, r.queries, r.ms, r.qps);
+      r.benchmark.c_str(), r.mode.c_str(), r.batch_size, r.threads,
+      r.queries, r.ms, r.qps);
 }
 
 // Scores the whole dataset through the scalar per-query loop (the seed's
@@ -92,9 +88,6 @@ ThroughputRow BatchRun(const core::ExperimentData& data,
   auto p = scorer.ScoreLog(data.dataset.records, batch_size);
   ThroughputRow row;
   row.mode = model.compiled_inference() ? "batch" : "batch_reference";
-  if (model.compiled_inference() && model.compiled() != nullptr) {
-    row.kernel = model.compiled()->kernel_name();
-  }
   row.batch_size = batch_size;
   row.threads = threads;
   if (p.ok()) {
@@ -121,28 +114,17 @@ bool CompiledMatchesReference(const core::ExperimentData& data,
     std::cerr << "equivalence scoring failed\n";
     return false;
   }
-  // Every traversal kernel must reproduce the reference walk bitwise —
-  // the scalar walk and the lockstep blocks alike (kAuto is the serving
-  // default). Leaves the model recompiled with the default kernel.
-  for (ml::TraverseKernel kernel :
-       {ml::TraverseKernel::kScalar, ml::TraverseKernel::kAuto}) {
-    if (!model->RecompileInference(ml::CompileOptions{.kernel = kernel})
-             .ok()) {
-      std::cerr << "recompile failed\n";
+  auto compiled = model->PredictWorkloads(data.dataset.records, batches);
+  if (!compiled.ok()) {
+    std::cerr << "equivalence scoring failed\n";
+    return false;
+  }
+  for (size_t i = 0; i < compiled->size(); ++i) {
+    if ((*compiled)[i] != (*reference)[i]) {
+      std::cerr << "compiled diverges from reference at workload " << i
+                << ": " << (*compiled)[i] << " vs " << (*reference)[i]
+                << "\n";
       return false;
-    }
-    auto compiled = model->PredictWorkloads(data.dataset.records, batches);
-    if (!compiled.ok()) {
-      std::cerr << "equivalence scoring failed\n";
-      return false;
-    }
-    for (size_t i = 0; i < compiled->size(); ++i) {
-      if ((*compiled)[i] != (*reference)[i]) {
-        std::cerr << "kernel " << model->compiled()->kernel_name()
-                  << " diverges from reference at workload " << i << ": "
-                  << (*compiled)[i] << " vs " << (*reference)[i] << "\n";
-        return false;
-      }
     }
   }
   return true;
@@ -207,56 +189,29 @@ int main(int argc, char** argv) {
       return 1;
     }
     const int hw = static_cast<int>(util::HardwareThreads());
-    // The compiled path runs twice per batch size: once pinned to the
-    // scalar walk and once on the default (lockstep) kernel, so the
-    // lockstep gain is visible at paper scale next to the compiled gain.
-    const char* lockstep_name = ml::TraverseKernelName(
-        ml::ResolveTraverseKernel(ml::TraverseKernel::kAuto));
     TablePrinter tput(StrFormat("%s batch throughput (queries/sec)",
                                 result->benchmark.c_str()));
-    tput.SetHeader({"batch", "scalar 1t", "reference 1t", "compiled(scalar)",
-                    StrFormat("compiled(%s)", lockstep_name),
-                    StrFormat("compiled %dt", hw), "lockstep gain",
-                    "compiled gain"});
+    tput.SetHeader({"batch", "scalar 1t", "reference 1t", "compiled 1t",
+                    StrFormat("compiled %dt", hw), "compiled gain"});
     for (int batch_size : {1, 10, 100, 1000}) {
       ThroughputRow scalar = ScalarBaseline(*data, *model, batch_size);
       model->set_compiled_inference(false);
       ThroughputRow reference = BatchRun(*data, *model, batch_size, 1);
       model->set_compiled_inference(true);
-      if (!model
-               ->RecompileInference(
-                   ml::CompileOptions{.kernel = ml::TraverseKernel::kScalar})
-               .ok()) {
-        std::cerr << "recompile failed\n";
-        return 1;
-      }
-      ThroughputRow batch_scalar_kernel = BatchRun(*data, *model, batch_size, 1);
-      if (!model
-               ->RecompileInference(
-                   ml::CompileOptions{.kernel = ml::TraverseKernel::kAuto})
-               .ok()) {
-        std::cerr << "recompile failed\n";
-        return 1;
-      }
       ThroughputRow batch1 = BatchRun(*data, *model, batch_size, 1);
       ThroughputRow batch_hw = hw > 1 ? BatchRun(*data, *model, batch_size, hw)
                                       : batch1;
-      scalar.benchmark = reference.benchmark = batch_scalar_kernel.benchmark =
-          batch1.benchmark = batch_hw.benchmark = result->benchmark;
+      scalar.benchmark = reference.benchmark = batch1.benchmark =
+          batch_hw.benchmark = result->benchmark;
       tput.AddRow({StrFormat("%d", batch_size), StrFormat("%.0f", scalar.qps),
                    StrFormat("%.0f", reference.qps),
-                   StrFormat("%.0f", batch_scalar_kernel.qps),
                    StrFormat("%.0f", batch1.qps),
                    StrFormat("%.0f", batch_hw.qps),
-                   batch_scalar_kernel.qps > 0.0
-                       ? StrFormat("%.2fx", batch1.qps / batch_scalar_kernel.qps)
-                       : std::string("n/a"),
                    reference.qps > 0.0
                        ? StrFormat("%.2fx", batch1.qps / reference.qps)
                        : std::string("n/a")});
       throughput.push_back(scalar);
       throughput.push_back(reference);
-      throughput.push_back(batch_scalar_kernel);
       throughput.push_back(batch1);
       if (hw > 1) throughput.push_back(batch_hw);
     }

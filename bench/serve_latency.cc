@@ -51,7 +51,6 @@
 #include "bench_common.h"
 #include "engine/batch_scorer.h"
 #include "engine/scoring_service.h"
-#include "ml/compiled_tree.h"
 #include "util/parallel.h"
 #include "util/stats.h"
 #include "util/sync.h"
@@ -79,23 +78,19 @@ struct ServeRow {
   uint64_t flushes_deadline = 0;
   uint64_t errors = 0;
   bool bitwise_identical = true;
-  // Traversal kernel of the served model's compiled ensemble; "reference"
-  // when compiled routing is off for the run.
-  std::string kernel = "reference";
 };
 
 std::string ToJson(const ServeRow& r) {
   return StrFormat(
       "{\"figure\":\"serve_latency\",\"mode\":\"%s\",\"clients\":%d,"
-      "\"shards\":%d,\"adaptive\":%s,\"kernel\":\"%s\",\"workloads\":%zu,"
-      "\"queries\":%zu,"
+      "\"shards\":%d,\"adaptive\":%s,\"workloads\":%zu,\"queries\":%zu,"
       "\"seconds\":%.3f,\"queries_per_sec\":%.1f,\"p50_us\":%.1f,"
       "\"p99_us\":%.1f,\"cache_hit_rate\":%.4f,\"template_hit_rate\":%.4f,"
       "\"flushes_full\":%llu,\"flushes_adaptive\":%llu,"
       "\"flushes_deadline\":%llu,\"errors\":%llu,\"bitwise_identical\":%s}",
       r.mode.c_str(), r.clients, r.shards, r.adaptive ? "true" : "false",
-      r.kernel.c_str(), r.workloads, r.queries, r.seconds, r.qps, r.p50_us,
-      r.p99_us, r.hit_rate, r.template_hit_rate,
+      r.workloads, r.queries, r.seconds, r.qps, r.p50_us, r.p99_us,
+      r.hit_rate, r.template_hit_rate,
       static_cast<unsigned long long>(r.flushes_full),
       static_cast<unsigned long long>(r.flushes_adaptive),
       static_cast<unsigned long long>(r.flushes_deadline),
@@ -538,12 +533,10 @@ int main(int argc, char** argv) {
   }
 
   // --- Compiled bin-space inference vs the reference regressor walk,
-  // through the full service stack, once per traversal kernel. One cold
-  // pipelined pass each over the same stream; every compiled run's bitwise
-  // flag compares every prediction against the reference pass and feeds
-  // the nonzero-exit gate below, so CI's serve smoke fails on any
-  // compiled/reference divergence — under the scalar walk and the default
-  // lockstep kernel alike. ---
+  // through the full service stack. One cold pipelined pass each over the
+  // same stream; the compiled run's bitwise flag compares every prediction
+  // against the reference pass and feeds the nonzero-exit gate below, so
+  // CI's serve smoke fails on any compiled/reference divergence. ---
   {
     const int clients = args.quick ? 2 : 4;
     engine::ScoringServiceOptions sopt;
@@ -554,9 +547,35 @@ int main(int argc, char** argv) {
     DriveResult ref = Drive(&ref_service, records, batches, clients, 1, true);
     ref_service.Stop();
     model->set_compiled_inference(true);
+    engine::ScoringService service({&*model}, sopt);
+    DriveResult d = Drive(&service, records, batches, clients, 1, true);
+    service.Stop();
+    bool bitwise = ref.errors == 0 && d.errors == 0;
+    for (size_t w = 0; bitwise && w < batches.size(); ++w) {
+      if (d.pass_predictions[0][w] != ref.pass_predictions[0][w]) {
+        std::cerr << "compiled/reference divergence at workload " << w
+                  << ": " << d.pass_predictions[0][w] << " vs "
+                  << ref.pass_predictions[0][w] << "\n";
+        bitwise = false;
+      }
+    }
+    ServeRow row;
+    row.mode = "compiled";
+    row.clients = clients;
+    row.shards = 1;
+    row.workloads = batches.size();
+    row.queries = CountQueries(batches);
+    row.seconds = d.seconds;
+    row.qps = d.seconds > 0 ? static_cast<double>(row.queries) / d.seconds
+                            : 0.0;
+    row.p50_us = util::PercentileInPlace(&d.latencies_us, 0.50);
+    row.p99_us = util::PercentileInPlace(&d.latencies_us, 0.99);
+    row.errors = d.errors + ref.errors;
+    row.bitwise_identical = bitwise;
+    rows.push_back(row);
     TablePrinter table("serve_latency — compiled bin-space inference");
-    table.SetHeader({"path", "kernel", "qps", "p50 us", "p99 us", "bitwise"});
-    table.AddRow({"reference", "-",
+    table.SetHeader({"path", "qps", "p50 us", "p99 us", "bitwise"});
+    table.AddRow({"reference",
                   StrFormat("%.0f",
                             ref.seconds > 0
                                 ? CountQueries(batches) / ref.seconds
@@ -566,53 +585,9 @@ int main(int argc, char** argv) {
                   StrFormat("%.0f", util::PercentileInPlace(
                                         &ref.latencies_us, 0.99)),
                   "-"});
-    // Scalar walk first, then the default (lockstep) kernel — the service
-    // is constructed after each recompile, so it serves a stable snapshot.
-    const struct {
-      const char* mode;
-      ml::TraverseKernel kernel;
-    } kernel_runs[] = {{"compiled_scalar", ml::TraverseKernel::kScalar},
-                       {"compiled", ml::TraverseKernel::kAuto}};
-    for (const auto& kr : kernel_runs) {
-      if (!model->RecompileInference(ml::CompileOptions{.kernel = kr.kernel})
-               .ok()) {
-        std::cerr << "recompile failed\n";
-        return 1;
-      }
-      engine::ScoringService service({&*model}, sopt);
-      DriveResult d = Drive(&service, records, batches, clients, 1, true);
-      service.Stop();
-      bool bitwise = ref.errors == 0 && d.errors == 0;
-      for (size_t w = 0; bitwise && w < batches.size(); ++w) {
-        if (d.pass_predictions[0][w] != ref.pass_predictions[0][w]) {
-          std::cerr << "compiled/reference divergence (" << kr.mode
-                    << ") at workload " << w << ": "
-                    << d.pass_predictions[0][w] << " vs "
-                    << ref.pass_predictions[0][w] << "\n";
-          bitwise = false;
-        }
-      }
-      ServeRow row;
-      row.mode = kr.mode;
-      row.kernel = model->compiled() != nullptr
-                       ? model->compiled()->kernel_name()
-                       : "reference";
-      row.clients = clients;
-      row.shards = 1;
-      row.workloads = batches.size();
-      row.queries = CountQueries(batches);
-      row.seconds = d.seconds;
-      row.qps = d.seconds > 0 ? static_cast<double>(row.queries) / d.seconds
-                              : 0.0;
-      row.p50_us = util::PercentileInPlace(&d.latencies_us, 0.50);
-      row.p99_us = util::PercentileInPlace(&d.latencies_us, 0.99);
-      row.errors = d.errors + ref.errors;
-      row.bitwise_identical = bitwise;
-      rows.push_back(row);
-      table.AddRow({kr.mode, row.kernel, StrFormat("%.0f", row.qps),
-                    StrFormat("%.0f", row.p50_us),
-                    StrFormat("%.0f", row.p99_us), bitwise ? "yes" : "NO"});
-    }
+    table.AddRow({row.mode, StrFormat("%.0f", row.qps),
+                  StrFormat("%.0f", row.p50_us),
+                  StrFormat("%.0f", row.p99_us), bitwise ? "yes" : "NO"});
     table.Print(std::cout);
     std::cout << "\n";
   }

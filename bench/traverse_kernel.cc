@@ -1,12 +1,14 @@
-// Traversal-kernel micro-bench: scalar walk vs lockstep-4/8 vs the AVX2
-// gather kernel on compiled DT/RF/GBT ensembles, swept over LUT depth
-// {0, 3, 6}, u8/u16 code widths, and batch sizes {1, 10, 100, 1000}.
+// Compiled-traversal micro-bench: CompiledEnsemble::Predict on DT/RF/GBT
+// ensembles, swept over LUT depth {0, 3, 6}, u8/u16 code widths, and batch
+// sizes {1, 10, 100, 1000}.
 //
-// This isolates CompiledEnsemble::Predict — synthetic training data, no
+// This isolates the compiled traversal — synthetic training data, no
 // workload pipeline — so the numbers measure pure traversal throughput
-// (rows/sec) of each kernel. Every configuration's predictions are gated
-// bitwise against the scalar walk on the same chunking; any divergence is
-// a nonzero exit (CI runs `--quick`).
+// (rows/sec). Every configuration's predictions are gated bitwise against
+// the raw-space Regressor::Predict on the same chunking; any divergence is
+// a nonzero exit (CI runs `--quick`). BENCH_traverse.json keeps the last
+// sweep of the retired lockstep-4 and AVX2 gather kernels against the
+// scalar and lockstep-8 walks that remain.
 //
 // Flags: --quick (CI smoke size), --json=PATH (trajectory records),
 // --seed=<n>.
@@ -146,18 +148,24 @@ std::vector<ml::Matrix> SplitChunks(const ml::Matrix& x, size_t batch) {
   return chunks;
 }
 
-// One pass collects predictions (for the bitwise gate), then timed passes
-// repeat until `min_ms` has elapsed. Returns rows/sec, or -1 on error.
-double MeasureRowsPerSec(const ml::CompiledEnsemble& compiled,
-                         const std::vector<ml::Matrix>& chunks, size_t rows,
-                         double min_ms, std::vector<double>* predictions) {
+// Concatenated predictions over `chunks`, or false on error.
+template <typename Model>
+bool PredictChunks(const Model& model, const std::vector<ml::Matrix>& chunks,
+                   std::vector<double>* predictions) {
   predictions->clear();
-  predictions->reserve(rows);
   for (const ml::Matrix& m : chunks) {
-    auto p = compiled.Predict(m);
-    if (!p.ok()) return -1.0;
+    auto p = model.Predict(m);
+    if (!p.ok()) return false;
     predictions->insert(predictions->end(), p->begin(), p->end());
   }
+  return true;
+}
+
+// Timed passes repeat until `min_ms` has elapsed. Returns rows/sec, or -1
+// on error.
+double MeasureRowsPerSec(const ml::CompiledEnsemble& compiled,
+                         const std::vector<ml::Matrix>& chunks, size_t rows,
+                         double min_ms) {
   int reps = 0;
   double ms = 0.0;
   Stopwatch sw;
@@ -179,19 +187,15 @@ struct BenchRow {
   std::string model;
   std::string codes;  // "u8" | "u16"
   int lut = 0;
-  std::string kernel;
   size_t batch = 0;
   double rows_per_sec = 0.0;
-  double speedup = 0.0;  // vs scalar at the same (model, lut, batch)
 };
 
 std::string ToJson(const BenchRow& r) {
   return StrFormat(
       "{\"figure\":\"traverse_kernel\",\"model\":\"%s\",\"codes\":\"%s\","
-      "\"lut\":%d,\"kernel\":\"%s\",\"batch\":%zu,\"rows_per_sec\":%.0f,"
-      "\"speedup_vs_scalar\":%.3f}",
-      r.model.c_str(), r.codes.c_str(), r.lut, r.kernel.c_str(), r.batch,
-      r.rows_per_sec, r.speedup);
+      "\"lut\":%d,\"batch\":%zu,\"rows_per_sec\":%.0f}",
+      r.model.c_str(), r.codes.c_str(), r.lut, r.batch, r.rows_per_sec);
 }
 
 }  // namespace
@@ -199,19 +203,11 @@ std::string ToJson(const BenchRow& r) {
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::ParseArgs(argc, argv);
   std::printf("=======================================================\n");
-  std::printf("traverse_kernel — lockstep vs scalar compiled traversal\n");
+  std::printf("traverse_kernel — compiled bin-space traversal\n");
   std::printf("quick=%s seed=%llu\n", args.quick ? "yes" : "no",
               static_cast<unsigned long long>(args.seed));
   std::printf("=======================================================\n");
 
-  std::vector<ml::TraverseKernel> kernels = {ml::TraverseKernel::kScalar,
-                                             ml::TraverseKernel::kLockstep4,
-                                             ml::TraverseKernel::kLockstep8};
-  if (ml::TraverseKernelSupported(ml::TraverseKernel::kAvx2)) {
-    kernels.push_back(ml::TraverseKernel::kAvx2);
-  } else {
-    std::printf("avx2 kernel: unsupported on this cpu, skipped\n");
-  }
   const std::vector<int> luts = args.quick ? std::vector<int>{0, 3}
                                            : std::vector<int>{0, 3, 6};
   const std::vector<size_t> batches = args.quick
@@ -224,87 +220,62 @@ int main(int argc, char** argv) {
   std::vector<BenchRow> rows;
   size_t mismatches = 0;
   for (const ModelSpec& spec : specs) {
-    auto compiled = ml::CompiledEnsemble::CompileRegressor(
-        *spec.model, ml::CompileOptions{.lut_levels = 0,
-                                        .kernel = ml::TraverseKernel::kScalar});
-    if (!compiled.ok()) {
-      std::cerr << "compile failed: " << compiled.status() << "\n";
-      return 1;
-    }
-    const char* codes = compiled->narrow() ? "u8" : "u16";
-    std::printf("\nmodel %s: %zu trees, %zu nodes, %s codes\n",
-                spec.name.c_str(), compiled->num_trees(),
-                compiled->num_nodes(), codes);
+    std::vector<ml::CompiledEnsemble> compiled;
     for (int lut : luts) {
       auto ce = ml::CompiledEnsemble::CompileRegressor(
-          *spec.model,
-          ml::CompileOptions{.lut_levels = lut,
-                             .kernel = ml::TraverseKernel::kScalar});
+          *spec.model, ml::CompileOptions{.lut_levels = lut});
       if (!ce.ok()) {
         std::cerr << "compile failed: " << ce.status() << "\n";
         return 1;
       }
-      TablePrinter table(StrFormat("%s lut=%d — rows/sec by kernel",
-                                   spec.name.c_str(), lut));
-      std::vector<std::string> header = {"batch"};
-      for (ml::TraverseKernel k : kernels) {
-        header.push_back(ml::TraverseKernelName(k));
-      }
-      header.push_back("best gain");
-      table.SetHeader(header);
-      for (size_t batch : batches) {
-        const std::vector<ml::Matrix> chunks =
-            SplitChunks(spec.data.test, batch);
-        const size_t n = spec.data.test.rows();
-        std::vector<std::string> cells = {StrFormat("%zu", batch)};
-        double scalar_rps = 0.0;
-        double best_gain = 0.0;
-        std::vector<double> want, got;
-        for (ml::TraverseKernel k : kernels) {
-          if (!ce->ForceKernel(k).ok()) {
-            std::cerr << "ForceKernel failed\n";
-            return 1;
-          }
-          std::vector<double>* preds =
-              k == ml::TraverseKernel::kScalar ? &want : &got;
-          const double rps = MeasureRowsPerSec(*ce, chunks, n, min_ms, preds);
-          if (rps < 0) {
-            std::cerr << "predict failed\n";
-            return 1;
-          }
-          if (k == ml::TraverseKernel::kScalar) {
-            scalar_rps = rps;
-          } else {
-            // Bitwise gate: every kernel must reproduce the scalar walk
-            // exactly on this chunking.
-            for (size_t i = 0; i < want.size(); ++i) {
-              if (got[i] != want[i]) {
-                std::cerr << "BITWISE MISMATCH: " << spec.name << " lut="
-                          << lut << " batch=" << batch << " kernel="
-                          << ml::TraverseKernelName(k) << " row " << i << ": "
-                          << got[i] << " vs " << want[i] << "\n";
-                ++mismatches;
-                break;
-              }
-            }
-            best_gain = std::max(best_gain, rps / scalar_rps);
-          }
-          cells.push_back(StrFormat("%.0f", rps));
-          BenchRow row;
-          row.model = spec.name;
-          row.codes = codes;
-          row.lut = lut;
-          row.kernel = ml::TraverseKernelName(k);
-          row.batch = batch;
-          row.rows_per_sec = rps;
-          row.speedup = scalar_rps > 0 ? rps / scalar_rps : 0.0;
-          rows.push_back(row);
-        }
-        cells.push_back(StrFormat("%.2fx", best_gain));
-        table.AddRow(cells);
-      }
-      table.Print(std::cout);
+      compiled.push_back(std::move(ce).value());
     }
+    const char* codes = compiled.front().narrow() ? "u8" : "u16";
+    std::printf("\nmodel %s: %zu trees, %zu nodes, %s codes\n",
+                spec.name.c_str(), compiled.front().num_trees(),
+                compiled.front().num_nodes(), codes);
+    TablePrinter table(StrFormat("%s — rows/sec by LUT depth",
+                                 spec.name.c_str()));
+    std::vector<std::string> header = {"batch"};
+    for (int lut : luts) header.push_back(StrFormat("lut=%d", lut));
+    table.SetHeader(header);
+    for (size_t batch : batches) {
+      const std::vector<ml::Matrix> chunks = SplitChunks(spec.data.test, batch);
+      const size_t n = spec.data.test.rows();
+      std::vector<double> want, got;
+      if (!PredictChunks(*spec.model, chunks, &want)) {
+        std::cerr << "reference predict failed\n";
+        return 1;
+      }
+      std::vector<std::string> cells = {StrFormat("%zu", batch)};
+      for (size_t li = 0; li < luts.size(); ++li) {
+        const ml::CompiledEnsemble& ce = compiled[li];
+        // Bitwise gate: the compiled traversal must reproduce the raw-space
+        // walk exactly on this chunking (lockstep blocks and ragged tails).
+        if (!PredictChunks(ce, chunks, &got)) {
+          std::cerr << "predict failed\n";
+          return 1;
+        }
+        for (size_t i = 0; i < want.size(); ++i) {
+          if (got[i] != want[i]) {
+            std::cerr << "BITWISE MISMATCH: " << spec.name << " lut="
+                      << luts[li] << " batch=" << batch << " row " << i
+                      << ": " << got[i] << " vs " << want[i] << "\n";
+            ++mismatches;
+            break;
+          }
+        }
+        const double rps = MeasureRowsPerSec(ce, chunks, n, min_ms);
+        if (rps < 0) {
+          std::cerr << "predict failed\n";
+          return 1;
+        }
+        cells.push_back(StrFormat("%.0f", rps));
+        rows.push_back(BenchRow{spec.name, codes, luts[li], batch, rps});
+      }
+      table.AddRow(cells);
+    }
+    table.Print(std::cout);
   }
 
   FILE* out = stdout;
@@ -324,10 +295,11 @@ int main(int argc, char** argv) {
   if (out != stdout) std::fclose(out);
 
   if (mismatches > 0) {
-    std::cerr << mismatches << " kernel configuration(s) diverged from the "
-                               "scalar walk\n";
+    std::cerr << mismatches << " configuration(s) diverged from the "
+                               "raw-space walk\n";
     return 1;
   }
-  std::printf("\nall kernels bitwise-identical to the scalar walk\n");
+  std::printf("\nevery configuration bitwise-identical to the raw-space "
+              "walk\n");
   return 0;
 }

@@ -166,23 +166,6 @@ void LearnedWmpModel::CompileInference() {
   }
 }
 
-Status LearnedWmpModel::RecompileInference(const ml::CompileOptions& options) {
-  if (regressor_ == nullptr) {
-    return Status::FailedPrecondition("model has no regressor");
-  }
-  if (options.kernel != ml::TraverseKernel::kAuto &&
-      !ml::TraverseKernelSupported(options.kernel)) {
-    return Status::FailedPrecondition(
-        "traversal kernel unsupported on this cpu");
-  }
-  WMP_ASSIGN_OR_RETURN(
-      ml::CompiledEnsemble compiled,
-      ml::CompiledEnsemble::CompileRegressor(*regressor_, options));
-  compiled_ =
-      std::make_shared<const ml::CompiledEnsemble>(std::move(compiled));
-  return Status::OK();
-}
-
 Result<std::vector<double>> LearnedWmpModel::BinWorkload(
     const std::vector<workloads::QueryRecord>& records,
     const std::vector<uint32_t>& batch) const {

@@ -19,7 +19,6 @@
 
 namespace wmp::ml {
 class CompiledEnsemble;
-struct CompileOptions;
 }  // namespace wmp::ml
 
 namespace wmp::core {
@@ -171,14 +170,6 @@ class LearnedWmpModel {
   /// regressor path — the equivalence baseline the tests compare against.
   void set_compiled_inference(bool on) { use_compiled_ = on; }
   bool compiled_inference() const { return use_compiled_; }
-  /// Rebuilds the compiled form with explicit options — benches and tests
-  /// pin a traversal kernel / LUT depth this way; serving keeps the
-  /// Train/Deserialize default (kAuto: WMP_TRAVERSE_KERNEL env, else the
-  /// fastest supported kernel). Fails for non-tree families and for
-  /// kernels this CPU can't run; `compiled()` is unchanged on failure.
-  /// Not safe while another thread predicts through this model — recompile
-  /// before publishing, as the registry/hot-swap path does naturally.
-  Status RecompileInference(const ml::CompileOptions& options);
   /// @}
 
   /// Deployed model footprint: regressor + template model bytes.

@@ -17,15 +17,13 @@ BatchScorer::BatchScorer(const core::LearnedWmpModel* model,
     : options_(options),
       model_mutex_(std::make_unique<std::mutex>()),
       // Non-owning: empty control block, never deletes the borrowed model.
-      model_(std::shared_ptr<const void>(), model),
-      stats_mutex_(std::make_unique<std::mutex>()) {}
+      model_(std::shared_ptr<const void>(), model) {}
 
 BatchScorer::BatchScorer(std::shared_ptr<const core::LearnedWmpModel> model,
                          BatchScorerOptions options)
     : options_(options),
       model_mutex_(std::make_unique<std::mutex>()),
-      model_(std::move(model)),
-      stats_mutex_(std::make_unique<std::mutex>()) {}
+      model_(std::move(model)) {}
 
 Result<BatchScorer> BatchScorer::FromFile(const std::string& path,
                                           BatchScorerOptions options) {
@@ -65,11 +63,6 @@ std::shared_ptr<const core::LearnedWmpModel> BatchScorer::model_snapshot()
 uint64_t BatchScorer::model_epoch() const {
   std::lock_guard<std::mutex> lock(*model_mutex_);
   return epoch_;
-}
-
-BatchScorerStats BatchScorer::stats() const {
-  std::lock_guard<std::mutex> lock(*stats_mutex_);
-  return stats_;
 }
 
 Result<std::vector<double>> BatchScorer::ScoreWithCache(
@@ -136,12 +129,6 @@ Result<BatchScoreResult> BatchScorer::ScoreWorkloads(
     const std::vector<workloads::QueryRecord>& records,
     const std::vector<core::WorkloadBatch>& batches) const {
   util::ScopedParallelism scope(options_.num_threads);
-  {
-    // A failed call must not leave the legacy last-call getter reporting a
-    // previous call's throughput.
-    std::lock_guard<std::mutex> lock(*stats_mutex_);
-    stats_ = BatchScorerStats{};
-  }
   // RCU read side: pin the (model, epoch) pair once; a concurrent
   // PublishModel retires the old snapshot without disturbing this call.
   const Snapshot snap = PinSnapshot();
@@ -172,10 +159,6 @@ Result<BatchScoreResult> BatchScorer::ScoreWorkloads(
       elapsed_s > 0.0 ? static_cast<double>(num_queries) / elapsed_s : 0.0;
   result.stats.workloads_per_sec =
       elapsed_s > 0.0 ? static_cast<double>(batches.size()) / elapsed_s : 0.0;
-  {
-    std::lock_guard<std::mutex> lock(*stats_mutex_);
-    stats_ = result.stats;
-  }
   return result;
 }
 

@@ -15,10 +15,9 @@
 ///
 /// Threading model
 ///  * `ScoreWorkloads` is reentrant: the model is read const and lock-free,
-///    per-call statistics are returned by value in the `BatchScoreResult`,
-///    and the legacy last-call `stats()` snapshot is mutex-guarded — so one
-///    scorer may be shared across threads (the ScoringService shares one
-///    per shard).
+///    and per-call statistics are returned by value in the
+///    `BatchScoreResult` — so one scorer may be shared across threads (the
+///    ScoringService shares one per shard).
 ///  * **RCU model hot-swap.** The scorer holds its model as a
 ///    `std::shared_ptr<const LearnedWmpModel>` snapshot paired with a
 ///    monotonically increasing *epoch*. Each ScoreWorkloads call pins the
@@ -123,8 +122,7 @@ class BatchScorer {
 
   /// Predicts the memory demand (MB) of every workload in one batched
   /// pass; one prediction per entry of `batches`, in order. Reentrant —
-  /// stats come back by value (and are also mirrored into the last-call
-  /// stats() snapshot).
+  /// stats come back by value.
   Result<BatchScoreResult> ScoreWorkloads(
       const std::vector<workloads::QueryRecord>& records,
       const std::vector<core::WorkloadBatch>& batches) const;
@@ -151,9 +149,6 @@ class BatchScorer {
   /// the snapshot. Prefer model_snapshot() anywhere a swap can happen.
   const core::LearnedWmpModel& model() const { return *model_snapshot(); }
 
-  /// Last-call stats snapshot, kept for existing single-threaded callers;
-  /// concurrent callers should read the returned BatchScoreResult::stats.
-  BatchScorerStats stats() const;
   const BatchScorerOptions& options() const { return options_; }
 
  private:
@@ -179,8 +174,6 @@ class BatchScorer {
   mutable std::unique_ptr<std::mutex> model_mutex_;  // guards model_ + epoch_
   std::shared_ptr<const core::LearnedWmpModel> model_;
   uint64_t epoch_ = 0;
-  mutable std::unique_ptr<std::mutex> stats_mutex_;
-  mutable BatchScorerStats stats_;
 };
 
 /// Consecutive (unshuffled, unlabeled) workloads of `batch_size` over

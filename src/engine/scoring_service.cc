@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "ml/compiled_tree.h"
 #include "util/hash.h"
 
 namespace wmp::engine {
@@ -497,14 +496,8 @@ ServiceStats ScoringService::stats() const {
   uint64_t depth = 0;
   for (const auto& shard : shards_) depth += shard->queue.size();
   st.queue_depth = depth;
-  // Kernel identity of the serving path (shard 0 is representative: every
-  // shard's model compiles under the same process-wide resolution). 0 =
-  // reference walk — no compiled form or compiled routing turned off.
   if (!shards_.empty()) {
     if (const auto model = shards_[0]->scorer->model_snapshot()) {
-      if (model->compiled_inference() && model->compiled() != nullptr) {
-        st.traverse_kernel_id = model->compiled()->kernel_id();
-      }
       // Cold-path pruning counters live in the template model's shared
       // block, so shard 0's snapshot sees every copy's assignments.
       const auto assign = model->templates().assign_stats();

@@ -145,10 +145,6 @@ struct ServiceStats {
   uint64_t queue_depth = 0;      ///< currently pending across shards
   uint64_t total_latency_us = 0; ///< sum of submit→fulfill times
   uint64_t max_latency_us = 0;
-  /// Batch traversal kernel scores run through: the numeric value of
-  /// `ml::TraverseKernel` (render via ml::TraverseKernelIdName), or 0 when
-  /// shard 0 serves the reference (non-compiled) path.
-  uint64_t traverse_kernel_id = 0;
   /// Cold-path centroid assignment (shard 0's model; see
   /// ml::CentroidIndex::AssignStats). All zero when the pruned path never
   /// ran — reference scan, rule-based templates, or an all-hit cache.

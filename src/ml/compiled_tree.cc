@@ -2,24 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <type_traits>
 
 #include "ml/gbt.h"
 #include "ml/random_forest.h"
 #include "util/parallel.h"
-
-// AVX2 gather kernel: compiled whenever the compiler supports per-function
-// target attributes on x86-64 and selected at runtime via cpuid — same
-// pattern as linalg.cc's SquaredDistance dispatch.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define WMP_TRAVERSE_AVX2 1
-#include <immintrin.h>
-#else
-#define WMP_TRAVERSE_AVX2 0
-#endif
 
 namespace wmp::ml {
 
@@ -34,75 +22,12 @@ constexpr size_t kMaxNodes = (size_t{1} << 31) - 2;
 constexpr size_t kMaxFeatures = 65536;
 constexpr size_t kMaxEdgesPerFeature = 65535;
 
-// Extra zero elements appended to the u8/u16 node/LUT arrays and the bin
-// scratch so the AVX2 kernel's 4-byte-per-lane gathers stay in bounds when
-// a lane sits on the last element (i32 fields gather exactly, doubles too).
-constexpr size_t kGatherPad = 4;
-
-TraverseKernel ParseTraverseKernelEnv() {
-  const char* s = std::getenv("WMP_TRAVERSE_KERNEL");
-  if (s == nullptr || *s == '\0') return TraverseKernel::kAuto;
-  for (TraverseKernel k :
-       {TraverseKernel::kScalar, TraverseKernel::kLockstep4,
-        TraverseKernel::kLockstep8, TraverseKernel::kAvx2}) {
-    if (std::strcmp(s, TraverseKernelName(k)) == 0) return k;
-  }
-  return TraverseKernel::kAuto;  // unknown value: fall through to the default
-}
+// Rows one lockstep block walks per tree. BENCH_traverse.json measured
+// 8-row blocks at 1.7-3.3x the scalar walk on RF/GBT at batch >= 100, ahead
+// of 4-row blocks and of an AVX2 gather variant.
+constexpr int kLockstepRows = 8;
 
 }  // namespace
-
-const char* TraverseKernelName(TraverseKernel kernel) {
-  switch (kernel) {
-    case TraverseKernel::kAuto:
-      return "auto";
-    case TraverseKernel::kScalar:
-      return "scalar";
-    case TraverseKernel::kLockstep4:
-      return "lockstep4";
-    case TraverseKernel::kLockstep8:
-      return "lockstep8";
-    case TraverseKernel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-const char* TraverseKernelIdName(uint64_t id) {
-  if (id == 0) return "reference";
-  if (id <= static_cast<uint64_t>(TraverseKernel::kAvx2)) {
-    return TraverseKernelName(static_cast<TraverseKernel>(id));
-  }
-  return "unknown";
-}
-
-bool TraverseKernelSupported(TraverseKernel kernel) {
-  if (kernel == TraverseKernel::kAvx2) {
-#if WMP_TRAVERSE_AVX2
-    return __builtin_cpu_supports("avx2") != 0;
-#else
-    return false;
-#endif
-  }
-  return true;
-}
-
-TraverseKernel ResolveTraverseKernel(TraverseKernel requested) {
-  if (requested == TraverseKernel::kAuto) {
-    static const TraverseKernel from_env = ParseTraverseKernelEnv();
-    requested = from_env;
-  }
-  if (requested == TraverseKernel::kAuto) {
-    // Lockstep-8 wins across families and batch sizes in
-    // bench/traverse_kernel; the AVX2 gather variant loses to it (and often
-    // to scalar) wherever gathers are microcoded, so it is opt-in only.
-    requested = TraverseKernel::kLockstep8;
-  }
-  if (!TraverseKernelSupported(requested)) {
-    requested = TraverseKernel::kLockstep8;
-  }
-  return requested;
-}
 
 Result<CompiledEnsemble> CompiledEnsemble::CompileTrees(
     const std::vector<const RegressionTree*>& trees, Combine combine,
@@ -233,8 +158,6 @@ Result<CompiledEnsemble> CompiledEnsemble::CompileTrees(
   }
 #endif
   WMP_RETURN_IF_ERROR(c.BuildLut(opts.lut_levels));
-  c.PadNodeArraysForGather();
-  c.kernel_ = ResolveTraverseKernel(opts.kernel);
   return c;
 }
 
@@ -365,11 +288,12 @@ double CompiledEnsemble::TraverseTree(size_t t, const Code* codes,
   return leaf_value_[static_cast<size_t>(-(ch + 1))];
 }
 
-template <typename Code, int R>
+template <typename Code>
 void CompiledEnsemble::PredictRowsLockstepT(const Code* codes,
                                             const Code* node_code,
                                             const Code* lut_code,
                                             double* out) const {
+  constexpr int R = kLockstepRows;
   const size_t num_trees = tree_counts_.size();
   const size_t d = d_;
   // Per-lane accumulators: lane r is row r of the block, and its updates
@@ -444,137 +368,6 @@ void CompiledEnsemble::PredictRowsLockstepT(const Code* codes,
   for (int r = 0; r < R; ++r) out[r] = acc[r];
 }
 
-namespace {
-
-#if WMP_TRAVERSE_AVX2
-
-// Flat view of the ensemble for the AVX2 kernel (free function so the
-// target attribute stays off the class).
-template <typename Code>
-struct LockstepParams {
-  const int32_t* child;
-  const uint16_t* feature;
-  const Code* node_code;
-  const double* leaf_value;
-  const uint32_t* tree_base;
-  const uint16_t* lut_feature;
-  const Code* lut_code;
-  const uint32_t* lut_exit;
-  size_t num_trees;
-  size_t d;
-  int lut_levels;
-  uint8_t combine;  // CompiledEnsemble::Combine numeric value
-  double base;
-  double scale;
-};
-
-// 4-byte gather of a u8/u16 element per lane, masked down to the value.
-// Overreads up to 3 bytes past the last element — covered by kGatherPad.
-template <typename Code>
-__attribute__((target("avx2"))) inline __m256i GatherCode(const Code* base,
-                                                          __m256i elem) {
-  if constexpr (sizeof(Code) == 1) {
-    return _mm256_and_si256(
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(base), elem, 1),
-        _mm256_set1_epi32(0xFF));
-  } else {
-    return _mm256_and_si256(
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(base), elem, 2),
-        _mm256_set1_epi32(0xFFFF));
-  }
-}
-
-// 8 rows per tree via AVX2 gathers. Same traversal and per-lane
-// accumulation order as PredictRowsLockstepT<Code, 8>; mul_pd + add_pd is
-// deliberately separate (target("avx2") never enables FMA, matching the
-// scalar `acc += scale * leaf` rounding), so lanes are bitwise the scalar
-// walk.
-template <typename Code>
-__attribute__((target("avx2"))) void PredictRows8Avx2(
-    const LockstepParams<Code>& p, const Code* codes, double* out) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i all_ones = _mm256_set1_epi32(-1);
-  const __m256i feature_mask = _mm256_set1_epi32(0xFFFF);
-  const int d = static_cast<int>(p.d);
-  // Element offset of each lane's bin line within `codes`.
-  const __m256i rowoff =
-      _mm256_setr_epi32(0, d, 2 * d, 3 * d, 4 * d, 5 * d, 6 * d, 7 * d);
-  __m256d acc_lo, acc_hi;
-  if (p.combine == 2) {  // kBoosted
-    acc_lo = acc_hi = _mm256_set1_pd(p.base);
-  } else {
-    acc_lo = acc_hi = _mm256_setzero_pd();
-  }
-  const __m256d scale = _mm256_set1_pd(p.scale);
-  const size_t tests =
-      p.lut_levels > 0 ? (size_t{1} << p.lut_levels) - 1 : 0;
-  for (size_t t = 0; t < p.num_trees; ++t) {
-    __m256i idx;
-    if (p.lut_levels > 0) {
-      const uint16_t* lf = p.lut_feature + t * tests;
-      const Code* lc = p.lut_code + t * tests;
-      __m256i j = zero;
-      for (int l = 0; l < p.lut_levels; ++l) {
-        const __m256i f = _mm256_and_si256(
-            _mm256_i32gather_epi32(reinterpret_cast<const int*>(lf), j, 2),
-            feature_mask);
-        const __m256i c = GatherCode(lc, j);
-        const __m256i rc = GatherCode(codes, _mm256_add_epi32(rowoff, f));
-        // gt is -1 where row code > node code: j = 2j + 1 - gt.
-        const __m256i gt = _mm256_cmpgt_epi32(rc, c);
-        j = _mm256_sub_epi32(
-            _mm256_add_epi32(_mm256_add_epi32(j, j), _mm256_set1_epi32(1)),
-            gt);
-      }
-      j = _mm256_sub_epi32(j, _mm256_set1_epi32(static_cast<int>(tests)));
-      idx = _mm256_i32gather_epi32(
-          reinterpret_cast<const int*>(p.lut_exit + t * (tests + 1)), j, 4);
-    } else {
-      idx = _mm256_set1_epi32(static_cast<int>(p.tree_base[t]));
-    }
-    __m256i ch = _mm256_i32gather_epi32(p.child, idx, 4);
-    __m256i parked = _mm256_cmpgt_epi32(zero, ch);  // -1 where ch < 0
-    while (static_cast<uint32_t>(_mm256_movemask_epi8(parked)) !=
-           0xFFFFFFFFu) {
-      const __m256i f = _mm256_and_si256(
-          _mm256_i32gather_epi32(reinterpret_cast<const int*>(p.feature), idx,
-                                 2),
-          feature_mask);
-      const __m256i nc = GatherCode(p.node_code, idx);
-      const __m256i rc = GatherCode(codes, _mm256_add_epi32(rowoff, f));
-      const __m256i gt = _mm256_cmpgt_epi32(rc, nc);
-      const __m256i step = _mm256_sub_epi32(ch, gt);  // ch + (rc > nc)
-      idx = _mm256_blendv_epi8(step, idx, parked);  // parked lanes keep idx
-      ch = _mm256_i32gather_epi32(p.child, idx, 4);
-      parked = _mm256_cmpgt_epi32(zero, ch);
-    }
-    // Leaf reference: -(ch + 1) == ~ch in two's complement.
-    const __m256i leaf = _mm256_xor_si256(ch, all_ones);
-    const __m256d v_lo =
-        _mm256_i32gather_pd(p.leaf_value, _mm256_castsi256_si128(leaf), 8);
-    const __m256d v_hi =
-        _mm256_i32gather_pd(p.leaf_value, _mm256_extracti128_si256(leaf, 1), 8);
-    if (p.combine == 2) {
-      acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(scale, v_lo));
-      acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(scale, v_hi));
-    } else {
-      acc_lo = _mm256_add_pd(acc_lo, v_lo);
-      acc_hi = _mm256_add_pd(acc_hi, v_hi);
-    }
-  }
-  if (p.combine == 1) {  // kAverage
-    const __m256d nt = _mm256_set1_pd(static_cast<double>(p.num_trees));
-    acc_lo = _mm256_div_pd(acc_lo, nt);
-    acc_hi = _mm256_div_pd(acc_hi, nt);
-  }
-  _mm256_storeu_pd(out, acc_lo);
-  _mm256_storeu_pd(out + 4, acc_hi);
-}
-
-#endif  // WMP_TRAVERSE_AVX2
-
-}  // namespace
-
 template <typename Code>
 void CompiledEnsemble::PredictBlockT(const Code* codes, size_t begin,
                                      size_t end, double* out) const {
@@ -587,46 +380,11 @@ void CompiledEnsemble::PredictBlockT(const Code* codes, size_t begin,
     node_code = code16_.data();
     lut_code = lut_code16_.data();
   }
-  // Full R-row blocks take the selected lockstep kernel; the ragged tail
-  // (and kScalar entirely) walks one row at a time — bitwise the same.
+  // Full 8-row blocks walk in lockstep; the ragged tail (and a single
+  // row) walks one row at a time — bitwise the same.
   size_t i = begin;
-  switch (kernel_) {
-    case TraverseKernel::kLockstep4:
-      for (; i + 4 <= end; i += 4) {
-        PredictRowsLockstepT<Code, 4>(codes + i * d_, node_code, lut_code,
-                                      out + i);
-      }
-      break;
-    case TraverseKernel::kLockstep8:
-      for (; i + 8 <= end; i += 8) {
-        PredictRowsLockstepT<Code, 8>(codes + i * d_, node_code, lut_code,
-                                      out + i);
-      }
-      break;
-#if WMP_TRAVERSE_AVX2
-    case TraverseKernel::kAvx2: {
-      const LockstepParams<Code> p{child_.data(),
-                                   node_feature_.data(),
-                                   node_code,
-                                   leaf_value_.data(),
-                                   tree_base_.data(),
-                                   lut_feature_.data(),
-                                   lut_code,
-                                   lut_exit_.data(),
-                                   tree_counts_.size(),
-                                   d_,
-                                   lut_levels_,
-                                   static_cast<uint8_t>(combine_),
-                                   base_,
-                                   scale_};
-      for (; i + 8 <= end; i += 8) {
-        PredictRows8Avx2<Code>(p, codes + i * d_, out + i);
-      }
-      break;
-    }
-#endif
-    default:
-      break;  // kScalar: everything goes through the tail loop below
+  for (; i + kLockstepRows <= end; i += kLockstepRows) {
+    PredictRowsLockstepT<Code>(codes + i * d_, node_code, lut_code, out + i);
   }
   const size_t num_trees = tree_counts_.size();
   for (; i < end; ++i) {
@@ -650,44 +408,6 @@ void CompiledEnsemble::PredictBlockT(const Code* codes, size_t begin,
       }
     }
     out[i] = acc;
-  }
-}
-
-int CompiledEnsemble::kernel_block_rows() const {
-  switch (kernel_) {
-    case TraverseKernel::kLockstep4:
-      return 4;
-    case TraverseKernel::kLockstep8:
-    case TraverseKernel::kAvx2:
-      return 8;
-    default:
-      return 1;
-  }
-}
-
-Status CompiledEnsemble::ForceKernel(TraverseKernel kernel) {
-  if (kernel != TraverseKernel::kAuto && !TraverseKernelSupported(kernel)) {
-    return Status::FailedPrecondition(
-        "traversal kernel unsupported on this cpu");
-  }
-  kernel_ = ResolveTraverseKernel(kernel);
-  return Status::OK();
-}
-
-void CompiledEnsemble::PadNodeArraysForGather() {
-  node_feature_.resize(node_feature_.size() + kGatherPad, 0);
-  if (narrow_) {
-    code8_.resize(code8_.size() + kGatherPad, 0);
-  } else {
-    code16_.resize(code16_.size() + kGatherPad, 0);
-  }
-  if (lut_levels_ > 0) {
-    lut_feature_.resize(lut_feature_.size() + kGatherPad, 0);
-    if (narrow_) {
-      lut_code8_.resize(lut_code8_.size() + kGatherPad, 0);
-    } else {
-      lut_code16_.resize(lut_code16_.size() + kGatherPad, 0);
-    }
   }
 }
 
@@ -736,8 +456,8 @@ Result<std::vector<double>> CompiledEnsemble::Predict(const Matrix& x) const {
   // binned — so stale bytes from earlier calls are never consumed (parked
   // lockstep lanes may *load* a stale slot, but discard the comparison).
   // resize() value-initializes growth, keeping every byte below size()
-  // defined. kGatherPad covers the AVX2 kernel's 4-byte lane gathers.
-  const size_t needed = n * static_cast<size_t>(d_) + kGatherPad;
+  // defined.
+  const size_t needed = n * static_cast<size_t>(d_);
   if (narrow_) {
     thread_local std::vector<uint8_t> scratch;
     if (scratch.size() < needed) scratch.resize(needed);
@@ -959,8 +679,6 @@ Result<CompiledEnsemble> CompiledEnsemble::Deserialize(
     WMP_ASSIGN_OR_RETURN(c.leaf_value_[i], reader->ReadDouble());
   }
   WMP_RETURN_IF_ERROR(c.BuildLut(opts.lut_levels));
-  c.PadNodeArraysForGather();
-  c.kernel_ = ResolveTraverseKernel(opts.kernel);
   return c;
 }
 

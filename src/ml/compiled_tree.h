@@ -22,15 +22,15 @@
 ///   - optionally the top `lut_levels` levels of every tree are unrolled
 ///     into a complete-tree lookup table: L predictable iterations of
 ///     `j = 2j + 1 + (code > c)` replace the first L dependent node loads;
-///   - batch prediction traverses R rows per tree in lockstep (R = 4 or 8,
-///     see TraverseKernel): the R dependent-load chains are independent, so
-///     they overlap in flight (memory-level parallelism) and each tree's
-///     node lines are touched once per R-row block instead of once per row.
-///     A lane that reaches a leaf parks there — its stored child stays
-///     negative, so a branchless select keeps re-applying the identity
-///     step until every lane has parked. Row-count tails (and single rows)
-///     fall back to the scalar walk; per-row accumulation runs in tree
-///     order either way, so every kernel is bitwise-identical.
+///   - batch prediction traverses 8 rows per tree in lockstep: the 8
+///     dependent-load chains are independent, so they overlap in flight
+///     (memory-level parallelism) and each tree's node lines are touched
+///     once per 8-row block instead of once per row. A lane that reaches a
+///     leaf parks there — its stored child stays negative, so a branchless
+///     select keeps re-applying the identity step until every lane has
+///     parked. Row-count tails (and single rows) take the scalar walk;
+///     per-row accumulation runs in tree order either way, so both walks
+///     are bitwise-identical.
 ///
 /// Equivalence with the raw-space reference walk is provable, not
 /// statistical: for a strictly increasing edge table,
@@ -60,43 +60,12 @@ class GbtRegressor;
 class RandomForestRegressor;
 class Regressor;
 
-/// Batch traversal kernel. Every kernel computes bitwise-identical
-/// predictions; they differ only in how many row cursors advance per tree
-/// and how node fields are loaded. The numeric values are stable — they
-/// travel as `ServiceStats::traverse_kernel_id` over the wire.
-enum class TraverseKernel : uint8_t {
-  kAuto = 0,       ///< resolve via WMP_TRAVERSE_KERNEL, else best available
-  kScalar = 1,     ///< one row at a time (the PR 6 walk; also the tail path)
-  kLockstep4 = 2,  ///< 4 row cursors per tree, portable branchless lanes
-  kLockstep8 = 3,  ///< 8 row cursors per tree, portable branchless lanes
-  kAvx2 = 4,       ///< 8 lanes via AVX2 gathers (runtime-dispatched)
-};
-
-/// Stable display name ("auto", "scalar", "lockstep4", ...).
-const char* TraverseKernelName(TraverseKernel kernel);
-/// Name for a wire-carried kernel id; 0 maps to "reference" (a service
-/// scoring through the raw-space walk reports no compiled kernel).
-const char* TraverseKernelIdName(uint64_t id);
-/// True when this CPU can execute `kernel` (kAvx2 needs AVX2; the portable
-/// kernels always qualify). kAuto is "supported" — it resolves to one that is.
-bool TraverseKernelSupported(TraverseKernel kernel);
-/// Resolution used at Compile/Deserialize: an explicit request wins (falling
-/// back to lockstep8 only if the CPU lacks it); kAuto consults
-/// `WMP_TRAVERSE_KERNEL` (read once per process), else picks lockstep8 —
-/// the bench-winning kernel (the AVX2 gather variant is opt-in: gathers
-/// are microcoded on many cores and lose to the portable lanes). Never
-/// returns kAuto.
-TraverseKernel ResolveTraverseKernel(TraverseKernel requested);
-
 /// Compilation knobs.
 struct CompileOptions {
   /// Tree levels unrolled into the lookup table (0 disables it). Depth-3
   /// replaces the three hottest dependent loads per tree; deeper tables
   /// grow as 2^L per tree for diminishing returns.
   int lut_levels = 3;
-  /// Batch traversal kernel; kAuto resolves at compile time (env override,
-  /// then best available). Benches and tests pin specific kernels.
-  TraverseKernel kernel = TraverseKernel::kAuto;
 };
 
 /// \brief A fitted tree ensemble flattened for bin-space prediction.
@@ -159,18 +128,6 @@ class CompiledEnsemble {
   bool narrow() const { return narrow_; }
   int lut_levels() const { return lut_levels_; }
 
-  /// The resolved batch traversal kernel (never kAuto).
-  TraverseKernel kernel() const { return kernel_; }
-  const char* kernel_name() const { return TraverseKernelName(kernel_); }
-  /// Kernel id as surfaced in ServiceStats (numeric value of kernel()).
-  uint64_t kernel_id() const { return static_cast<uint64_t>(kernel_); }
-  /// Rows a full lockstep block covers (1 for kScalar).
-  int kernel_block_rows() const;
-  /// Re-pins the batch kernel after compilation (benches/tests sweep
-  /// kernels on one compiled ensemble without recompiling). kAuto re-runs
-  /// the default resolution; pinning an unsupported kernel fails.
-  Status ForceKernel(TraverseKernel kernel);
-
   /// \name Compact serialization.
   /// The stream carries the edge tables, the SoA blocks (child i32 per
   /// node; feature + code for internal nodes only) and the leaf values.
@@ -196,24 +153,19 @@ class CompiledEnsemble {
   template <typename Code>
   double TraverseTree(size_t t, const Code* codes, const Code* node_code,
                       const Code* lut_code) const;
-  /// Lockstep core: predicts R consecutive rows (`codes` points at the
-  /// first row's bin line; rows are `d_` apart) with R cursors advancing
+  /// Lockstep core: predicts 8 consecutive rows (`codes` points at the
+  /// first row's bin line; rows are `d_` apart) with 8 cursors advancing
   /// per tree. Accumulation is per-lane in tree order — bitwise equal to
-  /// R scalar walks.
-  template <typename Code, int R>
+  /// 8 scalar walks.
+  template <typename Code>
   void PredictRowsLockstepT(const Code* codes, const Code* node_code,
                             const Code* lut_code, double* out) const;
-  /// Appends a few zero elements to the per-node / LUT arrays so 4-byte
-  /// AVX2 gathers of u8/u16 fields at the last node stay in bounds. The
-  /// padding is invisible to Serialize/Decompile (both iterate counts).
-  void PadNodeArraysForGather();
 
   Combine combine_ = Combine::kSingle;
   double base_ = 0.0;
   double scale_ = 1.0;
   uint32_t d_ = 0;
   bool narrow_ = true;
-  TraverseKernel kernel_ = TraverseKernel::kScalar;  // resolved, never kAuto
   /// Bin space: edges_[f] = sorted distinct thresholds over feature f.
   FeatureBinner binner_;
   std::vector<uint16_t> used_features_;  // features with >= 1 cut point

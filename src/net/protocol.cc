@@ -274,7 +274,7 @@ namespace {
 // ServiceStats travels as a counted list of u64 fields so a newer server
 // can append counters without breaking an older client (extras ignored;
 // missing fields stay zero).
-constexpr uint64_t kServiceStatsFields = 23;
+constexpr uint64_t kServiceStatsFields = 22;
 
 void AppendServiceStats(BinaryWriter* w, const engine::ServiceStats& s) {
   w->WriteU64(kServiceStatsFields);
@@ -296,7 +296,6 @@ void AppendServiceStats(BinaryWriter* w, const engine::ServiceStats& s) {
   w->WriteU64(s.queue_depth);
   w->WriteU64(s.total_latency_us);
   w->WriteU64(s.max_latency_us);
-  w->WriteU64(s.traverse_kernel_id);
   w->WriteU64(s.assign_rows);
   w->WriteU64(s.assign_bound_skips);
   w->WriteU64(s.assign_early_exits);
@@ -334,11 +333,10 @@ Result<engine::ServiceStats> ReadServiceStats(BinaryReader* r) {
   s.queue_depth = at(15);
   s.total_latency_us = at(16);
   s.max_latency_us = at(17);
-  s.traverse_kernel_id = at(18);
-  s.assign_rows = at(19);
-  s.assign_bound_skips = at(20);
-  s.assign_early_exits = at(21);
-  s.assign_full_distances = at(22);
+  s.assign_rows = at(18);
+  s.assign_bound_skips = at(19);
+  s.assign_early_exits = at(20);
+  s.assign_full_distances = at(21);
   return s;
 }
 

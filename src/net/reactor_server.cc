@@ -184,22 +184,11 @@ Status ReactorServer::Listen(const std::string& address) {
   return poller_->Init();
 }
 
-Status ReactorServer::Serve() {
-  if (!listener_.listening() || poller_ == nullptr) {
-    return Status::FailedPrecondition("Serve before Listen");
-  }
-  if (loop_running_.exchange(true)) {
-    return Status::FailedPrecondition("server already running");
-  }
-  RunLoop();
-  return Status::OK();
-}
-
 Status ReactorServer::Start() {
   if (!listener_.listening() || poller_ == nullptr) {
     return Status::FailedPrecondition("Start before Listen");
   }
-  if (loop_running_.exchange(true)) {
+  if (serve_thread_.joinable()) {
     return Status::FailedPrecondition("server already running");
   }
   serve_thread_ = std::thread([this] { RunLoop(); });
@@ -262,7 +251,6 @@ void ReactorServer::RunLoop() {
   open.reserve(conns_.size());
   for (auto& [fd, conn] : conns_) open.push_back(conn);
   for (auto& conn : open) Teardown(conn);
-  loop_running_.store(false, std::memory_order_release);
 }
 
 void ReactorServer::AcceptNew() {
@@ -661,11 +649,6 @@ void ReactorServer::Shutdown() {
   shutting_down_.store(true, std::memory_order_release);
   if (wake_write_fd_ >= 0) WakeLoop();
   if (serve_thread_.joinable()) serve_thread_.join();
-  // Serve() on a caller thread: wait for the loop to actually exit before
-  // tearing down the poller and wake fds it is using.
-  while (loop_running_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   listener_.Close();
   if (wake_read_fd_ >= 0) {
     CloseFd(wake_read_fd_);

@@ -52,7 +52,7 @@
 ///    is flushed and closed. Other connections never notice. Connections
 ///    idle past `idle_timeout_ms` are closed.
 ///
-/// Thread-safety: Listen + (Serve|Start) once from one thread;
+/// Thread-safety: Listen + Start once from one thread;
 /// Shutdown/stats/address from any thread. The server registers itself as
 /// the service's completion callback for the duration of the loop — run at
 /// most one reactor per ScoringService.
@@ -115,9 +115,6 @@ class ReactorServer {
   /// Binds and listens on `address` ("unix:PATH" or "host:port";
   /// "127.0.0.1:0" picks an ephemeral port — see address()).
   Status Listen(const std::string& address);
-
-  /// Runs the event loop on the calling thread until Shutdown().
-  Status Serve();
 
   /// Runs the event loop on an internal thread. Pair with Shutdown().
   Status Start();
@@ -229,9 +226,8 @@ class ReactorServer {
   int wake_write_fd_ = -1;  ///< == wake_read_fd_ with eventfd
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
   std::vector<std::unique_ptr<PendingScore>> pendings_;
-  std::thread serve_thread_;  // Start() only
+  std::thread serve_thread_;
   std::atomic<bool> shutting_down_{false};
-  std::atomic<bool> loop_running_{false};
   std::mutex shutdown_mutex_;  // serializes Shutdown vs destructor
 
   std::atomic<uint64_t> connections_accepted_{0};

@@ -372,15 +372,12 @@ TEST_F(BatchPipelineTest, BatchScorerMatchesScalarLoopAndReportsStats) {
   auto scores = scorer.ScoreLog(dataset_->records, 10);
   ASSERT_TRUE(scores.ok()) << scores.status().ToString();
   EXPECT_EQ(scores->predictions.size(), 40u);
-  // Stats arrive by value with the result...
+  // Stats arrive by value with the result.
   EXPECT_EQ(scores->stats.num_workloads, 40u);
   EXPECT_EQ(scores->stats.num_queries, 400u);
   EXPECT_GT(scores->stats.queries_per_sec, 0.0);
   EXPECT_EQ(scores->stats.cache_hits, 0u);  // no cache attached
   EXPECT_EQ(scores->stats.cache_misses, 0u);
-  // ...and the legacy last-call getter still mirrors them.
-  EXPECT_EQ(scorer.stats().num_workloads, 40u);
-  EXPECT_EQ(scorer.stats().num_queries, 400u);
 
   const auto batches = engine::MakeConsecutiveBatches(400, 10);
   for (size_t b = 0; b < batches.size(); ++b) {

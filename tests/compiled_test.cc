@@ -299,18 +299,7 @@ TEST(CompiledEnsembleTest, DecompileRestoresPredictionEquivalentTrees) {
   }
 }
 
-// ---------- Lockstep traversal kernels ----------
-
-// Every batch kernel beyond the scalar walk; kAvx2 joins when this CPU has
-// it (ForceKernel would refuse it otherwise).
-std::vector<TraverseKernel> BatchKernels() {
-  std::vector<TraverseKernel> kernels = {TraverseKernel::kLockstep4,
-                                         TraverseKernel::kLockstep8};
-  if (TraverseKernelSupported(TraverseKernel::kAvx2)) {
-    kernels.push_back(TraverseKernel::kAvx2);
-  }
-  return kernels;
-}
+// ---------- Lockstep traversal ----------
 
 Matrix HeadRows(const Matrix& x, size_t n) {
   Matrix m(n, x.cols());
@@ -320,28 +309,10 @@ Matrix HeadRows(const Matrix& x, size_t n) {
   return m;
 }
 
-// Requires every batch kernel to reproduce the scalar walk bitwise on `x`.
-void ExpectKernelsMatchScalar(CompiledEnsemble* compiled, const Matrix& x) {
-  ASSERT_TRUE(compiled->ForceKernel(TraverseKernel::kScalar).ok());
-  auto want = compiled->Predict(x);
-  ASSERT_TRUE(want.ok());
-  for (TraverseKernel k : BatchKernels()) {
-    ASSERT_TRUE(compiled->ForceKernel(k).ok());
-    auto got = compiled->Predict(x);
-    ASSERT_TRUE(got.ok());
-    ASSERT_EQ(got->size(), want->size());
-    for (size_t i = 0; i < want->size(); ++i) {
-      ASSERT_EQ((*got)[i], (*want)[i])
-          << TraverseKernelName(k) << " n=" << x.rows() << " row " << i;
-    }
-  }
-}
-
-TEST(CompiledEnsembleTest, LockstepKernelsBitwiseAcrossTailsAndLuts) {
+TEST(CompiledEnsembleTest, LockstepBitwiseAcrossTailsAndLuts) {
   // Row counts sweep every tail shape the block scheduler can see: empty,
-  // shorter than any block (n < 4), between the widths (4 <= n < 8), exact
-  // multiples, and ragged remainders of both 4 and 8.
-  const size_t kRowCounts[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31};
+  // shorter than a block (n < 8), exact multiples of 8, and every ragged
+  // remainder after one to three full blocks.
   Fixture f = MakeFixture(500, 6, 811);
   DecisionTreeRegressor dt = TrainDt(f);
   RandomForestRegressor rf = TrainRf(f);
@@ -350,11 +321,11 @@ TEST(CompiledEnsembleTest, LockstepKernelsBitwiseAcrossTailsAndLuts) {
   for (const Regressor* model : models) {
     for (int lut : {0, 3, 6}) {
       auto compiled = CompiledEnsemble::CompileRegressor(
-          *model, CompileOptions{.lut_levels = lut,
-                                 .kernel = TraverseKernel::kScalar});
+          *model, CompileOptions{.lut_levels = lut});
       ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-      for (size_t n : kRowCounts) {
-        ExpectKernelsMatchScalar(&*compiled, HeadRows(f.test, n));
+      for (size_t n = 0; n < 32; ++n) {
+        SCOPED_TRACE(testing::Message() << "lut=" << lut << " n=" << n);
+        ExpectBitwiseEqual(*compiled, *model, HeadRows(f.test, n));
       }
     }
   }
@@ -372,18 +343,16 @@ TEST(CompiledEnsembleTest, LockstepMixedLeafDepthsParkEarlyExitingLanes) {
   DecisionTreeRegressor model(opt);
   ASSERT_TRUE(model.Fit(f.x, f.y).ok());
   for (int lut : {0, 3}) {
-    auto compiled = CompiledEnsemble::Compile(
-        model,
-        CompileOptions{.lut_levels = lut, .kernel = TraverseKernel::kScalar});
+    auto compiled =
+        CompiledEnsemble::Compile(model, CompileOptions{.lut_levels = lut});
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    ExpectKernelsMatchScalar(&*compiled, f.test);
-    ExpectKernelsMatchScalar(&*compiled, HeadRows(f.test, 13));
+    ExpectBitwiseEqual(*compiled, model, f.test);
+    ExpectBitwiseEqual(*compiled, model, HeadRows(f.test, 13));
   }
 }
 
 TEST(CompiledEnsembleTest, LockstepWideBinSpaceU16) {
-  // u16 codes: lockstep compares and the AVX2 gathers must mask two-byte
-  // lanes correctly.
+  // u16 codes: the lockstep lanes must compare two-byte codes.
   Fixture f = MakeFixture(3000, 2, 823);
   DecisionTreeOptions opt;
   opt.tree.max_depth = 16;
@@ -393,18 +362,19 @@ TEST(CompiledEnsembleTest, LockstepWideBinSpaceU16) {
   DecisionTreeRegressor model(opt);
   ASSERT_TRUE(model.Fit(f.x, f.y).ok());
   for (int lut : {0, 3, 6}) {
-    auto compiled = CompiledEnsemble::Compile(
-        model,
-        CompileOptions{.lut_levels = lut, .kernel = TraverseKernel::kScalar});
+    auto compiled =
+        CompiledEnsemble::Compile(model, CompileOptions{.lut_levels = lut});
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    ExpectKernelsMatchScalar(&*compiled, f.test);
-    ExpectKernelsMatchScalar(&*compiled, HeadRows(f.test, 11));
+    ASSERT_FALSE(compiled->narrow());
+    ExpectBitwiseEqual(*compiled, model, f.test);
+    ExpectBitwiseEqual(*compiled, model, HeadRows(f.test, 11));
   }
 }
 
-TEST(CompiledEnsembleTest, LockstepStumpEnsembleAllKernels) {
+TEST(CompiledEnsembleTest, LockstepStumpEnsemble) {
   // Single-leaf ensemble: d_ = 0, no LUT, every lane parks before the
-  // first step — the degenerate case of the early-exit machinery.
+  // first step — the degenerate case of the early-exit machinery. Nine
+  // rows are one full block plus a one-row tail.
   Matrix x(9, 3);
   Rng rng(31);
   for (double& v : x.data()) v = rng.Normal();
@@ -414,54 +384,8 @@ TEST(CompiledEnsembleTest, LockstepStumpEnsembleAllKernels) {
   auto compiled = CompiledEnsemble::Compile(model);
   ASSERT_TRUE(compiled.ok());
   ASSERT_EQ(compiled->num_leaves(), 1u);
-  ExpectKernelsMatchScalar(&*compiled, x);
-}
-
-TEST(CompiledEnsembleTest, PredictMatchesPredictRowUnderEveryKernel) {
-  // A one-row matrix is all tail, but it must agree with PredictRow and
-  // PredictOne no matter which kernel is pinned.
-  Fixture f = MakeFixture(400, 5, 827);
-  GbtRegressor model = TrainGbt(f);
-  auto compiled = CompiledEnsemble::Compile(model);
-  ASSERT_TRUE(compiled.ok());
-  std::vector<TraverseKernel> kernels = BatchKernels();
-  kernels.push_back(TraverseKernel::kScalar);
-  for (TraverseKernel k : kernels) {
-    ASSERT_TRUE(compiled->ForceKernel(k).ok());
-    for (size_t i = 0; i < 10; ++i) {
-      auto one = compiled->Predict(HeadRows(f.test, 1));
-      ASSERT_TRUE(one.ok());
-      const double row = compiled->PredictRow(f.test.RowPtr(0), f.test.cols());
-      EXPECT_EQ((*one)[0], row) << TraverseKernelName(k);
-      EXPECT_EQ(compiled->PredictOne(f.test.RowVec(0)).value(), row);
-    }
-  }
-}
-
-TEST(CompiledEnsembleTest, KernelResolutionAndForceKernel) {
-  Fixture f = MakeFixture(300, 4, 829);
-  DecisionTreeRegressor model = TrainDt(f);
-  auto compiled = CompiledEnsemble::Compile(model);
-  ASSERT_TRUE(compiled.ok());
-  // kAuto never survives resolution, and the resolved kernel is runnable.
-  EXPECT_NE(compiled->kernel(), TraverseKernel::kAuto);
-  EXPECT_TRUE(TraverseKernelSupported(compiled->kernel()));
-  EXPECT_STRNE(compiled->kernel_name(), "auto");
-  EXPECT_EQ(compiled->kernel_id(), static_cast<uint64_t>(compiled->kernel()));
-  // Pinning is honored and reported.
-  ASSERT_TRUE(compiled->ForceKernel(TraverseKernel::kLockstep4).ok());
-  EXPECT_EQ(compiled->kernel(), TraverseKernel::kLockstep4);
-  EXPECT_EQ(compiled->kernel_block_rows(), 4);
-  if (!TraverseKernelSupported(TraverseKernel::kAvx2)) {
-    EXPECT_TRUE(compiled->ForceKernel(TraverseKernel::kAvx2)
-                    .IsFailedPrecondition());
-    EXPECT_EQ(compiled->kernel(), TraverseKernel::kLockstep4);  // unchanged
-  }
-  // Wire id names: 0 is the reference path, kernel ids map to their names.
-  EXPECT_STREQ(TraverseKernelIdName(0), "reference");
-  EXPECT_STREQ(
-      TraverseKernelIdName(static_cast<uint64_t>(TraverseKernel::kLockstep8)),
-      "lockstep8");
+  ASSERT_EQ(compiled->num_features(), 0u);
+  ExpectBitwiseEqual(*compiled, model, x);
 }
 
 }  // namespace

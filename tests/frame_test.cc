@@ -10,11 +10,13 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "net/frame.h"
 #include "net/protocol.h"
+#include "util/io.h"
 #include "workloads/dataset.h"
 #include "workloads/wire_format.h"
 
@@ -294,23 +296,84 @@ TEST(ProtocolTest, PublishAndRollbackRoundTrip) {
   EXPECT_EQ(rollback2->shards_swapped, 3u);
 }
 
+// ServiceStats counters in stats-frame slot order. The order is the wire
+// contract: a peer of any version reads slot i as the same counter.
+using ServiceCounter = uint64_t engine::ServiceStats::*;
+constexpr ServiceCounter kServiceSlots[] = {
+    &engine::ServiceStats::submitted,
+    &engine::ServiceStats::completed,
+    &engine::ServiceStats::failed,
+    &engine::ServiceStats::flushes,
+    &engine::ServiceStats::flushes_full,
+    &engine::ServiceStats::flushes_adaptive,
+    &engine::ServiceStats::flushes_deadline,
+    &engine::ServiceStats::flushes_drain,
+    &engine::ServiceStats::cache_hits,
+    &engine::ServiceStats::cache_misses,
+    &engine::ServiceStats::template_cache_hits,
+    &engine::ServiceStats::template_cache_misses,
+    &engine::ServiceStats::models_published,
+    &engine::ServiceStats::template_entries_warmed,
+    &engine::ServiceStats::max_queue_depth,
+    &engine::ServiceStats::queue_depth,
+    &engine::ServiceStats::total_latency_us,
+    &engine::ServiceStats::max_latency_us,
+    &engine::ServiceStats::assign_rows,
+    &engine::ServiceStats::assign_bound_skips,
+    &engine::ServiceStats::assign_early_exits,
+    &engine::ServiceStats::assign_full_distances,
+};
+// Every ServiceStats data member is a u64 counter: a field added to the
+// struct without a slot here stops this from compiling.
+static_assert(sizeof(engine::ServiceStats) ==
+              std::size(kServiceSlots) * sizeof(uint64_t));
+
+using ServerCounter = uint64_t WireServerCounters::*;
+constexpr ServerCounter kServerSlots[] = {
+    &WireServerCounters::connections_accepted,
+    &WireServerCounters::frames_served,
+    &WireServerCounters::protocol_errors,
+    &WireServerCounters::accept_failures,
+};
+static_assert(sizeof(WireServerCounters) ==
+              std::size(kServerSlots) * sizeof(uint64_t));
+
+// A stats payload built by hand: the service counters as a counted list of
+// u64 slots, then the server counters.
+std::string StatsPayload(const std::vector<uint64_t>& service,
+                         const std::vector<uint64_t>& server) {
+  BinaryWriter w;
+  w.WriteU64(service.size());
+  for (uint64_t v : service) w.WriteU64(v);
+  for (uint64_t v : server) w.WriteU64(v);
+  return w.buffer();
+}
+
 TEST(ProtocolTest, StatsResponseRoundTripAndErrorBody) {
+  // A distinct value in every slot, so a counter written or read one slot
+  // off cannot pass.
   StatsResponse stats;
-  stats.service.submitted = 10;
-  stats.service.completed = 9;
-  stats.service.failed = 1;
-  stats.service.template_entries_warmed = 123;
-  stats.service.max_latency_us = 456;
-  stats.server.connections_accepted = 3;
-  stats.server.frames_served = 17;
-  auto decoded = DecodeStatsResponse(EncodeStatsResponse(stats));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->service.submitted, 10u);
-  EXPECT_EQ(decoded->service.completed, 9u);
-  EXPECT_EQ(decoded->service.template_entries_warmed, 123u);
-  EXPECT_EQ(decoded->service.max_latency_us, 456u);
-  EXPECT_EQ(decoded->server.connections_accepted, 3u);
-  EXPECT_EQ(decoded->server.frames_served, 17u);
+  std::vector<uint64_t> service, server;
+  for (size_t i = 0; i < std::size(kServiceSlots); ++i) {
+    service.push_back(1000 + i);
+    stats.service.*kServiceSlots[i] = service.back();
+  }
+  for (size_t i = 0; i < std::size(kServerSlots); ++i) {
+    server.push_back(2000 + i);
+    stats.server.*kServerSlots[i] = server.back();
+  }
+  const std::string payload = EncodeStatsResponse(stats);
+  EXPECT_EQ(payload, StatsPayload(service, server));
+  auto decoded = DecodeStatsResponse(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  for (size_t i = 0; i < std::size(kServiceSlots); ++i) {
+    EXPECT_EQ(decoded->service.*kServiceSlots[i], service[i])
+        << "service slot " << i;
+  }
+  for (size_t i = 0; i < std::size(kServerSlots); ++i) {
+    EXPECT_EQ(decoded->server.*kServerSlots[i], server[i])
+        << "server slot " << i;
+  }
 
   ErrorBody error;
   error.code = static_cast<uint8_t>(StatusCode::kFailedPrecondition);
@@ -320,6 +383,48 @@ TEST(ProtocolTest, StatsResponseRoundTripAndErrorBody) {
   EXPECT_NE(st.message().find("no model"), std::string::npos);
   // Garbage degrades to Internal, never throws.
   EXPECT_TRUE(StatusFromError(DecodeErrorBody("zz")).IsInternal());
+}
+
+TEST(ProtocolTest, StatsResponseFromOlderPeerReadsMissingSlotsAsZero) {
+  for (size_t announced : {size_t{0}, size_t{5}}) {
+    std::vector<uint64_t> service;
+    for (size_t i = 0; i < announced; ++i) service.push_back(10 + i);
+    auto decoded =
+        DecodeStatsResponse(StatsPayload(service, {21, 22, 23, 24}));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    for (size_t i = 0; i < std::size(kServiceSlots); ++i) {
+      EXPECT_EQ(decoded->service.*kServiceSlots[i],
+                i < announced ? service[i] : 0u)
+          << "announced " << announced << ", service slot " << i;
+    }
+    for (size_t i = 0; i < std::size(kServerSlots); ++i) {
+      EXPECT_EQ(decoded->server.*kServerSlots[i], 21 + i)
+          << "announced " << announced << ", server slot " << i;
+    }
+  }
+}
+
+TEST(ProtocolTest, StatsResponseFromNewerPeerIgnoresExtraSlots) {
+  // Three trailing counters this build does not know: skipped, not read
+  // as server counters.
+  std::vector<uint64_t> service;
+  for (size_t i = 0; i < std::size(kServiceSlots) + 3; ++i) {
+    service.push_back(100 + i);
+  }
+  auto decoded = DecodeStatsResponse(StatsPayload(service, {31, 32, 33, 34}));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  for (size_t i = 0; i < std::size(kServiceSlots); ++i) {
+    EXPECT_EQ(decoded->service.*kServiceSlots[i], service[i])
+        << "service slot " << i;
+  }
+  for (size_t i = 0; i < std::size(kServerSlots); ++i) {
+    EXPECT_EQ(decoded->server.*kServerSlots[i], 31 + i)
+        << "server slot " << i;
+  }
+  // A count the payload cannot hold is rejected before any allocation.
+  BinaryWriter lying;
+  lying.WriteU64(1000);
+  EXPECT_FALSE(DecodeStatsResponse(lying.buffer()).ok());
 }
 
 }  // namespace

@@ -130,6 +130,23 @@ TEST_F(ReactorTest, BlockingClientScoresBitwiseEqualThroughReactor) {
   service.Stop();
 }
 
+TEST_F(ReactorTest, StartNeedsListenAndRunsOneLoop) {
+  engine::ScoringService service({model_});
+  engine::ModelRegistry registry;
+  net::ReactorServer server(&service, &registry, "default");
+  EXPECT_TRUE(server.Start().IsFailedPrecondition());  // before Listen
+  const std::string address = SocketAddress("start");
+  ASSERT_TRUE(server.Listen(address).ok());
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_TRUE(server.Start().IsFailedPrecondition());  // already running
+  net::WireClient client(address);
+  EXPECT_TRUE(client.Ping().ok());
+  client.Close();
+  server.Shutdown();
+  server.Shutdown();  // idempotent
+  service.Stop();
+}
+
 // ---------- Incremental reassembly ----------
 
 TEST_F(ReactorTest, ByteAtATimeFramesReassembleCorrectly) {

@@ -68,7 +68,6 @@
 #include "engine/batch_scorer.h"
 #include "engine/model_registry.h"
 #include "engine/scoring_service.h"
-#include "ml/compiled_tree.h"
 #include "ml/metrics.h"
 #include "net/async_client.h"
 #include "net/fleet.h"
@@ -613,8 +612,6 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
               static_cast<unsigned long long>(st.template_cache_hits +
                                               st.template_cache_misses),
               static_cast<unsigned long long>(errors.load()));
-  std::printf("  traversal kernel: %s\n",
-              ml::TraverseKernelIdName(st.traverse_kernel_id));
   const std::string cold = ColdPhaseSplitLine(*records, &*model);
   if (!cold.empty()) std::printf("  %s\n", cold.c_str());
   return errors.load() == 0 ? 0 : 1;
@@ -719,11 +716,10 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
       static_cast<unsigned long long>(rc.idle_closed));
   std::printf(
       "  models published %llu, template entries warmed %llu, histogram "
-      "hit rate %.1f%%, template hit rate %.1f%%, traversal kernel %s\n",
+      "hit rate %.1f%%, template hit rate %.1f%%\n",
       static_cast<unsigned long long>(st.models_published),
       static_cast<unsigned long long>(st.template_entries_warmed),
-      100.0 * st.cache_hit_rate(), 100.0 * st.template_cache_hit_rate(),
-      ml::TraverseKernelIdName(st.traverse_kernel_id));
+      100.0 * st.cache_hit_rate(), 100.0 * st.template_cache_hit_rate());
   return 0;
 }
 
@@ -914,12 +910,11 @@ int CmdScore(const std::map<std::string, std::string>& flags) {
   if (remote != nullptr) {
     if (auto stats = remote->Stats(); stats.ok()) {
       std::printf("server: histogram hit rate %.1f%%, template hit rate "
-                  "%.1f%%, %llu entries warmed, traversal kernel %s\n",
+                  "%.1f%%, %llu entries warmed\n",
                   100.0 * stats->service.cache_hit_rate(),
                   100.0 * stats->service.template_cache_hit_rate(),
                   static_cast<unsigned long long>(
-                      stats->service.template_entries_warmed),
-                  ml::TraverseKernelIdName(stats->service.traverse_kernel_id));
+                      stats->service.template_entries_warmed));
     }
   }
   if (failures > 0) {
