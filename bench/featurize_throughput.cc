@@ -1,23 +1,19 @@
 // Cold-path featurization throughput: parse -> plan -> featurize/scale ->
-// assign, reference engine vs the arena/pruned engine, per benchmark.
+// assign, reference path vs the production engine path, per benchmark.
 //
-// The reference path reproduces the pre-arena pipeline cost model: a
-// malloc-mode arena gives every plan node and string its own heap
-// allocation (freed individually per batch, like the old unique_ptr
-// trees), featurization returns a fresh std::vector per query, scaling
-// runs row-at-a-time, and assignment is the full k-centroid scan.
-//
-// The engine path is the production cold path: all queries of a batch
-// plan into one shared bump arena (Reset per batch, grow-only),
-// featurization writes straight into a reusable scratch matrix,
-// scaling is one in-place pass, and assignment routes through the
-// pruned ml::CentroidIndex.
+// Both paths parse the same SQL text and plan each batch into their own
+// bump arena (Reset per batch, grow-only). From there the reference path
+// returns a fresh std::vector of features per query, scales row-at-a-time,
+// and assigns with the full k-centroid scan. The engine path is the
+// production cold path: featurization writes straight into a reusable
+// scratch matrix, scaling is one in-place pass, and assignment routes
+// through the pruned ml::CentroidIndex.
 //
 // Equivalence gate: per query the two paths must produce the SAME
 // template id and BITWISE-equal scaled feature rows. Any divergence
 // prints the offender and the process exits nonzero, so CI's
-// featurize-smoke step (--quick) catches pruning or arena bugs that
-// would silently re-template queries.
+// featurize-smoke step (--quick) catches pruning or featurization bugs
+// that would silently re-template queries.
 //
 // Defaults to paper scale (TPC-DS 93k queries at --scale=1.0; JOB and
 // TPC-C always run at their paper counts); --quick shrinks everything
@@ -32,7 +28,6 @@
 
 #include "bench_common.h"
 #include "ml/centroid_index.h"
-#include "plan/cardinality.h"
 #include "ml/kmeans.h"
 #include "ml/linalg.h"
 #include "ml/scaler.h"
@@ -120,13 +115,12 @@ Result<AssignModel> FitAssignModel(
   return m;
 }
 
-// Reference cold path over one batch: per-query heap plans
-// (malloc-mode arena), per-query feature vectors, row-at-a-time scaling,
-// full-scan assignment. Scaled rows and labels land in `scaled`/`labels`
-// for the equivalence gate.
+// Reference cold path over one batch: per-query feature vectors,
+// row-at-a-time scaling, full-scan assignment. Scaled rows and labels land
+// in `scaled`/`labels` for the equivalence gate.
 Status RunReferenceBatch(const std::vector<workloads::QueryRecord>& records,
                          size_t begin, size_t end, const plan::Planner& planner,
-                         const AssignModel& model, util::Arena* malloc_arena,
+                         const AssignModel& model, util::Arena* arena,
                          PhaseSplit* split, ml::Matrix* scaled,
                          std::vector<int>* labels) {
   const size_t n = end - begin;
@@ -142,8 +136,7 @@ Status RunReferenceBatch(const std::vector<workloads::QueryRecord>& records,
   std::vector<const plan::PlanNode*> roots(n);
   sw.Reset();
   for (size_t i = 0; i < n; ++i) {
-    WMP_ASSIGN_OR_RETURN(roots[i],
-                         planner.CreatePlanInto(queries[i], malloc_arena));
+    WMP_ASSIGN_OR_RETURN(roots[i], planner.CreatePlanInto(queries[i], arena));
   }
   split->plan_ms += sw.ElapsedMillis();
 
@@ -164,7 +157,7 @@ Status RunReferenceBatch(const std::vector<workloads::QueryRecord>& records,
   for (size_t i = 0; i < n; ++i) {
     std::copy(rows[i].begin(), rows[i].end(), scaled->RowPtr(begin + i));
   }
-  malloc_arena->Reset();  // frees each node/string individually
+  arena->Reset();  // rewinds, keeps chunks
   return Status::OK();
 }
 
@@ -258,22 +251,16 @@ Result<BenchRow> RunBenchmark(workloads::Benchmark benchmark,
   // measured. Without it the path that runs first pays the dataset
   // builder's cold heap and the comparison skews with run order.
   {
-    // The reference run also reproduces the pre-PR HarmonicApprox cost
-    // model (per-key memo in front of the exact summation); values are
-    // bitwise identical either way, which the gate below re-proves.
-    plan::SetHarmonicTableCache(false);
-    util::Arena malloc_arena(plan::kPlanArenaChunk,
-                             util::Arena::Mode::kMalloc);
+    util::Arena arena(plan::kPlanArenaChunk);
     for (int pass = 0; pass < 2; ++pass) {
       PhaseSplit warmup;
       PhaseSplit* split = pass == 0 ? &warmup : &row.ref;
       for (size_t b = 0; b < n; b += batch) {
         WMP_RETURN_IF_ERROR(RunReferenceBatch(
-            records, b, std::min(b + batch, n), planner, model, &malloc_arena,
-            split, &ref_scaled, &ref_labels));
+            records, b, std::min(b + batch, n), planner, model, &arena, split,
+            &ref_scaled, &ref_labels));
       }
     }
-    plan::SetHarmonicTableCache(true);
   }
   {
     util::Arena arena(plan::kPlanArenaChunk);
@@ -315,8 +302,8 @@ Result<BenchRow> RunBenchmark(workloads::Benchmark benchmark,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  // Paper scale by default — the acceptance target is cold-path speedup at
-  // the paper's query counts — unless the caller passed --scale or --quick.
+  // Paper scale by default (the paper's query counts), unless the caller
+  // passed --scale or --quick.
   bool scale_given = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0) scale_given = true;
@@ -324,7 +311,7 @@ int main(int argc, char** argv) {
   if (!scale_given && !args.quick) args.tpcds_scale = 1.0;
   bench::PrintRunBanner("featurize_throughput",
                         "cold path: parse/plan/featurize/assign, reference vs "
-                        "arena+pruned engine",
+                        "engine",
                         args);
 
   std::vector<BenchRow> rows;
@@ -343,10 +330,7 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(*row));
   }
 
-  // Aggregate row: the acceptance target (>= 1.5x cold-path throughput at
-  // paper scale) is judged on the workload mix, where TPC-DS's 93k queries
-  // dominate — JOB's join-enumeration-bound planner gains less from arena
-  // allocation and would misrepresent the path on its own.
+  // Aggregate row: the workload mix, where TPC-DS's 93k queries dominate.
   {
     BenchRow all;
     all.benchmark = "ALL";

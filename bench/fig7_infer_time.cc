@@ -9,7 +9,9 @@
 // The throughput sweep scores each benchmark's full query set through
 // engine::BatchScorer at batch sizes {1, 10, 100, 1000} and thread counts
 // {1, hardware_concurrency}, against the seed's scalar PredictWorkload loop
-// as the baseline. Results print as a table and, with --json=PATH (or by
+// as the baseline. Before it runs, the model's compiled predictions must be
+// bitwise the regressor's own over the same histograms, or the harness
+// exits nonzero. Results print as a table and, with --json=PATH (or by
 // default at the end of stdout), as JSON records for the bench trajectory.
 
 #include <cstdio>
@@ -29,9 +31,8 @@ namespace {
 
 struct ThroughputRow {
   std::string benchmark;
-  // "scalar" (per-query loop), "batch" (BatchScorer through the compiled
-  // bin-space ensemble — the default serving path), or "batch_reference"
-  // (BatchScorer with compiled routing off: the raw-space regressor walk).
+  // "scalar" (per-query loop) or "batch" (BatchScorer through the compiled
+  // bin-space ensemble — the serving path).
   std::string mode;
   int batch_size = 0;
   int threads = 0;
@@ -87,7 +88,7 @@ ThroughputRow BatchRun(const core::ExperimentData& data,
   engine::BatchScorer scorer(&model, opt);
   auto p = scorer.ScoreLog(data.dataset.records, batch_size);
   ThroughputRow row;
-  row.mode = model.compiled_inference() ? "batch" : "batch_reference";
+  row.mode = "batch";
   row.batch_size = batch_size;
   row.threads = threads;
   if (p.ok()) {
@@ -99,22 +100,29 @@ ThroughputRow BatchRun(const core::ExperimentData& data,
 }
 
 // Bitwise gate on the compiled fast path: scores the full log through the
-// compiled ensemble and through the reference regressor walk and requires
-// every prediction identical. The throughput rows above are only honest if
-// the fast path is exact, so a breach fails the harness (nonzero exit —
-// CI's serve smoke runs this binary).
+// model (the compiled ensemble) and through the regressor's raw-space walk
+// over the same histograms, and requires every prediction identical. The
+// throughput rows are only honest if the fast path is exact, so a breach
+// fails the harness (nonzero exit).
 bool CompiledMatchesReference(const core::ExperimentData& data,
-                              core::LearnedWmpModel* model) {
+                              const core::LearnedWmpModel& model) {
+  if (model.compiled() == nullptr) {
+    std::cerr << "model has no compiled ensemble to check\n";
+    return false;
+  }
   const auto batches =
       engine::MakeConsecutiveBatches(data.dataset.records.size(), 100);
-  model->set_compiled_inference(false);
-  auto reference = model->PredictWorkloads(data.dataset.records, batches);
-  model->set_compiled_inference(true);
+  auto histograms = model.BinWorkloads(data.dataset.records, batches);
+  if (!histograms.ok()) {
+    std::cerr << "equivalence binning failed\n";
+    return false;
+  }
+  auto reference = model.regressor().Predict(*histograms);
   if (!reference.ok()) {
     std::cerr << "equivalence scoring failed\n";
     return false;
   }
-  auto compiled = model->PredictWorkloads(data.dataset.records, batches);
+  auto compiled = model.PredictWorkloads(data.dataset.records, batches);
   if (!compiled.ok()) {
     std::cerr << "equivalence scoring failed\n";
     return false;
@@ -183,7 +191,7 @@ int main(int argc, char** argv) {
       std::cerr << "train failed: " << model.status() << "\n";
       return 1;
     }
-    if (!CompiledMatchesReference(*data, &*model)) {
+    if (!CompiledMatchesReference(*data, *model)) {
       std::cerr << "compiled inference is NOT bitwise-equal to the "
                    "reference path\n";
       return 1;
@@ -191,27 +199,19 @@ int main(int argc, char** argv) {
     const int hw = static_cast<int>(util::HardwareThreads());
     TablePrinter tput(StrFormat("%s batch throughput (queries/sec)",
                                 result->benchmark.c_str()));
-    tput.SetHeader({"batch", "scalar 1t", "reference 1t", "compiled 1t",
-                    StrFormat("compiled %dt", hw), "compiled gain"});
+    tput.SetHeader({"batch", "scalar 1t", "compiled 1t",
+                    StrFormat("compiled %dt", hw)});
     for (int batch_size : {1, 10, 100, 1000}) {
       ThroughputRow scalar = ScalarBaseline(*data, *model, batch_size);
-      model->set_compiled_inference(false);
-      ThroughputRow reference = BatchRun(*data, *model, batch_size, 1);
-      model->set_compiled_inference(true);
       ThroughputRow batch1 = BatchRun(*data, *model, batch_size, 1);
       ThroughputRow batch_hw = hw > 1 ? BatchRun(*data, *model, batch_size, hw)
                                       : batch1;
-      scalar.benchmark = reference.benchmark = batch1.benchmark =
-          batch_hw.benchmark = result->benchmark;
+      scalar.benchmark = batch1.benchmark = batch_hw.benchmark =
+          result->benchmark;
       tput.AddRow({StrFormat("%d", batch_size), StrFormat("%.0f", scalar.qps),
-                   StrFormat("%.0f", reference.qps),
                    StrFormat("%.0f", batch1.qps),
-                   StrFormat("%.0f", batch_hw.qps),
-                   reference.qps > 0.0
-                       ? StrFormat("%.2fx", batch1.qps / reference.qps)
-                       : std::string("n/a")});
+                   StrFormat("%.0f", batch_hw.qps)});
       throughput.push_back(scalar);
-      throughput.push_back(reference);
       throughput.push_back(batch1);
       if (hw > 1) throughput.push_back(batch_hw);
     }

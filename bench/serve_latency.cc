@@ -27,6 +27,9 @@
 //                   pipelined load: zero failed requests across the swap,
 //                   and post-swap predictions bitwise equal to the new
 //                   model's own batched scoring.
+//   compiled        one cold pipelined pass through the compiled bin-space
+//                   ensemble; every prediction must be bitwise the
+//                   regressor's raw-space walk over the same histograms.
 //
 // Output: human tables plus JSON records (stdout, or --json=PATH):
 //   {"figure":"serve_latency","mode":"novel","clients":4,"shards":1,
@@ -532,30 +535,29 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  // --- Compiled bin-space inference vs the reference regressor walk,
-  // through the full service stack. One cold pipelined pass each over the
-  // same stream; the compiled run's bitwise flag compares every prediction
-  // against the reference pass and feeds the nonzero-exit gate below, so
-  // CI's serve smoke fails on any compiled/reference divergence. ---
+  // --- Compiled bin-space inference through the full service stack: one
+  // cold pipelined pass, every prediction compared against the regressor's
+  // raw-space walk over the same histograms. The bitwise flag feeds the
+  // nonzero-exit gate below, so CI's serve smoke fails on any divergence.
   {
     const int clients = args.quick ? 2 : 4;
     engine::ScoringServiceOptions sopt;
     sopt.max_batch = 1024;
     sopt.max_delay_us = 25;
-    model->set_compiled_inference(false);
-    engine::ScoringService ref_service({&*model}, sopt);
-    DriveResult ref = Drive(&ref_service, records, batches, clients, 1, true);
-    ref_service.Stop();
-    model->set_compiled_inference(true);
     engine::ScoringService service({&*model}, sopt);
     DriveResult d = Drive(&service, records, batches, clients, 1, true);
     service.Stop();
-    bool bitwise = ref.errors == 0 && d.errors == 0;
+    auto histograms = model->BinWorkloads(records, batches);
+    Result<std::vector<double>> reference =
+        histograms.ok() ? model->regressor().Predict(*histograms)
+                        : Result<std::vector<double>>(histograms.status());
+    bool bitwise = reference.ok() && d.errors == 0 &&
+                   model->compiled() != nullptr;
     for (size_t w = 0; bitwise && w < batches.size(); ++w) {
-      if (d.pass_predictions[0][w] != ref.pass_predictions[0][w]) {
+      if (d.pass_predictions[0][w] != (*reference)[w]) {
         std::cerr << "compiled/reference divergence at workload " << w
                   << ": " << d.pass_predictions[0][w] << " vs "
-                  << ref.pass_predictions[0][w] << "\n";
+                  << (*reference)[w] << "\n";
         bitwise = false;
       }
     }
@@ -570,21 +572,11 @@ int main(int argc, char** argv) {
                             : 0.0;
     row.p50_us = util::PercentileInPlace(&d.latencies_us, 0.50);
     row.p99_us = util::PercentileInPlace(&d.latencies_us, 0.99);
-    row.errors = d.errors + ref.errors;
+    row.errors = d.errors;
     row.bitwise_identical = bitwise;
     rows.push_back(row);
     TablePrinter table("serve_latency — compiled bin-space inference");
     table.SetHeader({"path", "qps", "p50 us", "p99 us", "bitwise"});
-    table.AddRow({"reference",
-                  StrFormat("%.0f",
-                            ref.seconds > 0
-                                ? CountQueries(batches) / ref.seconds
-                                : 0.0),
-                  StrFormat("%.0f", util::PercentileInPlace(
-                                        &ref.latencies_us, 0.50)),
-                  StrFormat("%.0f", util::PercentileInPlace(
-                                        &ref.latencies_us, 0.99)),
-                  "-"});
     table.AddRow({row.mode, StrFormat("%.0f", row.qps),
                   StrFormat("%.0f", row.p50_us),
                   StrFormat("%.0f", row.p99_us), bitwise ? "yes" : "NO"});

@@ -1,14 +1,13 @@
 // Compiled-traversal micro-bench: CompiledEnsemble::Predict on DT/RF/GBT
-// ensembles, swept over LUT depth {0, 3, 6}, u8/u16 code widths, and batch
-// sizes {1, 10, 100, 1000}.
+// ensembles and a u16-code DT, swept over batch sizes {1, 10, 100, 1000}.
 //
 // This isolates the compiled traversal — synthetic training data, no
 // workload pipeline — so the numbers measure pure traversal throughput
 // (rows/sec). Every configuration's predictions are gated bitwise against
 // the raw-space Regressor::Predict on the same chunking; any divergence is
 // a nonzero exit (CI runs `--quick`). BENCH_traverse.json keeps the last
-// sweep of the retired lockstep-4 and AVX2 gather kernels against the
-// scalar and lockstep-8 walks that remain.
+// sweep of the retired lockstep-4, AVX2 gather and top-level lookup-table
+// variants against the scalar and lockstep-8 walks that remain.
 //
 // Flags: --quick (CI smoke size), --json=PATH (trajectory records),
 // --seed=<n>.
@@ -186,7 +185,6 @@ double MeasureRowsPerSec(const ml::CompiledEnsemble& compiled,
 struct BenchRow {
   std::string model;
   std::string codes;  // "u8" | "u16"
-  int lut = 0;
   size_t batch = 0;
   double rows_per_sec = 0.0;
 };
@@ -194,8 +192,8 @@ struct BenchRow {
 std::string ToJson(const BenchRow& r) {
   return StrFormat(
       "{\"figure\":\"traverse_kernel\",\"model\":\"%s\",\"codes\":\"%s\","
-      "\"lut\":%d,\"batch\":%zu,\"rows_per_sec\":%.0f}",
-      r.model.c_str(), r.codes.c_str(), r.lut, r.batch, r.rows_per_sec);
+      "\"batch\":%zu,\"rows_per_sec\":%.0f}",
+      r.model.c_str(), r.codes.c_str(), r.batch, r.rows_per_sec);
 }
 
 }  // namespace
@@ -208,8 +206,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(args.seed));
   std::printf("=======================================================\n");
 
-  const std::vector<int> luts = args.quick ? std::vector<int>{0, 3}
-                                           : std::vector<int>{0, 3, 6};
   const std::vector<size_t> batches = args.quick
                                           ? std::vector<size_t>{1, 100, 512}
                                           : std::vector<size_t>{1, 10, 100,
@@ -220,25 +216,18 @@ int main(int argc, char** argv) {
   std::vector<BenchRow> rows;
   size_t mismatches = 0;
   for (const ModelSpec& spec : specs) {
-    std::vector<ml::CompiledEnsemble> compiled;
-    for (int lut : luts) {
-      auto ce = ml::CompiledEnsemble::CompileRegressor(
-          *spec.model, ml::CompileOptions{.lut_levels = lut});
-      if (!ce.ok()) {
-        std::cerr << "compile failed: " << ce.status() << "\n";
-        return 1;
-      }
-      compiled.push_back(std::move(ce).value());
+    auto compiled = ml::CompiledEnsemble::CompileRegressor(*spec.model);
+    if (!compiled.ok()) {
+      std::cerr << "compile failed: " << compiled.status() << "\n";
+      return 1;
     }
-    const char* codes = compiled.front().narrow() ? "u8" : "u16";
+    const char* codes = compiled->narrow() ? "u8" : "u16";
     std::printf("\nmodel %s: %zu trees, %zu nodes, %s codes\n",
-                spec.name.c_str(), compiled.front().num_trees(),
-                compiled.front().num_nodes(), codes);
-    TablePrinter table(StrFormat("%s — rows/sec by LUT depth",
+                spec.name.c_str(), compiled->num_trees(),
+                compiled->num_nodes(), codes);
+    TablePrinter table(StrFormat("%s — rows/sec by batch size",
                                  spec.name.c_str()));
-    std::vector<std::string> header = {"batch"};
-    for (int lut : luts) header.push_back(StrFormat("lut=%d", lut));
-    table.SetHeader(header);
+    table.SetHeader({"batch", "rows/sec"});
     for (size_t batch : batches) {
       const std::vector<ml::Matrix> chunks = SplitChunks(spec.data.test, batch);
       const size_t n = spec.data.test.rows();
@@ -247,33 +236,28 @@ int main(int argc, char** argv) {
         std::cerr << "reference predict failed\n";
         return 1;
       }
-      std::vector<std::string> cells = {StrFormat("%zu", batch)};
-      for (size_t li = 0; li < luts.size(); ++li) {
-        const ml::CompiledEnsemble& ce = compiled[li];
-        // Bitwise gate: the compiled traversal must reproduce the raw-space
-        // walk exactly on this chunking (lockstep blocks and ragged tails).
-        if (!PredictChunks(ce, chunks, &got)) {
-          std::cerr << "predict failed\n";
-          return 1;
-        }
-        for (size_t i = 0; i < want.size(); ++i) {
-          if (got[i] != want[i]) {
-            std::cerr << "BITWISE MISMATCH: " << spec.name << " lut="
-                      << luts[li] << " batch=" << batch << " row " << i
-                      << ": " << got[i] << " vs " << want[i] << "\n";
-            ++mismatches;
-            break;
-          }
-        }
-        const double rps = MeasureRowsPerSec(ce, chunks, n, min_ms);
-        if (rps < 0) {
-          std::cerr << "predict failed\n";
-          return 1;
-        }
-        cells.push_back(StrFormat("%.0f", rps));
-        rows.push_back(BenchRow{spec.name, codes, luts[li], batch, rps});
+      // Bitwise gate: the compiled traversal must reproduce the raw-space
+      // walk exactly on this chunking (lockstep blocks and ragged tails).
+      if (!PredictChunks(*compiled, chunks, &got)) {
+        std::cerr << "predict failed\n";
+        return 1;
       }
-      table.AddRow(cells);
+      for (size_t i = 0; i < want.size(); ++i) {
+        if (got[i] != want[i]) {
+          std::cerr << "BITWISE MISMATCH: " << spec.name << " batch=" << batch
+                    << " row " << i << ": " << got[i] << " vs " << want[i]
+                    << "\n";
+          ++mismatches;
+          break;
+        }
+      }
+      const double rps = MeasureRowsPerSec(*compiled, chunks, n, min_ms);
+      if (rps < 0) {
+        std::cerr << "predict failed\n";
+        return 1;
+      }
+      table.AddRow({StrFormat("%zu", batch), StrFormat("%.0f", rps)});
+      rows.push_back(BenchRow{spec.name, codes, batch, rps});
     }
     table.Print(std::cout);
   }

@@ -297,7 +297,7 @@ Result<std::vector<double>> LearnedWmpModel::PredictFromHistogramMatrix(
   if (h.rows() == 0) return std::vector<double>{};
   // Bin-space fast path: the compiled ensemble reproduces the regressor's
   // predictions bit for bit, so routing is invisible to callers.
-  const bool compiled = use_compiled_ && compiled_ != nullptr;
+  const bool compiled = compiled_ != nullptr;
   if (!options_.variable_length) {
     return compiled ? compiled_->Predict(h) : regressor_->Predict(h);
   }
@@ -331,7 +331,7 @@ Result<double> LearnedWmpModel::PredictFromHistogram(
   if (histogram.size() != static_cast<size_t>(templates_.num_templates())) {
     return Status::InvalidArgument("histogram length != num templates");
   }
-  const bool compiled = use_compiled_ && compiled_ != nullptr;
+  const bool compiled = compiled_ != nullptr;
   if (!options_.variable_length) {
     return compiled ? compiled_->PredictOne(histogram)
                     : regressor_->PredictOne(histogram);

@@ -160,16 +160,13 @@ class LearnedWmpModel {
   ///
   /// Tree-family regressors are flattened into a compiled ensemble at
   /// train/load time, and IN5 (PredictFromHistogram / the batched matrix
-  /// form) scores through it — bitwise-identical predictions, several
-  /// times faster per row. Non-tree regressors (Ridge, MLP) leave
-  /// `compiled()` null and serve through the reference path unchanged.
+  /// form) always scores through it — bitwise-identical predictions,
+  /// several times faster per row. Non-tree regressors (Ridge, MLP) leave
+  /// `compiled()` null and predict through `regressor()`. Equivalence
+  /// checks compare against `regressor()` over the same histograms.
   /// @{
   /// Compiled form of the regressor, or null when the family has none.
   const ml::CompiledEnsemble* compiled() const { return compiled_.get(); }
-  /// Routing toggle (default on). Turning it off forces the reference
-  /// regressor path — the equivalence baseline the tests compare against.
-  void set_compiled_inference(bool on) { use_compiled_ = on; }
-  bool compiled_inference() const { return use_compiled_; }
   /// @}
 
   /// Deployed model footprint: regressor + template model bytes.
@@ -200,7 +197,6 @@ class LearnedWmpModel {
   /// shared_ptr so model copies made by the serving layer's hot-swap path
   /// share one immutable compiled form.
   std::shared_ptr<const ml::CompiledEnsemble> compiled_;
-  bool use_compiled_ = true;
   LearnedWmpTrainStats train_stats_;
 };
 

@@ -62,7 +62,7 @@ Result<double> SingleWmpModel::PredictQuery(
   }
   std::vector<double> row = record.plan_features;
   WMP_RETURN_IF_ERROR(scaler_.TransformRow(&row));
-  if (use_compiled_ && compiled_ != nullptr) {
+  if (compiled_ != nullptr) {
     return compiled_->PredictOne(row);
   }
   return regressor_->PredictOne(row);

@@ -58,12 +58,9 @@ class SingleWmpModel {
   const ml::Regressor& regressor() const { return *regressor_; }
 
   /// Bin-space compiled form of the regressor (ml/compiled_tree.h); null
-  /// for non-tree families. PredictQuery routes through it when present —
-  /// bitwise the reference prediction.
+  /// for non-tree families. PredictQuery routes through it whenever it is
+  /// present — bitwise the `regressor()` prediction.
   const ml::CompiledEnsemble* compiled() const { return compiled_.get(); }
-  /// Routing toggle (default on); off forces the reference regressor path.
-  void set_compiled_inference(bool on) { use_compiled_ = on; }
-  bool compiled_inference() const { return use_compiled_; }
 
   /// Regressor fit time of the last Train call (ms).
   double train_ms() const { return train_ms_; }
@@ -79,7 +76,6 @@ class SingleWmpModel {
   ml::StandardScaler scaler_;
   std::unique_ptr<ml::Regressor> regressor_;
   std::shared_ptr<const ml::CompiledEnsemble> compiled_;
-  bool use_compiled_ = true;
   double train_ms_ = 0.0;
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
+#include <cmath>
 #include <type_traits>
 
 #include "ml/gbt.h"
@@ -31,7 +31,7 @@ constexpr int kLockstepRows = 8;
 
 Result<CompiledEnsemble> CompiledEnsemble::CompileTrees(
     const std::vector<const RegressionTree*>& trees, Combine combine,
-    double base, double scale, const CompileOptions& opts) {
+    double base, double scale) {
   if (trees.empty()) {
     return Status::FailedPrecondition("compile of an empty ensemble");
   }
@@ -157,127 +157,48 @@ Result<CompiledEnsemble> CompiledEnsemble::CompileTrees(
     assert(c.child_[i] < 0 || c.binner_.NumBins(c.node_feature_[i]) > 1);
   }
 #endif
-  WMP_RETURN_IF_ERROR(c.BuildLut(opts.lut_levels));
   return c;
 }
 
 Result<CompiledEnsemble> CompiledEnsemble::Compile(
-    const DecisionTreeRegressor& model, const CompileOptions& opts) {
-  return CompileTrees({&model.tree()}, Combine::kSingle, 0.0, 1.0, opts);
+    const DecisionTreeRegressor& model) {
+  return CompileTrees({&model.tree()}, Combine::kSingle, 0.0, 1.0);
 }
 
 Result<CompiledEnsemble> CompiledEnsemble::Compile(
-    const RandomForestRegressor& model, const CompileOptions& opts) {
+    const RandomForestRegressor& model) {
   std::vector<const RegressionTree*> trees;
   trees.reserve(model.trees().size());
   for (const RegressionTree& t : model.trees()) trees.push_back(&t);
-  return CompileTrees(trees, Combine::kAverage, 0.0, 1.0, opts);
+  return CompileTrees(trees, Combine::kAverage, 0.0, 1.0);
 }
 
-Result<CompiledEnsemble> CompiledEnsemble::Compile(const GbtRegressor& model,
-                                                   const CompileOptions& opts) {
+Result<CompiledEnsemble> CompiledEnsemble::Compile(const GbtRegressor& model) {
   std::vector<const RegressionTree*> trees;
   trees.reserve(model.trees().size());
   for (const RegressionTree& t : model.trees()) trees.push_back(&t);
   return CompileTrees(trees, Combine::kBoosted, model.base_score(),
-                      model.options().learning_rate, opts);
+                      model.options().learning_rate);
 }
 
 Result<CompiledEnsemble> CompiledEnsemble::CompileRegressor(
-    const Regressor& model, const CompileOptions& opts) {
+    const Regressor& model) {
   if (const auto* dt = dynamic_cast<const DecisionTreeRegressor*>(&model)) {
-    return Compile(*dt, opts);
+    return Compile(*dt);
   }
   if (const auto* rf = dynamic_cast<const RandomForestRegressor*>(&model)) {
-    return Compile(*rf, opts);
+    return Compile(*rf);
   }
   if (const auto* gbt = dynamic_cast<const GbtRegressor*>(&model)) {
-    return Compile(*gbt, opts);
+    return Compile(*gbt);
   }
   return Status::FailedPrecondition("not a tree-family regressor");
 }
 
-Status CompiledEnsemble::BuildLut(int levels) {
-  lut_levels_ = 0;
-  lut_feature_.clear();
-  lut_code8_.clear();
-  lut_code16_.clear();
-  lut_exit_.clear();
-  // All-leaf ensembles have no tests to unroll (and no used feature to back
-  // the dummy always-left padding) — serve them through the plain walk.
-  if (levels <= 0 || d_ == 0 || used_features_.empty()) return Status::OK();
-  if (levels > 16) return Status::InvalidArgument("lut_levels > 16");
-  const size_t num_trees = tree_counts_.size();
-  const size_t tests = (size_t{1} << levels) - 1;
-  const size_t exits = tests + 1;
-  lut_feature_.assign(num_trees * tests, 0);
-  if (narrow_) {
-    lut_code8_.assign(num_trees * tests, 0);
-  } else {
-    lut_code16_.assign(num_trees * tests, 0);
-  }
-  lut_exit_.assign(num_trees * exits, 0);
-  const uint32_t dummy_code = narrow_ ? 255u : 65535u;
-  // Any used feature works for the dummy always-left tests (`code <= max`
-  // holds for every code), but an unused one would read an unbinned slot.
-  const uint16_t dummy_feature = used_features_.front();
-  const auto put_code = [&](size_t idx, uint32_t code) {
-    if (narrow_) {
-      lut_code8_[idx] = static_cast<uint8_t>(code);
-    } else {
-      lut_code16_[idx] = static_cast<uint16_t>(code);
-    }
-  };
-  std::vector<uint32_t> cur, next;
-  for (size_t t = 0; t < num_trees; ++t) {
-    cur.assign(1, tree_base_[t]);
-    for (int l = 0; l < levels; ++l) {
-      next.assign(cur.size() * 2, 0);
-      for (size_t s = 0; s < cur.size(); ++s) {
-        const size_t j = t * tests + ((size_t{1} << l) - 1) + s;
-        const uint32_t node = cur[s];
-        if (child_[node] >= 0) {
-          lut_feature_[j] = node_feature_[node];
-          put_code(j, narrow_ ? code8_[node] : code16_[node]);
-          next[2 * s] = static_cast<uint32_t>(child_[node]);
-          next[2 * s + 1] = static_cast<uint32_t>(child_[node]) + 1;
-        } else {
-          // Leaf above depth L: pad with an always-left test and carry the
-          // leaf down; the unreachable right subtree carries it too.
-          lut_feature_[j] = dummy_feature;
-          put_code(j, dummy_code);
-          next[2 * s] = node;
-          next[2 * s + 1] = node;
-        }
-      }
-      cur.swap(next);
-    }
-    for (size_t s = 0; s < exits; ++s) lut_exit_[t * exits + s] = cur[s];
-  }
-  lut_levels_ = levels;
-  return Status::OK();
-}
-
 template <typename Code>
 double CompiledEnsemble::TraverseTree(size_t t, const Code* codes,
-                                      const Code* node_code,
-                                      const Code* lut_code) const {
-  uint32_t i;
-  if (lut_levels_ > 0) {
-    // Unrolled top levels: complete-tree stepping, no dependent child
-    // loads — the next test's index is pure arithmetic on the previous
-    // compare.
-    const size_t tests = (size_t{1} << lut_levels_) - 1;
-    const uint16_t* lf = lut_feature_.data() + t * tests;
-    const Code* lc = lut_code + t * tests;
-    size_t j = 0;
-    for (int l = 0; l < lut_levels_; ++l) {
-      j = 2 * j + 1 + (codes[lf[j]] > lc[j] ? 1u : 0u);
-    }
-    i = lut_exit_[t * (tests + 1) + (j - tests)];
-  } else {
-    i = tree_base_[t];
-  }
+                                      const Code* node_code) const {
+  uint32_t i = tree_base_[t];
   int32_t ch;
   while ((ch = child_[i]) >= 0) {
     // Siblings are adjacent: +0 goes left (code <= threshold code), +1
@@ -291,7 +212,6 @@ double CompiledEnsemble::TraverseTree(size_t t, const Code* codes,
 template <typename Code>
 void CompiledEnsemble::PredictRowsLockstepT(const Code* codes,
                                             const Code* node_code,
-                                            const Code* lut_code,
                                             double* out) const {
   constexpr int R = kLockstepRows;
   const size_t num_trees = tree_counts_.size();
@@ -306,30 +226,8 @@ void CompiledEnsemble::PredictRowsLockstepT(const Code* codes,
   for (int r = 0; r < R; ++r) acc[r] = init;
   uint32_t idx[R];
   int32_t ch[R];
-  const size_t tests =
-      lut_levels_ > 0 ? (size_t{1} << lut_levels_) - 1 : 0;
   for (size_t t = 0; t < num_trees; ++t) {
-    if (lut_levels_ > 0) {
-      const uint16_t* lf = lut_feature_.data() + t * tests;
-      const Code* lc = lut_code + t * tests;
-      uint32_t j[R];
-      for (int r = 0; r < R; ++r) j[r] = 0;
-      for (int l = 0; l < lut_levels_; ++l) {
-        // R independent complete-tree steps per level: pure arithmetic on
-        // the previous compare, no cross-lane dependencies, so the
-        // compiler can vectorize over the u8/u16 code lanes.
-        for (int r = 0; r < R; ++r) {
-          j[r] = 2 * j[r] + 1 +
-                 (codes[static_cast<size_t>(r) * d + lf[j[r]]] > lc[j[r]]
-                      ? 1u
-                      : 0u);
-        }
-      }
-      const uint32_t* exits = lut_exit_.data() + t * (tests + 1);
-      for (int r = 0; r < R; ++r) idx[r] = exits[j[r] - tests];
-    } else {
-      for (int r = 0; r < R; ++r) idx[r] = tree_base_[t];
-    }
+    for (int r = 0; r < R; ++r) idx[r] = tree_base_[t];
     for (int r = 0; r < R; ++r) ch[r] = child_[idx[r]];
     for (;;) {
       bool any_active = false;
@@ -372,19 +270,16 @@ template <typename Code>
 void CompiledEnsemble::PredictBlockT(const Code* codes, size_t begin,
                                      size_t end, double* out) const {
   const Code* node_code;
-  const Code* lut_code;
   if constexpr (std::is_same_v<Code, uint8_t>) {
     node_code = code8_.data();
-    lut_code = lut_code8_.data();
   } else {
     node_code = code16_.data();
-    lut_code = lut_code16_.data();
   }
   // Full 8-row blocks walk in lockstep; the ragged tail (and a single
   // row) walks one row at a time — bitwise the same.
   size_t i = begin;
   for (; i + kLockstepRows <= end; i += kLockstepRows) {
-    PredictRowsLockstepT<Code>(codes + i * d_, node_code, lut_code, out + i);
+    PredictRowsLockstepT<Code>(codes + i * d_, node_code, out + i);
   }
   const size_t num_trees = tree_counts_.size();
   for (; i < end; ++i) {
@@ -396,12 +291,12 @@ void CompiledEnsemble::PredictBlockT(const Code* codes, size_t begin,
     if (combine_ == Combine::kBoosted) {
       acc = base_;
       for (size_t t = 0; t < num_trees; ++t) {
-        acc += scale_ * TraverseTree(t, rc, node_code, lut_code);
+        acc += scale_ * TraverseTree(t, rc, node_code);
       }
     } else {
       acc = 0.0;
       for (size_t t = 0; t < num_trees; ++t) {
-        acc += TraverseTree(t, rc, node_code, lut_code);
+        acc += TraverseTree(t, rc, node_code);
       }
       if (combine_ == Combine::kAverage) {
         acc /= static_cast<double>(num_trees);
@@ -550,8 +445,7 @@ size_t CompiledEnsemble::SerializedBytes() const {
   return writer.size();
 }
 
-Result<CompiledEnsemble> CompiledEnsemble::Deserialize(
-    BinaryReader* reader, const CompileOptions& opts) {
+Result<CompiledEnsemble> CompiledEnsemble::Deserialize(BinaryReader* reader) {
   WMP_ASSIGN_OR_RETURN(uint32_t tag, reader->ReadU32());
   if (tag != kCompiledEnsembleTag) {
     return Status::InvalidArgument("bad compiled-ensemble magic tag");
@@ -601,7 +495,11 @@ Result<CompiledEnsemble> CompiledEnsemble::Deserialize(
     edges[f].resize(ne);
     for (uint32_t e = 0; e < ne; ++e) {
       WMP_ASSIGN_OR_RETURN(edges[f][e], reader->ReadDouble());
-      if (e > 0 && edges[f][e] <= edges[f][e - 1]) {
+      // NaN compares false both ways, so it needs the explicit check at
+      // entry 0 and the !(cur > prev) form after it: the bin-space walk is
+      // bitwise the raw-space walk only over a strictly increasing table.
+      if (std::isnan(edges[f][e]) ||
+          (e > 0 && !(edges[f][e] > edges[f][e - 1]))) {
         return Status::InvalidArgument("compiled edges not increasing");
       }
     }
@@ -678,7 +576,6 @@ Result<CompiledEnsemble> CompiledEnsemble::Deserialize(
   for (uint64_t i = 0; i < num_leaves; ++i) {
     WMP_ASSIGN_OR_RETURN(c.leaf_value_[i], reader->ReadDouble());
   }
-  WMP_RETURN_IF_ERROR(c.BuildLut(opts.lut_levels));
   return c;
 }
 

@@ -19,9 +19,6 @@
 ///   - BFS layout stores siblings adjacently, so only the left child index
 ///     is kept (right = left + 1) and the branch is the branchless
 ///     `i = child + (code[feature] > node_code)`;
-///   - optionally the top `lut_levels` levels of every tree are unrolled
-///     into a complete-tree lookup table: L predictable iterations of
-///     `j = 2j + 1 + (code > c)` replace the first L dependent node loads;
 ///   - batch prediction traverses 8 rows per tree in lockstep: the 8
 ///     dependent-load chains are independent, so they overlap in flight
 ///     (memory-level parallelism) and each tree's node lines are touched
@@ -60,14 +57,6 @@ class GbtRegressor;
 class RandomForestRegressor;
 class Regressor;
 
-/// Compilation knobs.
-struct CompileOptions {
-  /// Tree levels unrolled into the lookup table (0 disables it). Depth-3
-  /// replaces the three hottest dependent loads per tree; deeper tables
-  /// grow as 2^L per tree for diminishing returns.
-  int lut_levels = 3;
-};
-
 /// \brief A fitted tree ensemble flattened for bin-space prediction.
 ///
 /// Immutable after construction; Predict/PredictRow are const and
@@ -83,17 +72,13 @@ class CompiledEnsemble {
     kBoosted = 2,  ///< GBT: base_score + sum of scale * leaf per tree
   };
 
-  static Result<CompiledEnsemble> Compile(const DecisionTreeRegressor& model,
-                                          const CompileOptions& opts = {});
-  static Result<CompiledEnsemble> Compile(const RandomForestRegressor& model,
-                                          const CompileOptions& opts = {});
-  static Result<CompiledEnsemble> Compile(const GbtRegressor& model,
-                                          const CompileOptions& opts = {});
+  static Result<CompiledEnsemble> Compile(const DecisionTreeRegressor& model);
+  static Result<CompiledEnsemble> Compile(const RandomForestRegressor& model);
+  static Result<CompiledEnsemble> Compile(const GbtRegressor& model);
   /// Family-dispatching entry: compiles any tree-family regressor, fails
   /// with FailedPrecondition for families without a tree form (Ridge, MLP)
   /// — callers treat that as "serve through the reference path".
-  static Result<CompiledEnsemble> CompileRegressor(
-      const Regressor& model, const CompileOptions& opts = {});
+  static Result<CompiledEnsemble> CompileRegressor(const Regressor& model);
 
   /// Predicts one raw-feature row of width `n >= num_features()`. Bins the
   /// used features, then traverses every tree in bin space.
@@ -126,24 +111,20 @@ class CompiledEnsemble {
   size_t num_features() const { return d_; }
   /// True when every feature has <= 255 cut points and codes are u8.
   bool narrow() const { return narrow_; }
-  int lut_levels() const { return lut_levels_; }
 
   /// \name Compact serialization.
   /// The stream carries the edge tables, the SoA blocks (child i32 per
   /// node; feature + code for internal nodes only) and the leaf values.
-  /// The lookup table is rebuilt on load, never shipped.
   /// @{
   void Serialize(BinaryWriter* writer) const;
-  static Result<CompiledEnsemble> Deserialize(BinaryReader* reader,
-                                              const CompileOptions& opts = {});
+  static Result<CompiledEnsemble> Deserialize(BinaryReader* reader);
   size_t SerializedBytes() const;
   /// @}
 
  private:
   static Result<CompiledEnsemble> CompileTrees(
       const std::vector<const RegressionTree*>& trees, Combine combine,
-      double base, double scale, const CompileOptions& opts);
-  Status BuildLut(int levels);
+      double base, double scale);
 
   template <typename Code>
   double PredictRowT(const double* x) const;
@@ -151,15 +132,15 @@ class CompiledEnsemble {
   void PredictBlockT(const Code* codes, size_t begin, size_t end,
                      double* out) const;
   template <typename Code>
-  double TraverseTree(size_t t, const Code* codes, const Code* node_code,
-                      const Code* lut_code) const;
+  double TraverseTree(size_t t, const Code* codes,
+                      const Code* node_code) const;
   /// Lockstep core: predicts 8 consecutive rows (`codes` points at the
   /// first row's bin line; rows are `d_` apart) with 8 cursors advancing
   /// per tree. Accumulation is per-lane in tree order — bitwise equal to
   /// 8 scalar walks.
   template <typename Code>
   void PredictRowsLockstepT(const Code* codes, const Code* node_code,
-                            const Code* lut_code, double* out) const;
+                            double* out) const;
 
   Combine combine_ = Combine::kSingle;
   double base_ = 0.0;
@@ -183,17 +164,6 @@ class CompiledEnsemble {
   std::vector<uint16_t> code16_;  // when !narrow_
   std::vector<int32_t> child_;
   std::vector<double> leaf_value_;
-
-  // Top-level unroll: per tree, a complete binary tree of 2^L - 1
-  // (feature, code) tests and 2^L exit slots holding node indices to
-  // resume the SoA walk from (possibly leaves). Shallow branches are
-  // padded with always-left dummy tests (code = max code value), so the
-  // unrolled loop needs no bounds logic. Rebuilt on Compile/Deserialize.
-  int lut_levels_ = 0;
-  std::vector<uint16_t> lut_feature_;
-  std::vector<uint8_t> lut_code8_;
-  std::vector<uint16_t> lut_code16_;
-  std::vector<uint32_t> lut_exit_;
 };
 
 /// Byte size of `model` under the retained pointer-tree codec

@@ -296,9 +296,8 @@ Result<std::vector<double>> DecisionTreeRegressor::Predict(
 Status DecisionTreeRegressor::Serialize(BinaryWriter* writer) const {
   if (!tree_.fitted()) return Status::FailedPrecondition("DT not fitted");
   writer->WriteU32(serialize_tags::kDecisionTree);
-  WMP_ASSIGN_OR_RETURN(
-      CompiledEnsemble compiled,
-      CompiledEnsemble::Compile(*this, CompileOptions{.lut_levels = 0}));
+  WMP_ASSIGN_OR_RETURN(CompiledEnsemble compiled,
+                       CompiledEnsemble::Compile(*this));
   compiled.Serialize(writer);
   return Status::OK();
 }
@@ -309,9 +308,8 @@ Result<std::unique_ptr<DecisionTreeRegressor>> DecisionTreeRegressor::Deserializ
   if (tag != serialize_tags::kDecisionTree) {
     return Status::InvalidArgument("bad decision-tree magic tag");
   }
-  WMP_ASSIGN_OR_RETURN(
-      CompiledEnsemble compiled,
-      CompiledEnsemble::Deserialize(reader, CompileOptions{.lut_levels = 0}));
+  WMP_ASSIGN_OR_RETURN(CompiledEnsemble compiled,
+                       CompiledEnsemble::Deserialize(reader));
   if (compiled.combine() != CompiledEnsemble::Combine::kSingle ||
       compiled.num_trees() != 1) {
     return Status::InvalidArgument("stream is not a single decision tree");

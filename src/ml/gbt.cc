@@ -372,9 +372,8 @@ Result<std::vector<double>> GbtRegressor::Predict(const Matrix& x) const {
 Status GbtRegressor::Serialize(BinaryWriter* writer) const {
   if (trees_.empty()) return Status::FailedPrecondition("GBT not fitted");
   writer->WriteU32(serialize_tags::kGbt);
-  WMP_ASSIGN_OR_RETURN(
-      CompiledEnsemble compiled,
-      CompiledEnsemble::Compile(*this, CompileOptions{.lut_levels = 0}));
+  WMP_ASSIGN_OR_RETURN(CompiledEnsemble compiled,
+                       CompiledEnsemble::Compile(*this));
   compiled.Serialize(writer);
   return Status::OK();
 }
@@ -385,9 +384,8 @@ Result<std::unique_ptr<GbtRegressor>> GbtRegressor::Deserialize(
   if (tag != serialize_tags::kGbt) {
     return Status::InvalidArgument("bad gbt magic tag");
   }
-  WMP_ASSIGN_OR_RETURN(
-      CompiledEnsemble compiled,
-      CompiledEnsemble::Deserialize(reader, CompileOptions{.lut_levels = 0}));
+  WMP_ASSIGN_OR_RETURN(CompiledEnsemble compiled,
+                       CompiledEnsemble::Deserialize(reader));
   if (compiled.combine() != CompiledEnsemble::Combine::kBoosted) {
     return Status::InvalidArgument("stream is not a boosted ensemble");
   }

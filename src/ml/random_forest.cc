@@ -136,9 +136,8 @@ Result<std::vector<double>> RandomForestRegressor::Predict(
 Status RandomForestRegressor::Serialize(BinaryWriter* writer) const {
   if (trees_.empty()) return Status::FailedPrecondition("RF not fitted");
   writer->WriteU32(serialize_tags::kRandomForest);
-  WMP_ASSIGN_OR_RETURN(
-      CompiledEnsemble compiled,
-      CompiledEnsemble::Compile(*this, CompileOptions{.lut_levels = 0}));
+  WMP_ASSIGN_OR_RETURN(CompiledEnsemble compiled,
+                       CompiledEnsemble::Compile(*this));
   compiled.Serialize(writer);
   return Status::OK();
 }
@@ -149,9 +148,8 @@ Result<std::unique_ptr<RandomForestRegressor>> RandomForestRegressor::Deserializ
   if (tag != serialize_tags::kRandomForest) {
     return Status::InvalidArgument("bad random-forest magic tag");
   }
-  WMP_ASSIGN_OR_RETURN(
-      CompiledEnsemble compiled,
-      CompiledEnsemble::Deserialize(reader, CompileOptions{.lut_levels = 0}));
+  WMP_ASSIGN_OR_RETURN(CompiledEnsemble compiled,
+                       CompiledEnsemble::Deserialize(reader));
   if (compiled.combine() != CompiledEnsemble::Combine::kAverage) {
     return Status::InvalidArgument("stream is not a random forest");
   }

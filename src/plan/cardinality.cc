@@ -1,7 +1,6 @@
 #include "plan/cardinality.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 namespace wmp::plan {
@@ -22,19 +21,8 @@ double HarmonicTail(double n, double theta) {
          (1.0 - theta);
 }
 
-double HarmonicUncached(double n, double theta) {
-  const double exact_n = std::min(n, kExactLimit);
-  double sum = 0.0;
-  for (double k = 1.0; k <= exact_n; k += 1.0) sum += std::pow(k, -theta);
-  if (n <= kExactLimit) return sum;
-  return sum + HarmonicTail(n, theta);
-}
-
-std::atomic<bool> g_harmonic_tables{true};
-
 // Cumulative prefix sums of the exact summation for one theta, accumulated
-// in the same left-to-right order as HarmonicUncached's loop so that
-// prefix[m] is bitwise the sum after m iterations.
+// left to right, so prefix[m] is bitwise sum_{k=1..m} k^-theta.
 const std::vector<double>& ThetaPrefixTable(double theta) {
   // A catalog carries a handful of distinct skews (plus their doubles from
   // ZipfCollisionProb); wholesale drop on adversarial streams, as with any
@@ -64,38 +52,15 @@ const std::vector<double>& ThetaPrefixTable(double theta) {
 
 }  // namespace
 
-void SetHarmonicTableCache(bool on) {
-  g_harmonic_tables.store(on, std::memory_order_relaxed);
-}
-
-bool HarmonicTableCache() {
-  return g_harmonic_tables.load(std::memory_order_relaxed);
-}
-
 double HarmonicApprox(double n, double theta) {
   if (n < 1.0) return 0.0;
   if (theta == 0.0) return n;
-  if (g_harmonic_tables.load(std::memory_order_relaxed)) {
-    // prefix[floor(min(n, limit))] is exactly the sum HarmonicUncached's
-    // `k <= exact_n` loop accumulates, because k only takes integer values.
-    const std::vector<double>& prefix = ThetaPrefixTable(theta);
-    const double sum = prefix[static_cast<size_t>(std::min(n, kExactLimit))];
-    if (n <= kExactLimit) return sum;
-    return sum + HarmonicTail(n, theta);
-  }
-  // Reference (pre-table) path: per-(n, theta) memo in front of the exact
-  // summation. Range predicates derive `n` from their literals, so at
-  // corpus scale the keys are near-unique and most calls pay the full
-  // O(min(n, 2048)) loop — the cost model benchmarks compare against.
-  constexpr size_t kMaxEntries = 4096;
-  thread_local std::map<std::pair<double, double>, double> cache;
-  const auto key = std::make_pair(n, theta);
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-  const double value = HarmonicUncached(n, theta);
-  if (cache.size() >= kMaxEntries) cache.clear();
-  cache.emplace(key, value);
-  return value;
+  // The exact part sums k^-theta over the integers k <= min(n, limit), so
+  // it is the prefix entry at floor(min(n, limit)).
+  const std::vector<double>& prefix = ThetaPrefixTable(theta);
+  const double sum = prefix[static_cast<size_t>(std::min(n, kExactLimit))];
+  if (n <= kExactLimit) return sum;
+  return sum + HarmonicTail(n, theta);
 }
 
 double ZipfCdfApprox(double k, double n, double theta) {

@@ -18,7 +18,6 @@
 /// attributes to the state of practice (§I: "uniformity and independence
 /// of the underlying data").
 
-#include <map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -30,23 +29,14 @@ namespace wmp::plan {
 /// \brief Closed-form approximation of the generalized harmonic number
 /// `H_n(theta) = sum_{k=1..n} k^-theta` (integral method; exact enough for
 /// selectivity math).
-double HarmonicApprox(double n, double theta);
-
-/// \name HarmonicApprox fast path (per-theta prefix tables).
 ///
-/// The exact prefix of H_n(theta) is O(min(n, 2048)) pow() calls, and the
-/// cold planning path evaluates it once per range predicate with `n`
-/// derived from the predicate's literal — a different key per query, so a
-/// per-(n, theta) memo thrashes at corpus scale. The fast path instead
-/// builds one cumulative prefix-sum table per distinct theta (a catalog
-/// has a handful) in the same left-to-right accumulation order, making
-/// every call a table lookup plus the integral tail — bitwise equal to
-/// the direct summation. The toggle exists for benchmarks that reproduce
-/// the pre-table cost model as their baseline; it never changes values.
-/// @{
-void SetHarmonicTableCache(bool on);
-bool HarmonicTableCache();
-/// @}
+/// The first min(n, 2048) terms are summed exactly and the rest is an
+/// integral tail. The cold planning path calls this once per range
+/// predicate with `n` derived from the predicate's literal, so the exact
+/// part comes from one cumulative prefix-sum table per distinct theta (a
+/// catalog has a handful): every call is a table lookup plus the tail,
+/// bitwise equal to the direct left-to-right summation.
+double HarmonicApprox(double n, double theta);
 
 /// CDF of Zipf(n, theta) at rank `k` (ranks ordered by frequency).
 double ZipfCdfApprox(double k, double n, double theta);

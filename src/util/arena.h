@@ -10,10 +10,6 @@
 /// so a warmed-up arena performs zero heap traffic per node. Objects placed
 /// in an arena must be trivially destructible — nothing is destroyed, memory
 /// is simply reused.
-///
-/// `Mode::kMalloc` makes every Allocate() an individual heap allocation
-/// (freed on Reset/destruction). It exists so benchmarks can run the same
-/// code path with the pre-arena allocation behavior as the baseline.
 
 #include <cassert>
 #include <cstddef>
@@ -30,18 +26,16 @@ namespace wmp::util {
 /// \brief Chunked bump allocator with a grow-only Reset.
 class Arena {
  public:
-  enum class Mode : uint8_t {
-    kBump,    ///< chunked bump allocation, Reset rewinds and keeps chunks
-    kMalloc,  ///< one heap allocation per Allocate (benchmark baseline)
-  };
-
-  explicit Arena(size_t first_chunk_bytes = kDefaultFirstChunk,
-                 Mode mode = Mode::kBump)
-      : mode_(mode), next_chunk_bytes_(first_chunk_bytes) {
+  explicit Arena(size_t first_chunk_bytes = kDefaultFirstChunk)
+      : next_chunk_bytes_(first_chunk_bytes) {
     if (next_chunk_bytes_ < kMinChunk) next_chunk_bytes_ = kMinChunk;
   }
 
-  ~Arena() { Release(); }
+  ~Arena() {
+    for (const Chunk& c : chunks_) {
+      ::operator delete(c.data, std::align_val_t(alignof(std::max_align_t)));
+    }
+  }
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -50,12 +44,6 @@ class Arena {
   void* Allocate(size_t bytes, size_t align = alignof(std::max_align_t)) {
     assert((align & (align - 1)) == 0 && "alignment must be a power of two");
     if (bytes == 0) bytes = 1;
-    if (mode_ == Mode::kMalloc) {
-      void* p = ::operator new(bytes, std::align_val_t(align));
-      mallocs_.push_back({p, align});
-      bytes_allocated_ += bytes;
-      return p;
-    }
     uintptr_t ptr = (cursor_ + align - 1) & ~(uintptr_t{align} - 1);
     if (ptr + bytes > limit_) {
       NextChunk(bytes + align);
@@ -92,14 +80,10 @@ class Arena {
     return {p, s.size()};
   }
 
-  /// Rewinds the arena. kBump keeps every chunk for reuse (grow-only: a
-  /// warmed arena never touches the heap again); kMalloc frees everything.
+  /// Rewinds the arena, keeping every chunk for reuse (grow-only: a warmed
+  /// arena never touches the heap again).
   void Reset() {
     bytes_allocated_ = 0;
-    if (mode_ == Mode::kMalloc) {
-      FreeMallocs();
-      return;
-    }
     current_chunk_ = 0;
     if (chunks_.empty()) {
       cursor_ = limit_ = 0;
@@ -109,10 +93,9 @@ class Arena {
     }
   }
 
-  Mode mode() const { return mode_; }
   /// Bytes handed out since the last Reset (excludes alignment padding).
   size_t bytes_allocated() const { return bytes_allocated_; }
-  /// Total chunk bytes held (kBump; 0 for kMalloc).
+  /// Total chunk bytes held.
   size_t bytes_reserved() const { return bytes_reserved_; }
 
  private:
@@ -122,10 +105,6 @@ class Arena {
   struct Chunk {
     char* data;
     size_t size;
-  };
-  struct MallocBlock {
-    void* ptr;
-    size_t align;
   };
 
   void NextChunk(size_t min_bytes) {
@@ -151,22 +130,6 @@ class Arena {
     limit_ = cursor_ + size;
   }
 
-  void FreeMallocs() {
-    for (const MallocBlock& b : mallocs_) {
-      ::operator delete(b.ptr, std::align_val_t(b.align));
-    }
-    mallocs_.clear();
-  }
-
-  void Release() {
-    FreeMallocs();
-    for (const Chunk& c : chunks_) {
-      ::operator delete(c.data, std::align_val_t(alignof(std::max_align_t)));
-    }
-    chunks_.clear();
-  }
-
-  Mode mode_;
   uintptr_t cursor_ = 0;
   uintptr_t limit_ = 0;
   std::vector<Chunk> chunks_;
@@ -174,7 +137,6 @@ class Arena {
   size_t next_chunk_bytes_;
   size_t bytes_allocated_ = 0;
   size_t bytes_reserved_ = 0;
-  std::vector<MallocBlock> mallocs_;
 };
 
 /// \brief Arena-backed vector of trivially-destructible elements.

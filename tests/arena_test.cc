@@ -68,20 +68,6 @@ TEST(ArenaTest, CopyStringSurvivesSource) {
   EXPECT_EQ(arena.CopyString("").data(), nullptr);
 }
 
-TEST(ArenaTest, MallocModeAllocatesAndResets) {
-  Arena arena(256, Arena::Mode::kMalloc);
-  EXPECT_EQ(arena.mode(), Arena::Mode::kMalloc);
-  for (int i = 0; i < 50; ++i) {
-    int* p = arena.New<int>(i);
-    EXPECT_EQ(*p, i);
-  }
-  EXPECT_EQ(arena.bytes_reserved(), 0u);
-  arena.Reset();  // frees; ASan would flag any use-after or leak
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  int* p = arena.New<int>(42);
-  EXPECT_EQ(*p, 42);
-}
-
 TEST(ArenaVecTest, GrowthPreservesContents) {
   Arena arena;
   ArenaVec<int> v(&arena);

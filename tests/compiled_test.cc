@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,19 +103,15 @@ void ExpectBitwiseEqual(const CompiledEnsemble& compiled,
 
 // ---------- Compiled vs reference, per family ----------
 
-TEST(CompiledEnsembleTest, DecisionTreeBitwiseWithAndWithoutLut) {
+TEST(CompiledEnsembleTest, DecisionTreeBitwise) {
   Fixture f = MakeFixture(500, 6, 101);
   DecisionTreeRegressor model = TrainDt(f);
-  for (int lut : {0, 3, 6}) {
-    auto compiled =
-        CompiledEnsemble::Compile(model, CompileOptions{.lut_levels = lut});
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    EXPECT_EQ(compiled->combine(), CompiledEnsemble::Combine::kSingle);
-    EXPECT_EQ(compiled->num_trees(), 1u);
-    EXPECT_EQ(compiled->lut_levels(), compiled->num_nodes() > 1 ? lut : 0);
-    ExpectBitwiseEqual(*compiled, model, f.x);
-    ExpectBitwiseEqual(*compiled, model, f.test);
-  }
+  auto compiled = CompiledEnsemble::Compile(model);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_EQ(compiled->combine(), CompiledEnsemble::Combine::kSingle);
+  EXPECT_EQ(compiled->num_trees(), 1u);
+  ExpectBitwiseEqual(*compiled, model, f.x);
+  ExpectBitwiseEqual(*compiled, model, f.test);
 }
 
 TEST(CompiledEnsembleTest, RandomForestBitwise) {
@@ -162,7 +161,7 @@ TEST(CompiledEnsembleTest, WideBinSpaceFallsBackToU16Codes) {
 
 TEST(CompiledEnsembleTest, StumplessTreePredictsTheConstant) {
   // A constant target collapses the tree to a single leaf: no used
-  // features, no LUT, and PredictRow must still return the leaf value.
+  // features, and PredictRow must still return the leaf value.
   Matrix x(32, 3);
   Rng rng(13);
   for (double& v : x.data()) v = rng.Normal();
@@ -237,6 +236,48 @@ TEST(CompiledEnsembleTest, TruncatedOrCorruptStreamsFailCleanly) {
   EXPECT_FALSE(CompiledEnsemble::Deserialize(&reader).ok());
 }
 
+TEST(CompiledEnsembleTest, NanEdgeIsRejected) {
+  // NaN compares false both ways, so an edge table holding one passes a
+  // `cur <= prev` check, and the bin-space walk then disagrees with the
+  // raw-space walk. Poisoning feature 0's first edge, or a later one, must
+  // fail the decode.
+  Fixture f = MakeFixture(500, 6, 101);
+  DecisionTreeRegressor model = TrainDt(f);
+  auto compiled = CompiledEnsemble::Compile(model);
+  ASSERT_TRUE(compiled.ok());
+  BinaryWriter writer;
+  compiled->Serialize(&writer);
+  const std::string& full = writer.buffer();
+  // Tag u32; version, combine and narrow u8; base and scale f64; feature
+  // count u32; tree count u32; one tree's node count u32. Feature 0's edge
+  // count follows, then its edges.
+  constexpr size_t kEdgeCountAt = 4 + 3 + 2 * 8 + 4 + 4 + 4;
+  constexpr size_t kEdgesAt = kEdgeCountAt + 4;
+  uint32_t ne = 0;
+  std::memcpy(&ne, full.data() + kEdgeCountAt, sizeof(ne));
+  ASSERT_GE(ne, 2u);
+  ASSERT_GE(full.size(), kEdgesAt + ne * sizeof(double));
+  // The offsets land on a real edge table: finite and strictly increasing.
+  double prev = -std::numeric_limits<double>::infinity();
+  for (uint32_t e = 0; e < ne; ++e) {
+    double edge = 0.0;
+    std::memcpy(&edge, full.data() + kEdgesAt + e * sizeof(double),
+                sizeof(edge));
+    ASSERT_TRUE(std::isfinite(edge) && edge > prev) << "edge " << e;
+    prev = edge;
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (uint32_t e : {0u, ne / 2, ne - 1}) {
+    std::string bad = full;
+    std::memcpy(bad.data() + kEdgesAt + e * sizeof(double), &nan,
+                sizeof(nan));
+    BinaryReader reader(bad);
+    EXPECT_TRUE(
+        CompiledEnsemble::Deserialize(&reader).status().IsInvalidArgument())
+        << "NaN at edge " << e << " of " << ne;
+  }
+}
+
 TEST(CompiledEnsembleTest, RegressorCodecRoundTripsAndShrinks) {
   // The tree regressors now serialize through the compiled codec: the
   // stream must be substantially smaller than the legacy pointer codec and
@@ -309,7 +350,7 @@ Matrix HeadRows(const Matrix& x, size_t n) {
   return m;
 }
 
-TEST(CompiledEnsembleTest, LockstepBitwiseAcrossTailsAndLuts) {
+TEST(CompiledEnsembleTest, LockstepBitwiseAcrossTails) {
   // Row counts sweep every tail shape the block scheduler can see: empty,
   // shorter than a block (n < 8), exact multiples of 8, and every ragged
   // remainder after one to three full blocks.
@@ -319,14 +360,11 @@ TEST(CompiledEnsembleTest, LockstepBitwiseAcrossTailsAndLuts) {
   GbtRegressor gbt = TrainGbt(f);
   const Regressor* models[] = {&dt, &rf, &gbt};
   for (const Regressor* model : models) {
-    for (int lut : {0, 3, 6}) {
-      auto compiled = CompiledEnsemble::CompileRegressor(
-          *model, CompileOptions{.lut_levels = lut});
-      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-      for (size_t n = 0; n < 32; ++n) {
-        SCOPED_TRACE(testing::Message() << "lut=" << lut << " n=" << n);
-        ExpectBitwiseEqual(*compiled, *model, HeadRows(f.test, n));
-      }
+    auto compiled = CompiledEnsemble::CompileRegressor(*model);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    for (size_t n = 0; n < 32; ++n) {
+      SCOPED_TRACE(testing::Message() << "n=" << n);
+      ExpectBitwiseEqual(*compiled, *model, HeadRows(f.test, n));
     }
   }
 }
@@ -342,13 +380,10 @@ TEST(CompiledEnsembleTest, LockstepMixedLeafDepthsParkEarlyExitingLanes) {
   opt.seed = 23;
   DecisionTreeRegressor model(opt);
   ASSERT_TRUE(model.Fit(f.x, f.y).ok());
-  for (int lut : {0, 3}) {
-    auto compiled =
-        CompiledEnsemble::Compile(model, CompileOptions{.lut_levels = lut});
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    ExpectBitwiseEqual(*compiled, model, f.test);
-    ExpectBitwiseEqual(*compiled, model, HeadRows(f.test, 13));
-  }
+  auto compiled = CompiledEnsemble::Compile(model);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ExpectBitwiseEqual(*compiled, model, f.test);
+  ExpectBitwiseEqual(*compiled, model, HeadRows(f.test, 13));
 }
 
 TEST(CompiledEnsembleTest, LockstepWideBinSpaceU16) {
@@ -361,18 +396,15 @@ TEST(CompiledEnsembleTest, LockstepWideBinSpaceU16) {
   opt.seed = 29;
   DecisionTreeRegressor model(opt);
   ASSERT_TRUE(model.Fit(f.x, f.y).ok());
-  for (int lut : {0, 3, 6}) {
-    auto compiled =
-        CompiledEnsemble::Compile(model, CompileOptions{.lut_levels = lut});
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    ASSERT_FALSE(compiled->narrow());
-    ExpectBitwiseEqual(*compiled, model, f.test);
-    ExpectBitwiseEqual(*compiled, model, HeadRows(f.test, 11));
-  }
+  auto compiled = CompiledEnsemble::Compile(model);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ASSERT_FALSE(compiled->narrow());
+  ExpectBitwiseEqual(*compiled, model, f.test);
+  ExpectBitwiseEqual(*compiled, model, HeadRows(f.test, 11));
 }
 
 TEST(CompiledEnsembleTest, LockstepStumpEnsemble) {
-  // Single-leaf ensemble: d_ = 0, no LUT, every lane parks before the
+  // Single-leaf ensemble: d_ = 0, every lane parks before the
   // first step — the degenerate case of the early-exit machinery. Nine
   // rows are one full block plus a one-row tail.
   Matrix x(9, 3);

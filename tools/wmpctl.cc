@@ -62,7 +62,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/featurizer.h"
 #include "core/learned_wmp.h"
 #include "core/single_wmp.h"
 #include "engine/batch_scorer.h"
@@ -73,10 +72,6 @@
 #include "net/fleet.h"
 #include "net/reactor_server.h"
 #include "net/wire_client.h"
-#include "plan/explain.h"
-#include "plan/features.h"
-#include "plan/plan_parser.h"
-#include "sql/parser.h"
 #include "util/parallel.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -154,55 +149,6 @@ int Usage() {
 int Fail(const Status& st) {
   std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
   return 1;
-}
-
-// Cold-path phase split over a sample of loaded records: what one
-// template-cache miss costs per query, phase by phase. Parse re-parses the
-// SQL text; plan reconstructs the tree from its EXPLAIN rendering (the log
-// ingestion path — wmpctl has no catalog to re-plan against); featurize
-// walks the plan tree; assign runs the model's fused featurize -> scale ->
-// centroid-assign batch (pruned index). Returns "" when the sample can't
-// be measured (no plans, parse failure, no local model for assign).
-std::string ColdPhaseSplitLine(
-    const std::vector<workloads::QueryRecord>& records,
-    const core::LearnedWmpModel* model) {
-  const size_t n = std::min<size_t>(records.size(), 512);
-  if (n == 0) return "";
-  for (size_t i = 0; i < n; ++i) {
-    if (records[i].plan == nullptr) return "";
-  }
-  std::vector<std::string> explains(n);
-  for (size_t i = 0; i < n; ++i) {
-    explains[i] = plan::Explain(*records[i].plan);
-  }
-  const double dn = static_cast<double>(n);
-  Stopwatch sw;
-  for (size_t i = 0; i < n; ++i) {
-    if (!sql::Parse(records[i].sql_text).ok()) return "";
-  }
-  const double parse_us = sw.ElapsedMicros() / dn;
-  sw.Reset();
-  for (size_t i = 0; i < n; ++i) {
-    if (!plan::ParseExplain(explains[i]).ok()) return "";
-  }
-  const double plan_us = sw.ElapsedMicros() / dn;
-  sw.Reset();
-  for (size_t i = 0; i < n; ++i) {
-    plan::ExtractPlanFeatures(*records[i].plan);
-  }
-  const double feat_us = sw.ElapsedMicros() / dn;
-  std::string assign = "n/a (remote model)";
-  if (model != nullptr && model->templates().featurizer() != nullptr) {
-    std::vector<uint32_t> indices(n);
-    for (size_t i = 0; i < n; ++i) indices[i] = static_cast<uint32_t>(i);
-    sw.Reset();
-    if (!model->templates().AssignBatch(records, indices).ok()) return "";
-    assign = StrFormat("%.1f", sw.ElapsedMicros() / dn);
-  }
-  return StrFormat(
-      "cold path per query (sample of %zu): parse %.1f us, plan %.1f us, "
-      "featurize %.1f us, assign %s us",
-      n, parse_us, plan_us, feat_us, assign.c_str());
 }
 
 int CmdGenerate(const std::map<std::string, std::string>& flags) {
@@ -612,8 +558,6 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
               static_cast<unsigned long long>(st.template_cache_hits +
                                               st.template_cache_misses),
               static_cast<unsigned long long>(errors.load()));
-  const std::string cold = ColdPhaseSplitLine(*records, &*model);
-  if (!cold.empty()) std::printf("  %s\n", cold.c_str());
   return errors.load() == 0 ? 0 : 1;
 }
 
@@ -783,7 +727,6 @@ int CmdScore(const std::map<std::string, std::string>& flags) {
 
   std::vector<workloads::QueryRecord> window;  // current chunk + carry
   std::vector<double> predictions, labels;
-  std::string cold_split;  // phase split, sampled from the first chunk
   size_t total_queries = 0, failures = 0, max_resident = 0;
   Stopwatch wall;
   for (;;) {
@@ -806,13 +749,6 @@ int CmdScore(const std::map<std::string, std::string>& flags) {
       scored.push_back(std::move(window[i]));
     }
     window.erase(window.begin(), window.begin() + static_cast<long>(usable));
-    if (cold_split.empty()) {
-      // Sampled before the pipelined branch moves the records out; the few
-      // milliseconds it costs are inside the wall clock, like the log
-      // parsing it re-measures.
-      cold_split = ColdPhaseSplitLine(
-          scored, local != nullptr ? &*local_model : nullptr);
-    }
     if (pipelined != nullptr) {
       // One workload per pipelined frame: submission only blocks when the
       // in-flight window is full, so up to `pipeline_window` round trips
@@ -900,7 +836,6 @@ int CmdScore(const std::map<std::string, std::string>& flags) {
     std::printf("LearnedWMP      RMSE %.1f MB   MAPE %.1f%%\n",
                 ml::Rmse(labels, predictions), ml::Mape(labels, predictions));
   }
-  if (!cold_split.empty()) std::printf("%s\n", cold_split.c_str());
   if (pipelined != nullptr) {
     // The async client only speaks score frames; fetch the closing stats
     // over a throwaway plain client (the server speaks both dialects).
