@@ -4,15 +4,15 @@
 // Both paths parse the same SQL text and plan each batch into their own
 // bump arena (Reset per batch, grow-only). From there the reference path
 // returns a fresh std::vector of features per query, scales row-at-a-time,
-// and assigns with the full k-centroid scan. The engine path is the
+// and assigns row by row with KMeans::Assign. The engine path is the
 // production cold path: featurization writes straight into a reusable
-// scratch matrix, scaling is one in-place pass, and assignment routes
-// through the pruned ml::CentroidIndex.
+// scratch matrix, scaling is one in-place pass, and ml::NearestCentroids
+// assigns the batch in 4-row blocks.
 //
 // Equivalence gate: per query the two paths must produce the SAME
 // template id and BITWISE-equal scaled feature rows. Any divergence
 // prints the offender and the process exits nonzero, so CI's
-// featurize-smoke step (--quick) catches pruning or featurization bugs
+// featurize-smoke step (--quick) catches assignment or featurization bugs
 // that would silently re-template queries.
 //
 // Defaults to paper scale (TPC-DS 93k queries at --scale=1.0; JOB and
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "ml/centroid_index.h"
 #include "ml/kmeans.h"
 #include "ml/linalg.h"
 #include "ml/scaler.h"
@@ -59,7 +58,6 @@ struct BenchRow {
   PhaseSplit eng;
   double speedup = 0.0;
   double eng_qps = 0.0;
-  ml::CentroidIndex::AssignStats assign;
   size_t diverged = 0;
 };
 
@@ -71,17 +69,11 @@ std::string ToJson(const BenchRow& r) {
       "\"ref_featurize_ms\":%.2f,\"ref_assign_ms\":%.2f,\"ref_ms\":%.2f,"
       "\"eng_parse_ms\":%.2f,\"eng_plan_ms\":%.2f,"
       "\"eng_featurize_ms\":%.2f,\"eng_assign_ms\":%.2f,\"eng_ms\":%.2f,"
-      "\"speedup\":%.2f,\"queries_per_sec\":%.0f,"
-      "\"assign_rows\":%llu,\"bound_skips\":%llu,\"early_exits\":%llu,"
-      "\"full_distances\":%llu,\"diverged\":%zu}",
+      "\"speedup\":%.2f,\"queries_per_sec\":%.0f,\"diverged\":%zu}",
       r.benchmark.c_str(), r.queries, r.k, r.ref.parse_ms, r.ref.plan_ms,
       r.ref.featurize_ms, r.ref.assign_ms, r.ref.total(), r.eng.parse_ms,
       r.eng.plan_ms, r.eng.featurize_ms, r.eng.assign_ms, r.eng.total(),
-      r.speedup, r.eng_qps,
-      static_cast<unsigned long long>(r.assign.rows),
-      static_cast<unsigned long long>(r.assign.bound_skips),
-      static_cast<unsigned long long>(r.assign.early_exits),
-      static_cast<unsigned long long>(r.assign.full_distances), r.diverged);
+      r.speedup, r.eng_qps, r.diverged);
 }
 
 // Fitted assignment model shared by both paths: scaler + centroids from
@@ -90,7 +82,6 @@ std::string ToJson(const BenchRow& r) {
 struct AssignModel {
   ml::StandardScaler scaler;
   ml::KMeans kmeans;
-  ml::CentroidIndex index;
 };
 
 Result<AssignModel> FitAssignModel(
@@ -104,19 +95,18 @@ Result<AssignModel> FitAssignModel(
     }
     std::copy(f.begin(), f.end(), x.RowPtr(i));
   }
-  AssignModel m{{}, {}, ml::CentroidIndex(ml::Matrix(1, 1))};
+  AssignModel m;
   WMP_RETURN_IF_ERROR(m.scaler.Fit(x));
   WMP_RETURN_IF_ERROR(m.scaler.TransformInPlace(&x));
   ml::KMeansOptions kopt;
   kopt.num_clusters = k;
   kopt.seed = seed;
   WMP_RETURN_IF_ERROR(m.kmeans.Fit(x, kopt));
-  m.index = ml::CentroidIndex(m.kmeans.centroids());
   return m;
 }
 
 // Reference cold path over one batch: per-query feature vectors,
-// row-at-a-time scaling, full-scan assignment. Scaled rows and labels land
+// row-at-a-time scaling, per-row KMeans::Assign. Scaled rows and labels land
 // in `scaled`/`labels` for the equivalence gate.
 Status RunReferenceBatch(const std::vector<workloads::QueryRecord>& records,
                          size_t begin, size_t end, const plan::Planner& planner,
@@ -162,13 +152,12 @@ Status RunReferenceBatch(const std::vector<workloads::QueryRecord>& records,
 }
 
 // Engine cold path over one batch: shared bump arena, scratch-matrix
-// featurization, one in-place scaling pass, pruned index assignment.
+// featurization, one in-place scaling pass, NearestCentroids assignment.
 Status RunEngineBatch(const std::vector<workloads::QueryRecord>& records,
                       size_t begin, size_t end, const plan::Planner& planner,
                       const AssignModel& model, util::Arena* arena,
                       ml::Matrix* scratch, PhaseSplit* split,
-                      ml::Matrix* scaled, std::vector<int>* labels,
-                      ml::CentroidIndex::AssignStats* stats) {
+                      ml::Matrix* scaled, std::vector<int>* labels) {
   const size_t n = end - begin;
   std::vector<sql::Query> queries;
   queries.reserve(n);
@@ -195,7 +184,8 @@ Status RunEngineBatch(const std::vector<workloads::QueryRecord>& records,
   split->featurize_ms += sw.ElapsedMillis();
 
   sw.Reset();
-  model.index.Assign(scratch->RowPtr(0), n, labels->data() + begin, stats);
+  ml::NearestCentroids(scratch->RowPtr(0), n, model.kmeans.centroids(),
+                       labels->data() + begin);
   split->assign_ms += sw.ElapsedMillis();
 
   for (size_t i = 0; i < n; ++i) {
@@ -267,14 +257,11 @@ Result<BenchRow> RunBenchmark(workloads::Benchmark benchmark,
     ml::Matrix scratch;
     for (int pass = 0; pass < 2; ++pass) {
       PhaseSplit warmup;
-      ml::CentroidIndex::AssignStats discard;
       PhaseSplit* split = pass == 0 ? &warmup : &row.eng;
-      ml::CentroidIndex::AssignStats* stats =
-          pass == 0 ? &discard : &row.assign;
       for (size_t b = 0; b < n; b += batch) {
         WMP_RETURN_IF_ERROR(RunEngineBatch(
             records, b, std::min(b + batch, n), planner, model, &arena,
-            &scratch, split, &eng_scaled, &eng_labels, stats));
+            &scratch, split, &eng_scaled, &eng_labels));
       }
     }
   }
@@ -345,10 +332,6 @@ int main(int argc, char** argv) {
       all.eng.plan_ms += r.eng.plan_ms;
       all.eng.featurize_ms += r.eng.featurize_ms;
       all.eng.assign_ms += r.eng.assign_ms;
-      all.assign.rows += r.assign.rows;
-      all.assign.bound_skips += r.assign.bound_skips;
-      all.assign.early_exits += r.assign.early_exits;
-      all.assign.full_distances += r.assign.full_distances;
       all.diverged += r.diverged;
     }
     all.speedup = all.ref.total() / std::max(all.eng.total(), 1e-3);
@@ -361,15 +344,8 @@ int main(int argc, char** argv) {
   table.SetHeader({"benchmark", "queries", "k", "ref parse", "ref plan",
                    "ref feat", "ref assign", "ref total", "eng parse",
                    "eng plan", "eng feat", "eng assign", "eng total",
-                   "speedup", "eng q/s", "pruned %"});
+                   "speedup", "eng q/s"});
   for (const BenchRow& r : rows) {
-    const uint64_t cand = r.assign.rows * static_cast<uint64_t>(r.k);
-    const double pruned =
-        cand > 0 ? 100.0 *
-                       static_cast<double>(r.assign.bound_skips +
-                                           r.assign.early_exits) /
-                       static_cast<double>(cand)
-                 : 0.0;
     table.AddRow({r.benchmark, StrFormat("%zu", r.queries),
                   StrFormat("%d", r.k), StrFormat("%.1f", r.ref.parse_ms),
                   StrFormat("%.1f", r.ref.plan_ms),
@@ -381,8 +357,8 @@ int main(int argc, char** argv) {
                   StrFormat("%.1f", r.eng.featurize_ms),
                   StrFormat("%.1f", r.eng.assign_ms),
                   StrFormat("%.1f", r.eng.total()),
-                  StrFormat("%.2fx", r.speedup), StrFormat("%.0f", r.eng_qps),
-                  StrFormat("%.1f", pruned)});
+                  StrFormat("%.2fx", r.speedup),
+                  StrFormat("%.0f", r.eng_qps)});
   }
   table.Print(std::cout);
 

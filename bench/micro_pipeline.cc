@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the hot pipeline components:
 // SQL parsing, planning, plan featurization (TR2), EXPLAIN round-trip,
 // template assignment (IN3), histogram construction (IN4), the end-to-end
-// LearnedWMP inference path (IN1-IN5), and the batched serving path
-// (engine::BatchScorer) vs the scalar per-query loop.
+// LearnedWMP inference path (IN1-IN5), the cache-bypass cold path (parse ->
+// plan -> featurize -> scale -> NearestCentroids assign), and the batched
+// serving path (engine::BatchScorer) vs the scalar per-query loop.
 //
 // The serving benchmarks sweep batch sizes {1, 10, 100, 1000} and thread
 // counts {1, hardware_concurrency}; `items_per_second` is queries/sec.
@@ -126,15 +127,12 @@ BENCHMARK(BM_PredictWorkload);
 // SQL text into one reused bump arena, then featurizes + scales + assigns
 // them in a single AssignBatch pass over records whose plan_features are
 // absent — the featurizer walks the freshly planned trees instead of
-// gathering precomputed rows. Arg 0 is the batch size; arg 1 toggles the
-// pruned centroid index (1) vs the NearestCentroids reference scan (0).
+// gathering precomputed rows. The arg is the batch size.
 // `items_per_second` is cold queries/sec end to end (parse -> assign).
 // ---------------------------------------------------------------------------
 void BM_ColdPathParsePlanAssign(benchmark::State& state) {
   PipelineState& s = PipelineState::Get();
   const size_t batch = static_cast<size_t>(state.range(0));
-  const bool prev_pruned = s.model.templates().pruned_assign();
-  s.model.mutable_templates()->set_pruned_assign(state.range(1) != 0);
   plan::Planner planner(&s.dataset.generator->catalog());
   util::Arena arena(plan::kPlanArenaChunk * batch);
   std::vector<workloads::QueryRecord> cold(batch);
@@ -166,14 +164,9 @@ void BM_ColdPathParsePlanAssign(benchmark::State& state) {
     benchmark::DoNotOptimize(ids);
   }
   for (size_t i = 0; i < batch; ++i) cold[i].plan = plan::PlanTree();
-  s.model.mutable_templates()->set_pruned_assign(prev_pruned);
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
 }
-BENCHMARK(BM_ColdPathParsePlanAssign)
-    ->Args({10, 1})
-    ->Args({100, 1})
-    ->Args({10, 0})
-    ->Args({100, 0});
+BENCHMARK(BM_ColdPathParsePlanAssign)->Arg(10)->Arg(100);
 
 // ---------------------------------------------------------------------------
 // Batched serving throughput. Arg 0 is the workload batch size; arg 1 the

@@ -30,6 +30,11 @@
 //   compiled        one cold pipelined pass through the compiled bin-space
 //                   ensemble; every prediction must be bitwise the
 //                   regressor's raw-space walk over the same histograms.
+//   cold_nocache    one pass with both cache levels off and the records'
+//                   precomputed plan features stripped, so every query
+//                   pays plan walk -> scale -> NearestCentroids assign;
+//                   every prediction must be bitwise the in-process
+//                   PredictWorkloads, taken before the strip.
 //
 // Output: human tables plus JSON records (stdout, or --json=PATH):
 //   {"figure":"serve_latency","mode":"novel","clients":4,"shards":1,
@@ -535,34 +540,27 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  // --- Compiled bin-space inference through the full service stack: one
-  // cold pipelined pass, every prediction compared against the regressor's
-  // raw-space walk over the same histograms. The bitwise flag feeds the
+  // One cold pipelined pass through a fresh one-shard service, every
+  // prediction compared bitwise against `reference`. The flag feeds the
   // nonzero-exit gate below, so CI's serve smoke fails on any divergence.
-  {
+  const auto run_gated = [&](const char* mode, const char* title,
+                             const engine::ScoringServiceOptions& sopt,
+                             const Result<std::vector<double>>& reference) {
     const int clients = args.quick ? 2 : 4;
-    engine::ScoringServiceOptions sopt;
-    sopt.max_batch = 1024;
-    sopt.max_delay_us = 25;
     engine::ScoringService service({&*model}, sopt);
     DriveResult d = Drive(&service, records, batches, clients, 1, true);
     service.Stop();
-    auto histograms = model->BinWorkloads(records, batches);
-    Result<std::vector<double>> reference =
-        histograms.ok() ? model->regressor().Predict(*histograms)
-                        : Result<std::vector<double>>(histograms.status());
-    bool bitwise = reference.ok() && d.errors == 0 &&
-                   model->compiled() != nullptr;
+    bool bitwise = reference.ok() && d.errors == 0;
     for (size_t w = 0; bitwise && w < batches.size(); ++w) {
       if (d.pass_predictions[0][w] != (*reference)[w]) {
-        std::cerr << "compiled/reference divergence at workload " << w
-                  << ": " << d.pass_predictions[0][w] << " vs "
-                  << (*reference)[w] << "\n";
+        std::cerr << mode << " divergence at workload " << w << ": "
+                  << d.pass_predictions[0][w] << " vs " << (*reference)[w]
+                  << "\n";
         bitwise = false;
       }
     }
     ServeRow row;
-    row.mode = "compiled";
+    row.mode = mode;
     row.clients = clients;
     row.shards = 1;
     row.workloads = batches.size();
@@ -575,108 +573,54 @@ int main(int argc, char** argv) {
     row.errors = d.errors;
     row.bitwise_identical = bitwise;
     rows.push_back(row);
-    TablePrinter table("serve_latency — compiled bin-space inference");
+    TablePrinter table(title);
     table.SetHeader({"path", "qps", "p50 us", "p99 us", "bitwise"});
     table.AddRow({row.mode, StrFormat("%.0f", row.qps),
                   StrFormat("%.0f", row.p50_us),
                   StrFormat("%.0f", row.p99_us), bitwise ? "yes" : "NO"});
     table.Print(std::cout);
     std::cout << "\n";
+  };
+
+  // --- Compiled bin-space inference through the full service stack,
+  // against the regressor's raw-space walk over the same histograms.
+  {
+    engine::ScoringServiceOptions sopt;
+    sopt.max_batch = 1024;
+    sopt.max_delay_us = 25;
+    Result<std::vector<double>> reference =
+        Status::FailedPrecondition("model has no compiled form");
+    if (model->compiled() != nullptr) {
+      auto histograms = model->BinWorkloads(records, batches);
+      reference = histograms.ok() ? model->regressor().Predict(*histograms)
+                                  : histograms.status();
+    }
+    run_gated("compiled", "serve_latency — compiled bin-space inference",
+              sopt, reference);
   }
 
   // --- Cache-bypass cold mode: both cache levels disabled and the
   // records' precomputed plan_features stripped, so every submission pays
-  // the full cold featurize (plan walk) -> scale -> assign per query on
-  // every request. Pruned centroid assignment vs the NearestCentroids
-  // reference scan isolates the assignment engine inside the service
-  // stack; predictions must be bitwise equal, and the pruned run reports
-  // the ServiceStats assignment counters. ---
+  // the full cold featurize (plan walk) -> scale -> assign per query. The
+  // reference is in-process PredictWorkloads, taken before the strip. ---
   {
-    const int clients = args.quick ? 2 : 4;
     engine::ScoringServiceOptions sopt;
     sopt.max_batch = 1024;
     sopt.max_delay_us = 25;
     sopt.cache_capacity = 0;           // bypass level 1 (histograms)
     sopt.template_cache_capacity = 0;  // bypass level 2 (template ids)
+    const auto reference = model->PredictWorkloads(records, batches);
     auto& mut_records = data->dataset.records;
     std::vector<std::vector<double>> saved(mut_records.size());
     for (size_t i = 0; i < mut_records.size(); ++i) {
       saved[i].swap(mut_records[i].plan_features);
     }
-    struct ColdOut {
-      ServeRow row;
-      std::vector<double> predictions;
-      engine::ServiceStats stats;
-    };
-    const auto run_cold = [&](const char* mode, bool pruned) {
-      model->mutable_templates()->set_pruned_assign(pruned);
-      engine::ScoringService service({&*model}, sopt);
-      DriveResult d = Drive(&service, records, batches, clients, 1, true);
-      service.Stop();
-      ColdOut out;
-      out.stats = service.stats();
-      out.predictions = d.pass_predictions[0];
-      out.row.mode = mode;
-      out.row.clients = clients;
-      out.row.shards = 1;
-      out.row.workloads = batches.size();
-      out.row.queries = CountQueries(batches);
-      out.row.seconds = d.seconds;
-      out.row.qps = d.seconds > 0
-                        ? static_cast<double>(out.row.queries) / d.seconds
-                        : 0.0;
-      out.row.p50_us = util::PercentileInPlace(&d.latencies_us, 0.50);
-      out.row.p99_us = util::PercentileInPlace(&d.latencies_us, 0.99);
-      out.row.errors = d.errors;
-      return out;
-    };
-    // Reference first so the pruned run's counter deltas are its own.
-    const auto ref_before = model->templates().assign_stats();
-    ColdOut ref = run_cold("cold_nocache_reference", false);
-    const auto pruned_before = model->templates().assign_stats();
-    ColdOut pruned = run_cold("cold_nocache_pruned", true);
-    const auto pruned_after = model->templates().assign_stats();
-    model->mutable_templates()->set_pruned_assign(true);
+    run_gated("cold_nocache",
+              "serve_latency — cache-bypass cold path (plan-walk featurize)",
+              sopt, reference);
     for (size_t i = 0; i < mut_records.size(); ++i) {
       saved[i].swap(mut_records[i].plan_features);
     }
-    // The reference scan must not have touched the pruned counters, and
-    // the two cold runs must agree bitwise per workload.
-    bool bitwise = ref.row.errors == 0 && pruned.row.errors == 0 &&
-                   pruned_before.rows == ref_before.rows;
-    for (size_t w = 0; bitwise && w < batches.size(); ++w) {
-      if (pruned.predictions[w] != ref.predictions[w]) {
-        std::cerr << "cold_nocache divergence at workload " << w << ": "
-                  << pruned.predictions[w] << " vs " << ref.predictions[w]
-                  << "\n";
-        bitwise = false;
-      }
-    }
-    ref.row.bitwise_identical = bitwise;
-    pruned.row.bitwise_identical = bitwise;
-    rows.push_back(ref.row);
-    rows.push_back(pruned.row);
-    const uint64_t d_rows = pruned_after.rows - pruned_before.rows;
-    const uint64_t d_skip = pruned_after.bound_skips - pruned_before.bound_skips;
-    const uint64_t d_early =
-        pruned_after.early_exits - pruned_before.early_exits;
-    TablePrinter table(
-        "serve_latency — cache-bypass cold path (plan-walk featurize)");
-    table.SetHeader({"path", "qps", "p50 us", "p99 us", "assign rows",
-                     "bound skips", "early exits", "bitwise"});
-    table.AddRow({"reference scan", StrFormat("%.0f", ref.row.qps),
-                  StrFormat("%.0f", ref.row.p50_us),
-                  StrFormat("%.0f", ref.row.p99_us), "-", "-", "-", "-"});
-    table.AddRow(
-        {"pruned index", StrFormat("%.0f", pruned.row.qps),
-         StrFormat("%.0f", pruned.row.p50_us),
-         StrFormat("%.0f", pruned.row.p99_us),
-         StrFormat("%llu", static_cast<unsigned long long>(d_rows)),
-         StrFormat("%llu", static_cast<unsigned long long>(d_skip)),
-         StrFormat("%llu", static_cast<unsigned long long>(d_early)),
-         bitwise ? "yes" : "NO"});
-    table.Print(std::cout);
-    std::cout << "\n";
   }
 
   FILE* out = stdout;

@@ -149,9 +149,6 @@ class LearnedWmpModel {
       TemplateIdResolver* resolver) const;
 
   const TemplateModel& templates() const { return templates_; }
-  /// Mutable access for serving/bench toggles (set_pruned_assign); not
-  /// safe while another thread predicts through this model.
-  TemplateModel* mutable_templates() { return &templates_; }
   const ml::Regressor& regressor() const { return *regressor_; }
   const LearnedWmpTrainStats& train_stats() const { return train_stats_; }
   const LearnedWmpOptions& options() const { return options_; }

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/featurizer.h"
+#include "plan/features.h"
 #include "util/parallel.h"
 
 namespace wmp::core {
@@ -123,21 +124,6 @@ void TemplateModel::BuildAssignPath() {
   }
   featurizer_ =
       std::make_shared<PlanFeaturizer>(options_.log_transform_cards);
-  centroid_index_ = std::make_shared<ml::CentroidIndex>(AssignCentroids());
-  assign_counters_ = std::make_shared<AssignCounters>();
-}
-
-ml::CentroidIndex::AssignStats TemplateModel::assign_stats() const {
-  ml::CentroidIndex::AssignStats s;
-  if (assign_counters_ == nullptr) return s;
-  s.rows = assign_counters_->rows.load(std::memory_order_relaxed);
-  s.bound_skips =
-      assign_counters_->bound_skips.load(std::memory_order_relaxed);
-  s.early_exits =
-      assign_counters_->early_exits.load(std::memory_order_relaxed);
-  s.full_distances =
-      assign_counters_->full_distances.load(std::memory_order_relaxed);
-  return s;
 }
 
 Result<std::vector<double>> TemplateModel::Featurize(
@@ -285,27 +271,11 @@ Result<std::vector<int>> TemplateModel::AssignBatch(
     WMP_RETURN_IF_ERROR(scaler_.TransformInPlace(&z));
 
     std::vector<int> ids(n);
-    if (pruned_assign_ && centroid_index_ != nullptr) {
-      ml::CentroidIndex::AssignStats stats;
-      centroid_index_->Assign(z.RowPtr(0), n, ids.data(), &stats);
-      if (assign_counters_ != nullptr) {
-        assign_counters_->rows.fetch_add(stats.rows,
-                                         std::memory_order_relaxed);
-        assign_counters_->bound_skips.fetch_add(stats.bound_skips,
-                                                std::memory_order_relaxed);
-        assign_counters_->early_exits.fetch_add(stats.early_exits,
-                                                std::memory_order_relaxed);
-        assign_counters_->full_distances.fetch_add(
-            stats.full_distances, std::memory_order_relaxed);
-      }
-    } else {
-      // Reference oracle: the full scan CentroidIndex must agree with.
-      const ml::Matrix& centroids = AssignCentroids();
-      util::ParallelFor(n, 256, [&](size_t begin, size_t end) {
-        ml::NearestCentroids(z.RowPtr(begin), end - begin, centroids,
-                             ids.data() + begin);
-      });
-    }
+    const ml::Matrix& centroids = AssignCentroids();
+    util::ParallelFor(n, 256, [&](size_t begin, size_t end) {
+      ml::NearestCentroids(z.RowPtr(begin), end - begin, centroids,
+                           ids.data() + begin);
+    });
     return ids;
   }
 
@@ -345,7 +315,26 @@ Result<int> ChooseNumTemplates(
 }
 
 namespace {
+
 constexpr uint32_t kTemplateModelTag = 0x574D5054;  // "WMPT"
+
+// The plan methods scale kPlanFeatureDim-wide featurizer rows and scan them
+// against every centroid, so a block whose widths or centroid count differ
+// would read past its rows.
+Status CheckPlanShapes(size_t scaler_width, int64_t k, uint64_t rows,
+                       uint64_t cols) {
+  if (scaler_width != plan::kPlanFeatureDim ||
+      cols != plan::kPlanFeatureDim) {
+    return Status::InvalidArgument(
+        "template block width differs from the plan-feature width");
+  }
+  if (rows != static_cast<uint64_t>(k)) {
+    return Status::InvalidArgument(
+        "centroid count differs from the template count");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status TemplateModel::Serialize(BinaryWriter* writer) const {
@@ -410,6 +399,9 @@ Result<TemplateModel> TemplateModel::Deserialize(BinaryReader* reader) {
   WMP_ASSIGN_OR_RETURN(uint8_t method, reader->ReadU8());
   model.options_.method = static_cast<TemplateMethod>(method);
   WMP_ASSIGN_OR_RETURN(int64_t k, reader->ReadI64());
+  if (k < 1 || k > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("template count out of range");
+  }
   model.num_templates_ = static_cast<int>(k);
   model.options_.num_templates = model.num_templates_;
   WMP_ASSIGN_OR_RETURN(uint8_t log_flag, reader->ReadU8());
@@ -419,6 +411,9 @@ Result<TemplateModel> TemplateModel::Deserialize(BinaryReader* reader) {
       WMP_ASSIGN_OR_RETURN(model.scaler_,
                            ml::StandardScaler::Deserialize(reader));
       WMP_ASSIGN_OR_RETURN(model.kmeans_, ml::KMeans::Deserialize(reader));
+      const ml::Matrix& centroids = model.kmeans_.centroids();
+      WMP_RETURN_IF_ERROR(CheckPlanShapes(model.scaler_.mean().size(), k,
+                                          centroids.rows(), centroids.cols()));
       break;
     }
     case TemplateMethod::kPlanDbscan: {
@@ -427,19 +422,30 @@ Result<TemplateModel> TemplateModel::Deserialize(BinaryReader* reader) {
       WMP_ASSIGN_OR_RETURN(uint64_t rows, reader->ReadU64());
       WMP_ASSIGN_OR_RETURN(uint64_t cols, reader->ReadU64());
       WMP_ASSIGN_OR_RETURN(std::vector<double> data, reader->ReadDoubleVec());
-      if (data.size() != rows * cols) {
+      uint64_t cells = 0;
+      if (__builtin_mul_overflow(rows, cols, &cells) || data.size() != cells) {
         return Status::InvalidArgument("dbscan centroid stream corrupt");
       }
+      WMP_RETURN_IF_ERROR(
+          CheckPlanShapes(model.scaler_.mean().size(), k, rows, cols));
       model.dbscan_centroids_ = ml::Matrix(rows, cols, std::move(data));
       break;
     }
     case TemplateMethod::kRuleBased: {
+      // Every rule and table name takes at least one byte, so a count
+      // above the bytes left is corrupt, not a reason to allocate.
       WMP_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
+      if (n > reader->remaining() || static_cast<uint64_t>(k) != n + 1) {
+        return Status::InvalidArgument("rule-based template stream corrupt");
+      }
       std::vector<text::TemplateRule> rules(n);
       for (uint64_t i = 0; i < n; ++i) {
         text::TemplateRule& rule = rules[i];
         WMP_ASSIGN_OR_RETURN(rule.name, reader->ReadString());
         WMP_ASSIGN_OR_RETURN(uint64_t nt, reader->ReadU64());
+        if (nt > reader->remaining()) {
+          return Status::InvalidArgument("rule table count exceeds stream");
+        }
         rule.required_tables.resize(nt);
         for (uint64_t t = 0; t < nt; ++t) {
           WMP_ASSIGN_OR_RETURN(rule.required_tables[t], reader->ReadString());

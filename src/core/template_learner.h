@@ -6,12 +6,10 @@
 /// Algorithm 1) — plus the four alternative template-learning methods the
 /// paper ablates in Fig. 9 and the DBSCAN variant from §V.
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "core/featurizer.h"
-#include "ml/centroid_index.h"
 #include "ml/dbscan.h"
 #include "ml/kmeans.h"
 #include "ml/scaler.h"
@@ -86,7 +84,9 @@ class TemplateModel {
   ///
   /// Featurizes the selected records into one contiguous `ml::Matrix`,
   /// standardizes it in place, and assigns every row in a single pass; row
-  /// blocks run on the shared worker pool (util/parallel.h). Returns one
+  /// blocks run on the shared worker pool (util/parallel.h). The
+  /// plan-feature methods assign with `ml::NearestCentroids`, the kernel
+  /// k-means' Lloyd iterations and `KMeans::AssignAll` run. Returns one
   /// template id per entry of `indices`, in order, each agreeing exactly
   /// with what Assign() would return for that record. Thread-safe after
   /// Learn()/Deserialize(): const and lock-free.
@@ -101,22 +101,6 @@ class TemplateModel {
   /// The featurizer the plan-feature methods assign through (null for the
   /// rule-based and text ablation methods, which featurize differently).
   const Featurizer* featurizer() const { return featurizer_.get(); }
-
-  /// \name Exact pruned assignment (ml/centroid_index.h).
-  ///
-  /// Plan-feature AssignBatch routes through a CentroidIndex — partial
-  /// distances + centroid-centroid bounds — producing ids bitwise equal to
-  /// the NearestCentroids reference scan. Turning the toggle off forces
-  /// the reference path (the equivalence baseline the tests compare
-  /// against, and the pre-PR behaviour for benchmarks).
-  /// @{
-  void set_pruned_assign(bool on) { pruned_assign_ = on; }
-  bool pruned_assign() const { return pruned_assign_; }
-
-  /// Cumulative pruning counters across AssignBatch calls (zeros when the
-  /// pruned path never ran). Copies of the model share one counter block.
-  ml::CentroidIndex::AssignStats assign_stats() const;
-  /// @}
 
   /// Serialized size in bytes (centroids + scaler); part of the deployed
   /// model footprint.
@@ -143,8 +127,8 @@ class TemplateModel {
       const std::vector<workloads::QueryRecord>& records,
       const std::vector<uint32_t>& indices) const;
 
-  // Builds featurizer_ + centroid_index_ once centroids and options are
-  // final (end of Learn and Deserialize).
+  // Builds the plan methods' featurizer_ once options are final (end of
+  // Learn and Deserialize).
   void BuildAssignPath();
 
   // Centroid matrix the plan-feature methods assign against.
@@ -152,15 +136,6 @@ class TemplateModel {
     return options_.method == TemplateMethod::kPlanDbscan ? dbscan_centroids_
                                                           : kmeans_.centroids();
   }
-
-  /// Relaxed atomic counter block, shared by copies of the model so the
-  /// serving layer's snapshot-per-shard copies still aggregate.
-  struct AssignCounters {
-    std::atomic<uint64_t> rows{0};
-    std::atomic<uint64_t> bound_skips{0};
-    std::atomic<uint64_t> early_exits{0};
-    std::atomic<uint64_t> full_distances{0};
-  };
 
   TemplateLearnerOptions options_;
   int num_templates_ = 0;
@@ -171,11 +146,8 @@ class TemplateModel {
   text::SchemaAwareVectorizer schema_vectorizer_;
   text::WordEmbeddings embeddings_;
   text::RuleBasedClassifier rules_;
-  /// Shared, immutable after BuildAssignPath (copies alias them).
+  /// Shared, immutable after BuildAssignPath (copies alias it).
   std::shared_ptr<const Featurizer> featurizer_;
-  std::shared_ptr<const ml::CentroidIndex> centroid_index_;
-  std::shared_ptr<AssignCounters> assign_counters_;
-  bool pruned_assign_ = true;
 };
 
 /// \brief The paper's elbow tuning for `k` (§III-B1 cites the elbow

@@ -496,17 +496,6 @@ ServiceStats ScoringService::stats() const {
   uint64_t depth = 0;
   for (const auto& shard : shards_) depth += shard->queue.size();
   st.queue_depth = depth;
-  if (!shards_.empty()) {
-    if (const auto model = shards_[0]->scorer->model_snapshot()) {
-      // Cold-path pruning counters live in the template model's shared
-      // block, so shard 0's snapshot sees every copy's assignments.
-      const auto assign = model->templates().assign_stats();
-      st.assign_rows = assign.rows;
-      st.assign_bound_skips = assign.bound_skips;
-      st.assign_early_exits = assign.early_exits;
-      st.assign_full_distances = assign.full_distances;
-    }
-  }
   return st;
 }
 

@@ -145,13 +145,13 @@ struct ServiceStats {
   uint64_t queue_depth = 0;      ///< currently pending across shards
   uint64_t total_latency_us = 0; ///< sum of submit→fulfill times
   uint64_t max_latency_us = 0;
-  /// Cold-path centroid assignment (shard 0's model; see
-  /// ml::CentroidIndex::AssignStats). All zero when the pruned path never
-  /// ran — reference scan, rule-based templates, or an all-hit cache.
-  uint64_t assign_rows = 0;            ///< rows assigned by the pruned path
-  uint64_t assign_bound_skips = 0;     ///< centroids skipped by the c-c bound
-  uint64_t assign_early_exits = 0;     ///< distances abandoned part-way
-  uint64_t assign_full_distances = 0;  ///< distances computed to the end
+  /// Retired: always 0, since template assignment keeps no counters. The
+  /// fields hold their stats-frame slots (18–21) only because perfbench
+  /// still reads them.
+  uint64_t assign_rows = 0;
+  uint64_t assign_bound_skips = 0;
+  uint64_t assign_early_exits = 0;
+  uint64_t assign_full_distances = 0;
 
   double avg_batch() const {
     return flushes > 0 ? static_cast<double>(completed + failed) /

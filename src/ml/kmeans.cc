@@ -186,7 +186,8 @@ Result<KMeans> KMeans::Deserialize(BinaryReader* reader) {
   WMP_ASSIGN_OR_RETURN(uint64_t rows, reader->ReadU64());
   WMP_ASSIGN_OR_RETURN(uint64_t cols, reader->ReadU64());
   WMP_ASSIGN_OR_RETURN(std::vector<double> data, reader->ReadDoubleVec());
-  if (data.size() != rows * cols) {
+  uint64_t cells = 0;
+  if (__builtin_mul_overflow(rows, cols, &cells) || data.size() != cells) {
     return Status::InvalidArgument("kmeans stream corrupt");
   }
   KMeans km;

@@ -89,7 +89,7 @@ Result<std::string> BinaryReader::ReadString() {
 
 Result<std::vector<double>> BinaryReader::ReadDoubleVec() {
   WMP_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
-  if (pos_ + n * sizeof(double) > buf_.size()) {
+  if (n > remaining() / sizeof(double)) {
     return Status::OutOfRange("double vector truncated");
   }
   std::vector<double> v(n);
@@ -99,7 +99,7 @@ Result<std::vector<double>> BinaryReader::ReadDoubleVec() {
 
 Result<std::vector<int>> BinaryReader::ReadIntVec() {
   WMP_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
-  if (pos_ + n * sizeof(int) > buf_.size()) {
+  if (n > remaining() / sizeof(int)) {
     return Status::OutOfRange("int vector truncated");
   }
   std::vector<int> v(n);

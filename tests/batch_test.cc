@@ -209,11 +209,9 @@ class BatchPipelineTest : public ::testing::Test {
     indices_ = nullptr;
   }
 
-  static core::LearnedWmpModel TrainSmall(
-      ml::RegressorKind kind, bool variable_length = false,
-      core::TemplateMethod method = core::TemplateMethod::kPlanKMeans) {
+  static core::LearnedWmpModel TrainSmall(ml::RegressorKind kind,
+                                          bool variable_length = false) {
     core::LearnedWmpOptions opt;
-    opt.templates.method = method;
     opt.templates.num_templates = 8;
     opt.regressor = kind;
     opt.variable_length = variable_length;
@@ -280,53 +278,6 @@ TEST_F(BatchPipelineTest, PredictWorkloadsMatchesScalarLoopAllKinds) {
       ASSERT_TRUE(one.ok());
       EXPECT_NEAR((*batch)[b], *one, 1e-9)
           << ml::RegressorKindName(kind) << " workload " << b;
-    }
-  }
-}
-
-// End-to-end gate for the pruned centroid path: the same trained model
-// must produce bitwise-identical template ids and predictions whether
-// AssignBatch routes through the CentroidIndex (default) or the
-// NearestCentroids reference scan — EXPECT_EQ on doubles, not NEAR.
-TEST_F(BatchPipelineTest, PrunedAssignBitwiseEqualsReferenceEndToEnd) {
-  core::WorkloadSetOptions wopt;
-  wopt.batch_size = 10;
-  wopt.seed = 21;
-  const auto batches =
-      core::BuildWorkloads(dataset_->records, *indices_, wopt);
-  ASSERT_FALSE(batches.empty());
-  for (core::TemplateMethod method :
-       {core::TemplateMethod::kPlanKMeans, core::TemplateMethod::kPlanDbscan}) {
-    core::LearnedWmpModel model =
-        TrainSmall(ml::RegressorKind::kGbt, /*variable_length=*/false, method);
-    ASSERT_TRUE(model.templates().pruned_assign());
-
-    auto pruned_ids =
-        model.templates().AssignBatch(dataset_->records, *indices_);
-    ASSERT_TRUE(pruned_ids.ok()) << pruned_ids.status().ToString();
-    auto pruned_pred = model.PredictWorkloads(dataset_->records, batches);
-    ASSERT_TRUE(pruned_pred.ok()) << pruned_pred.status().ToString();
-    const auto stats = model.templates().assign_stats();
-    EXPECT_GE(stats.rows, indices_->size())
-        << core::TemplateMethodName(method);
-    EXPECT_GT(stats.bound_skips + stats.early_exits, 0u)
-        << core::TemplateMethodName(method);
-
-    model.mutable_templates()->set_pruned_assign(false);
-    auto ref_ids = model.templates().AssignBatch(dataset_->records, *indices_);
-    ASSERT_TRUE(ref_ids.ok()) << ref_ids.status().ToString();
-    auto ref_pred = model.PredictWorkloads(dataset_->records, batches);
-    ASSERT_TRUE(ref_pred.ok()) << ref_pred.status().ToString();
-
-    ASSERT_EQ(pruned_ids->size(), ref_ids->size());
-    for (size_t i = 0; i < ref_ids->size(); ++i) {
-      ASSERT_EQ((*pruned_ids)[i], (*ref_ids)[i])
-          << core::TemplateMethodName(method) << " row " << i;
-    }
-    ASSERT_EQ(pruned_pred->size(), ref_pred->size());
-    for (size_t b = 0; b < ref_pred->size(); ++b) {
-      EXPECT_EQ((*pruned_pred)[b], (*ref_pred)[b])
-          << core::TemplateMethodName(method) << " workload " << b;
     }
   }
 }

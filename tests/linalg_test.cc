@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,130 @@ TEST(LinalgTest, SquaredDistanceDispatchBitwiseMatchesScalar) {
   }
   EXPECT_EQ(SquaredDistance(a.data(), b.data(), a.size()),
             SquaredDistanceScalar(a.data(), b.data(), a.size()));
+}
+
+// ---------- NearestCentroids edge cases ----------
+
+constexpr size_t kPrefixRows = 9;  // n = 0..9 runs every 4-row remainder
+
+// Naive per-row scan: the lowest centroid index attaining the minimum
+// distance, the argmin NearestCentroids must reproduce label for label.
+std::vector<int> NaiveNearest(const std::vector<double>& rows, size_t n,
+                              const Matrix& centroids) {
+  const size_t d = centroids.cols();
+  std::vector<int> labels(n, 0);
+  for (size_t r = 0; r < n; ++r) {
+    double best = std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < centroids.rows(); ++c) {
+      const double dist =
+          SquaredDistanceScalar(&rows[r * d], centroids.RowPtr(c), d);
+      if (dist < best) {
+        best = dist;
+        labels[r] = static_cast<int>(c);
+      }
+    }
+  }
+  return labels;
+}
+
+// Runs NearestCentroids on every prefix n = 0..9 of `rows` and checks it
+// against the naive scan; labels past n must stay untouched.
+void ExpectNaiveLabelsForEveryPrefix(const std::vector<double>& rows,
+                                     const Matrix& centroids) {
+  ASSERT_EQ(rows.size(), kPrefixRows * centroids.cols());
+  for (size_t n = 0; n <= kPrefixRows; ++n) {
+    std::vector<int> got(kPrefixRows, -1);
+    NearestCentroids(rows.data(), n, centroids, got.data());
+    std::vector<int> want = NaiveNearest(rows, n, centroids);
+    want.resize(kPrefixRows, -1);
+    EXPECT_EQ(got, want) << "n=" << n;
+  }
+}
+
+std::vector<int> AllLabels(const std::vector<double>& rows,
+                           const Matrix& centroids) {
+  std::vector<int> labels(kPrefixRows, -1);
+  NearestCentroids(rows.data(), kPrefixRows, centroids, labels.data());
+  return labels;
+}
+
+TEST(NearestCentroidsTest, TiesResolveToLowestIndex) {
+  // Centroids at +-e1 and +-e2; a row at the origin ties all four.
+  const size_t d = 4;
+  Matrix centroids(4, d);
+  centroids.At(0, 0) = 1;
+  centroids.At(1, 0) = -1;
+  centroids.At(2, 1) = 1;
+  centroids.At(3, 1) = -1;
+  std::vector<double> rows(kPrefixRows * d, 0.0);
+  rows[3 * d + 1] = -0.5;  // row 3 leans to centroid 3, then ties resume
+  ExpectNaiveLabelsForEveryPrefix(rows, centroids);
+  EXPECT_EQ(AllLabels(rows, centroids),
+            (std::vector<int>{0, 0, 0, 3, 0, 0, 0, 0, 0}));
+}
+
+TEST(NearestCentroidsTest, DuplicateCentroidsKeepIndexOrder) {
+  const size_t d = 3, k = 5;
+  const double value[k] = {1.0, 2.0, 1.0, 2.0, -7.0};  // 2 = 0, 3 = 1
+  Matrix centroids(k, d);
+  for (size_t c = 0; c < k; ++c) {
+    for (size_t j = 0; j < d; ++j) centroids.At(c, j) = value[c];
+  }
+  Rng rng(3);
+  std::vector<double> rows(kPrefixRows * d);
+  for (size_t r = 0; r < kPrefixRows; ++r) {
+    const double base = rng.Bernoulli(0.5) ? 1.0 : 2.0;
+    for (size_t j = 0; j < d; ++j) {
+      rows[r * d + j] = base + rng.UniformDouble(-0.01, 0.01);
+    }
+  }
+  ExpectNaiveLabelsForEveryPrefix(rows, centroids);
+  for (int label : AllLabels(rows, centroids)) {
+    EXPECT_TRUE(label == 0 || label == 1) << label;
+  }
+}
+
+TEST(NearestCentroidsTest, RowOnCentroidIsItsOwnTemplate) {
+  const size_t d = 8, k = 6;
+  Rng rng(11);
+  Matrix centroids(k, d);
+  for (double& v : centroids.data()) v = rng.UniformDouble(-2.0, 2.0);
+  std::vector<double> rows;
+  for (size_t r = 0; r < kPrefixRows; ++r) {
+    const double* c = centroids.RowPtr(r % k);
+    rows.insert(rows.end(), c, c + d);
+  }
+  ExpectNaiveLabelsForEveryPrefix(rows, centroids);
+  const std::vector<int> labels = AllLabels(rows, centroids);
+  for (size_t r = 0; r < kPrefixRows; ++r) {
+    EXPECT_EQ(labels[r], static_cast<int>(r % k)) << "row " << r;
+  }
+}
+
+TEST(NearestCentroidsTest, SingleCentroidTakesEveryRow) {
+  const size_t d = 5;
+  Matrix centroids(1, d);
+  for (double& v : centroids.data()) v = 1.0;
+  Rng rng(5);
+  std::vector<double> rows(kPrefixRows * d);
+  for (double& v : rows) v = rng.UniformDouble(-4.0, 4.0);
+  ExpectNaiveLabelsForEveryPrefix(rows, centroids);
+  EXPECT_EQ(AllLabels(rows, centroids), std::vector<int>(kPrefixRows, 0));
+}
+
+TEST(NearestCentroidsTest, RandomShapesMatchNaiveScan) {
+  // Widths below, at and past the 4-wide kernel block, with its tails.
+  Rng rng(7);
+  for (size_t d : {size_t{1}, size_t{3}, size_t{4}, size_t{22}, size_t{30}}) {
+    for (size_t k : {size_t{2}, size_t{7}, size_t{40}}) {
+      Matrix centroids(k, d);
+      for (double& v : centroids.data()) v = rng.UniformDouble(-3.0, 3.0);
+      std::vector<double> rows(kPrefixRows * d);
+      for (double& v : rows) v = rng.UniformDouble(-3.0, 3.0);
+      SCOPED_TRACE(testing::Message() << "d=" << d << " k=" << k);
+      ExpectNaiveLabelsForEveryPrefix(rows, centroids);
+    }
+  }
 }
 
 TEST(CholeskyTest, SolvesKnownSystem) {

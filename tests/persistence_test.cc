@@ -10,6 +10,8 @@
 #include "core/featurizer.h"
 #include "core/learned_wmp.h"
 #include "core/template_learner.h"
+#include "ml/regressor.h"
+#include "plan/features.h"
 #include "workloads/dataset.h"
 
 namespace wmp::core {
@@ -104,6 +106,82 @@ TEST_F(PersistenceTest, UnlearnedTemplateModelRefusesSerialize) {
   TemplateModel model;
   BinaryWriter w;
   EXPECT_TRUE(model.Serialize(&w).IsFailedPrecondition());
+}
+
+// ---------- crafted template blocks ----------
+//
+// Each block is well formed byte for byte but describes shapes the
+// assignment path cannot run on. Decoding must refuse it, before anything
+// is built from the shapes.
+
+// Template block header: tag "WMPT", method, k, log_transform_cards.
+void WriteTemplateHeader(BinaryWriter* w, TemplateMethod method, int64_t k) {
+  w->WriteU32(0x574D5054);
+  w->WriteU8(static_cast<uint8_t>(method));
+  w->WriteI64(k);
+  w->WriteU8(0);
+}
+
+void WriteScaler(BinaryWriter* w, size_t width) {
+  w->WriteU32(ml::serialize_tags::kScaler);
+  w->WriteDoubleVec(std::vector<double>(width, 0.0));
+  w->WriteDoubleVec(std::vector<double>(width, 1.0));
+}
+
+std::string KMeansBlock(int64_t k, size_t centroid_width) {
+  BinaryWriter w;
+  WriteTemplateHeader(&w, TemplateMethod::kPlanKMeans, k);
+  WriteScaler(&w, plan::kPlanFeatureDim);
+  w.WriteU32(ml::serialize_tags::kKMeans);
+  w.WriteU64(static_cast<uint64_t>(k));
+  w.WriteU64(centroid_width);
+  w.WriteDoubleVec(
+      std::vector<double>(static_cast<size_t>(k) * centroid_width, 0.5));
+  w.WriteDouble(0.0);  // inertia
+  return w.buffer();
+}
+
+Status DecodeTemplates(const std::string& bytes) {
+  BinaryReader r(bytes);
+  return TemplateModel::Deserialize(&r).status();
+}
+
+TEST_F(PersistenceTest, CentroidsWiderThanScalerRejected) {
+  ASSERT_TRUE(DecodeTemplates(KMeansBlock(2, plan::kPlanFeatureDim)).ok());
+  EXPECT_FALSE(DecodeTemplates(KMeansBlock(2, 64)).ok());
+}
+
+TEST_F(PersistenceTest, WrappingCentroidShapeRejected) {
+  // rows = cols = 2^32 with no data: rows * cols wraps to 0 entries.
+  const uint64_t huge = uint64_t{1} << 32;
+  for (TemplateMethod method :
+       {TemplateMethod::kPlanKMeans, TemplateMethod::kPlanDbscan}) {
+    BinaryWriter w;
+    WriteTemplateHeader(&w, method, 2);
+    WriteScaler(&w, plan::kPlanFeatureDim);
+    const bool kmeans = method == TemplateMethod::kPlanKMeans;
+    if (kmeans) w.WriteU32(ml::serialize_tags::kKMeans);
+    w.WriteU64(huge);
+    w.WriteU64(huge);
+    w.WriteDoubleVec({});
+    if (kmeans) w.WriteDouble(0.0);  // inertia
+    EXPECT_FALSE(DecodeTemplates(w.buffer()).ok())
+        << TemplateMethodName(method);
+  }
+}
+
+TEST_F(PersistenceTest, RuleCountBeyondStreamRejected) {
+  const auto rule_block = [](int64_t k, uint64_t rules) {
+    BinaryWriter w;
+    WriteTemplateHeader(&w, TemplateMethod::kRuleBased, k);
+    w.WriteU64(rules);
+    return w.buffer();
+  };
+  ASSERT_TRUE(DecodeTemplates(rule_block(1, 0)).ok());
+  EXPECT_FALSE(DecodeTemplates(rule_block(1, uint64_t{1} << 40)).ok());
+  EXPECT_FALSE(
+      DecodeTemplates(rule_block((int64_t{1} << 40) + 1, uint64_t{1} << 40))
+          .ok());
 }
 
 // ---------- LearnedWmpModel persistence ----------

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -253,10 +254,18 @@ TEST(BinaryIoTest, TruncatedStreamErrors) {
 }
 
 TEST(BinaryIoTest, TruncatedVectorErrors) {
-  BinaryWriter w;
-  w.WriteU64(1000);  // claims 1000 doubles, provides none
-  BinaryReader r(w.buffer());
-  EXPECT_TRUE(r.ReadDoubleVec().status().IsOutOfRange());
+  // Each prefix claims more elements than the stream holds. The huge ones
+  // wrap `n * sizeof(T)` to a small byte count, which must not pass the
+  // length check and reach a vector of n elements.
+  for (uint64_t n : {uint64_t{1000}, uint64_t{1} << 61, uint64_t{1} << 62,
+                     std::numeric_limits<uint64_t>::max()}) {
+    BinaryWriter w;
+    w.WriteU64(n);
+    BinaryReader doubles(w.buffer());
+    EXPECT_TRUE(doubles.ReadDoubleVec().status().IsOutOfRange()) << n;
+    BinaryReader ints(w.buffer());
+    EXPECT_TRUE(ints.ReadIntVec().status().IsOutOfRange()) << n;
+  }
 }
 
 TEST(BinaryIoTest, PeekDoesNotConsume) {
