@@ -244,6 +244,9 @@ int main(int argc, char** argv) {
   const auto& records = data->dataset.records;
   const auto batches =
       engine::MakeConsecutiveBatches(records.size(), cfg.batch_size);
+  // Every service below borrows `model`, which outlives them all.
+  const std::shared_ptr<const core::LearnedWmpModel> borrowed(
+      std::shared_ptr<const void>(), &*model);
 
   std::vector<ServeRow> rows;
 
@@ -274,8 +277,8 @@ int main(int argc, char** argv) {
                            const std::vector<core::WorkloadBatch>& batches,
                            engine::ScoringServiceOptions sopt) {
     engine::ScoringService service(
-        std::vector<const core::LearnedWmpModel*>(
-            static_cast<size_t>(shards), &*model),
+        std::vector<std::shared_ptr<const core::LearnedWmpModel>>(
+            static_cast<size_t>(shards), borrowed),
         sopt);
     DriveResult d =
         Drive(&service, records, batches, clients, passes, pipelined);
@@ -367,7 +370,7 @@ int main(int argc, char** argv) {
     engine::ScoringServiceOptions sopt;
     sopt.max_batch = 1024;
     sopt.max_delay_us = 25;
-    engine::ScoringService service({&*model}, sopt);
+    engine::ScoringService service({borrowed}, sopt);
     // Warm pass: consecutive grouping fills both cache levels.
     DriveResult warm = Drive(&service, records, batches, clients, 1, true);
     const engine::ServiceStats warm_st = service.stats();
@@ -445,7 +448,7 @@ int main(int argc, char** argv) {
     engine::ScoringServiceOptions sopt;
     sopt.max_batch = 1024;
     sopt.max_delay_us = 25;
-    engine::ScoringService service({&*model}, sopt);
+    engine::ScoringService service({borrowed}, sopt);
     std::thread publisher([&] {
       // Swap once the stream is demonstrably live (mid-first-pass), gated
       // on completed requests rather than a sleep so a fast machine can't
@@ -547,7 +550,7 @@ int main(int argc, char** argv) {
                              const engine::ScoringServiceOptions& sopt,
                              const Result<std::vector<double>>& reference) {
     const int clients = args.quick ? 2 : 4;
-    engine::ScoringService service({&*model}, sopt);
+    engine::ScoringService service({borrowed}, sopt);
     DriveResult d = Drive(&service, records, batches, clients, 1, true);
     service.Stop();
     bool bitwise = reference.ok() && d.errors == 0;

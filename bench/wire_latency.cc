@@ -7,9 +7,10 @@
 //                   serving baseline the wire path is measured against.
 //   remote          closed-loop clients, each with its own net::WireClient,
 //                   against a net::ReactorServer on a loopback Unix socket
-//                   fronting an identical service: one workload per plain
-//                   score frame, so p50/p99 isolates the per-request wire
-//                   cost (frame codec + syscalls + record serialization).
+//                   fronting an identical service: one workload per score
+//                   frame and one frame in flight, so p50/p99 isolates the
+//                   per-request wire cost (frame codec + syscalls + record
+//                   serialization).
 //                   Swept over connection counts.
 //   remote_batched  the wire API used as intended — each score frame
 //                   carries the client's whole workload slice, so framing
@@ -23,12 +24,12 @@
 //                   BatchScorer bitwise — then Rollback and verify the
 //                   PREVIOUS epoch's scores come back bitwise. Zero failed
 //                   requests allowed anywhere.
-//   pipelined       net::AsyncWireClient against the same server: one
-//                   workload per kScoreRequestPipelined frame with a
-//                   16-deep in-flight window per connection, so round
-//                   trips overlap instead of serializing. Same connection
-//                   sweep as `remote`, whose qps it is compared against at
-//                   the top connection count.
+//   pipelined       net::WireClient::SubmitScore/Wait against the same
+//                   server: one workload per score frame with a 16-deep
+//                   in-flight window per connection, so round trips
+//                   overlap instead of serializing. Same connection sweep
+//                   as `remote`, whose qps it is compared against at the
+//                   top connection count.
 //
 // Every remote prediction is compared bitwise against the in-process
 // BatchScorer on the same model: the wire must be a transport, not a
@@ -50,7 +51,6 @@
 #include "engine/batch_scorer.h"
 #include "engine/model_registry.h"
 #include "engine/scoring_service.h"
-#include "net/async_client.h"
 #include "net/reactor_server.h"
 #include "net/wire_client.h"
 #include "util/stats.h"
@@ -224,11 +224,11 @@ DriveOut DriveRemote(const std::string& address,
   return out;
 }
 
-// Drives `clients` AsyncWireClient connections against the server:
-// one workload per pipelined frame, `window` requests in flight per
-// connection. Latency is submit→harvest per request (harvested in
-// submission order, so it reflects the amortized wire cost a caller
-// actually experiences with the window open, not a single round trip).
+// Drives `clients` WireClient connections against the server: one
+// workload per score frame, `window` requests in flight per connection.
+// Latency is submit→harvest per request (harvested in submission order,
+// so it reflects the amortized wire cost a caller actually experiences
+// with the window open, not a single round trip).
 DriveOut DrivePipelined(const std::string& address,
                         const std::vector<workloads::QueryRecord>& records,
                         const std::vector<core::WorkloadBatch>& batches,
@@ -242,15 +242,9 @@ DriveOut DrivePipelined(const std::string& address,
   std::vector<std::thread> threads;
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
-      net::AsyncWireClientOptions aopt;
-      aopt.max_inflight = window;
-      auto connected = net::AsyncWireClient::Connect(address, aopt);
-      if (!connected.ok()) {
-        errors.fetch_add(1, std::memory_order_relaxed);
-        start.ArriveAndWait();
-        return;
-      }
-      std::unique_ptr<net::AsyncWireClient> client = std::move(*connected);
+      net::WireClientOptions copt;
+      copt.max_inflight = window;
+      net::WireClient client(address, copt);
       auto& lat = per_client_lat[static_cast<size_t>(c)];
       const std::vector<size_t> slice = SliceFor(c, clients, batches.size());
       const std::string tenant = StrFormat("pipelined-client-%d", c);
@@ -274,7 +268,7 @@ DriveOut DrivePipelined(const std::string& address,
       struct InFlight {
         size_t w = 0;
         Stopwatch sw;
-        std::future<Result<net::ScoreResponse>> response;
+        net::WireClient::Pending response;
       };
       start.ArriveAndWait();
       for (int pass = 0; pass < passes; ++pass) {
@@ -283,8 +277,8 @@ DriveOut DrivePipelined(const std::string& address,
         for (size_t i = 0; i < slice.size(); ++i) {
           InFlight f;
           f.w = slice[i];
-          auto submitted = client->SubmitScore(tenant, member_records[i],
-                                               member_batches[i]);
+          auto submitted = client.SubmitScore(tenant, member_records[i],
+                                              member_batches[i]);
           if (!submitted.ok()) {
             errors.fetch_add(1, std::memory_order_relaxed);
             continue;
@@ -293,12 +287,12 @@ DriveOut DrivePipelined(const std::string& address,
           inflight.push_back(std::move(f));
         }
         for (InFlight& f : inflight) {
-          auto got = f.response.get();
+          auto got = client.Wait(std::move(f.response));
           lat.push_back(f.sw.ElapsedMicros());
-          if (!got.ok() || got->size() != 1 || !got->ok[0]) {
+          if (!got.ok() || !(*got)[0].ok()) {
             errors.fetch_add(1, std::memory_order_relaxed);
           } else {
-            out.predictions[f.w] = got->predictions[0];
+            out.predictions[f.w] = *(*got)[0];
           }
         }
       }
@@ -584,15 +578,15 @@ int main(int argc, char** argv) {
                                     want1->predictions, want2->predictions,
                                     clients));
 
-  // --- plain vs pipelined frames: connection sweep ---
+  // --- one request at a time vs a window of them: connection sweep ---
   // Both modes send one workload per frame over the same server, so the
   // only difference at each sweep point is the in-flight window.
   const std::vector<int> sweep =
       args.quick ? std::vector<int>{2, 8} : std::vector<int>{1, 2, 4, 8};
   const size_t kWindow = 16;
-  double plain_qps_top = 0.0, pipelined_qps_top = 0.0;
+  double remote_qps_top = 0.0, pipelined_qps_top = 0.0;
   for (int n : sweep) {
-    WireRow plain_row = MakeDriveRow(
+    WireRow remote_row = MakeDriveRow(
         "remote", n, passes, batches,
         DriveRemote(address, records, batches, n, passes, 1),
         want1->predictions);
@@ -600,17 +594,17 @@ int main(int argc, char** argv) {
         "pipelined", n, passes, batches,
         DrivePipelined(address, records, batches, n, passes, kWindow),
         want1->predictions);
-    plain_qps_top = plain_row.qps;  // the last sweep point wins
+    remote_qps_top = remote_row.qps;  // the last sweep point wins
     pipelined_qps_top = pipelined_row.qps;
-    rows.push_back(std::move(plain_row));
+    rows.push_back(std::move(remote_row));
     rows.push_back(std::move(pipelined_row));
   }
-  if (plain_qps_top > 0) {
+  if (remote_qps_top > 0) {
     std::printf(
-        "pipelined at %d connections: %.0f q/s vs plain per-request "
+        "pipelined at %d connections: %.0f q/s vs one at a time "
         "%.0f q/s — %.2fx (window %zu)\n\n",
-        sweep.back(), pipelined_qps_top, plain_qps_top,
-        pipelined_qps_top / plain_qps_top, kWindow);
+        sweep.back(), pipelined_qps_top, remote_qps_top,
+        pipelined_qps_top / remote_qps_top, kWindow);
   }
 
   server.Shutdown();

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Wire-protocol smoke: the full out-of-process serving loop through the
 # real binaries — start `wmpctl serve` on a loopback Unix socket, stream a
-# log through `wmpctl score --connect` in chunks (plain frames, then
-# pipelined with `--pipeline=16`), roll out a retrained model with
-# `wmpctl train --publish --connect` (which asserts zero failed requests
-# and bitwise post-swap scores), roll it back, score again, and shut the
-# server down cleanly. Any nonzero step fails the script.
+# log through `wmpctl score --connect` in chunks, roll out a retrained
+# model with `wmpctl train --publish --connect` (which asserts zero failed
+# requests and bitwise post-swap scores), roll it back, score again, and
+# shut the server down cleanly. Any nonzero step fails the script.
 set -euo pipefail
 
 BUILD=${1:-build}
@@ -41,13 +40,9 @@ for _ in $(seq 100); do
 done
 [[ -S "$SOCK" ]] || { echo "server socket never appeared"; cat "$SERVER_LOG"; exit 1; }
 
-echo "== score the log over the wire in chunks (plain frames)"
+echo "== score the log over the wire in chunks"
 "$BUILD/wmpctl" score --log="$LOG" --connect="unix:$SOCK" --chunk=150 \
   --batch=10
-
-echo "== score it again with 16 pipelined frames in flight"
-"$BUILD/wmpctl" score --log="$LOG" --connect="unix:$SOCK" --chunk=150 \
-  --batch=10 --pipeline=16
 
 echo "== retrain (different seed) and publish over the wire"
 "$BUILD/wmpctl" train --log="$LOG" --model="$MODEL" --templates=12 \

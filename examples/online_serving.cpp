@@ -25,6 +25,7 @@
 
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -63,7 +64,9 @@ int main() {
   engine::ScoringServiceOptions sopt;
   sopt.max_batch = 32;
   sopt.max_delay_us = 500;
-  engine::ScoringService service({&*model, &*model}, sopt);
+  auto shared =
+      std::make_shared<const core::LearnedWmpModel>(std::move(*model));
+  engine::ScoringService service({shared, shared}, sopt);
 
   // Four concurrent sessions, each scoring its own slice of the log —
   // and every session re-submits its first workload, as a steady-state

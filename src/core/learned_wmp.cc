@@ -1,5 +1,7 @@
 #include "core/learned_wmp.h"
 
+#include <algorithm>
+
 #include "core/histogram.h"
 #include "ml/compiled_tree.h"
 #include "ml/dtree.h"
@@ -7,6 +9,8 @@
 #include "ml/gbt.h"
 #include "ml/mlp.h"
 #include "ml/random_forest.h"
+#include "ml/ridge.h"
+#include "util/strings.h"
 #include "util/timer.h"
 
 namespace wmp::core {
@@ -365,6 +369,42 @@ Result<size_t> LearnedWmpModel::RegressorBytes() const {
 namespace {
 constexpr uint32_t kLearnedWmpTag = 0x574D504C;  // "WMPL"
 constexpr uint32_t kLearnedWmpVersion = 1;
+
+// A model bins each workload into a k-wide histogram, so its regressor
+// must read exactly k features: Ridge and MLP take k inputs, and no tree
+// may split on a feature >= k (the compiled path would refuse every row,
+// the reference one would stop at that node and serve its interior value).
+Status CheckHistogramWidth(const ml::Regressor& regressor, size_t k) {
+  size_t reads = k;
+  std::vector<const ml::RegressionTree*> trees;
+  if (const auto* ridge = dynamic_cast<const ml::RidgeRegressor*>(&regressor)) {
+    reads = ridge->coefficients().size();
+  } else if (const auto* mlp =
+                 dynamic_cast<const ml::MlpRegressor*>(&regressor)) {
+    reads = mlp->input_width();
+  } else if (const auto* dt =
+                 dynamic_cast<const ml::DecisionTreeRegressor*>(&regressor)) {
+    trees.push_back(&dt->tree());
+  } else if (const auto* rf =
+                 dynamic_cast<const ml::RandomForestRegressor*>(&regressor)) {
+    for (const ml::RegressionTree& tree : rf->trees()) trees.push_back(&tree);
+  } else if (const auto* gbt =
+                 dynamic_cast<const ml::GbtRegressor*>(&regressor)) {
+    for (const ml::RegressionTree& tree : gbt->trees()) trees.push_back(&tree);
+  }
+  for (const ml::RegressionTree* tree : trees) {
+    for (const ml::TreeNode& node : tree->nodes()) {
+      reads = std::max(reads, static_cast<size_t>(node.feature + 1));
+    }
+  }
+  if (reads != k) {
+    return Status::InvalidArgument(
+        StrFormat("%s regressor reads %zu histogram features but the model "
+                  "bins %zu templates",
+                  regressor.Name().c_str(), reads, k));
+  }
+  return Status::OK();
+}
 }  // namespace
 
 Status LearnedWmpModel::Serialize(BinaryWriter* writer) const {
@@ -400,6 +440,9 @@ Result<LearnedWmpModel> LearnedWmpModel::Deserialize(BinaryReader* reader) {
   model.options_.templates.method = model.templates_.method();
   model.options_.templates.num_templates = model.templates_.num_templates();
   WMP_ASSIGN_OR_RETURN(model.regressor_, ml::DeserializeRegressor(reader));
+  WMP_RETURN_IF_ERROR(CheckHistogramWidth(
+      *model.regressor_,
+      static_cast<size_t>(model.templates_.num_templates())));
   model.CompileInference();
   return model;
 }

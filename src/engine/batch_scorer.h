@@ -145,9 +145,6 @@ class BatchScorer {
   std::shared_ptr<const core::LearnedWmpModel> model_snapshot() const;
   /// Epoch of the current snapshot; bumped by each PublishModel.
   uint64_t model_epoch() const;
-  /// Legacy reference accessor: valid until the next PublishModel retires
-  /// the snapshot. Prefer model_snapshot() anywhere a swap can happen.
-  const core::LearnedWmpModel& model() const { return *model_snapshot(); }
 
   const BatchScorerOptions& options() const { return options_; }
 

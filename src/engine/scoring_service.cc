@@ -54,32 +54,6 @@ ScoringService::ScoringService(
   }
 }
 
-namespace {
-
-std::vector<std::shared_ptr<const core::LearnedWmpModel>> WrapBorrowed(
-    const std::vector<const core::LearnedWmpModel*>& models) {
-  std::vector<std::shared_ptr<const core::LearnedWmpModel>> shared;
-  shared.reserve(models.size());
-  for (const core::LearnedWmpModel* model : models) {
-    // Non-owning: empty control block, never deletes the borrowed model.
-    shared.emplace_back(std::shared_ptr<const void>(), model);
-  }
-  return shared;
-}
-
-}  // namespace
-
-ScoringService::ScoringService(
-    std::vector<const core::LearnedWmpModel*> models,
-    ScoringServiceOptions options)
-    : ScoringService(WrapBorrowed(models), options) {}
-
-ScoringService::ScoringService(
-    std::initializer_list<const core::LearnedWmpModel*> models,
-    ScoringServiceOptions options)
-    : ScoringService(std::vector<const core::LearnedWmpModel*>(models),
-                     options) {}
-
 ScoringService::~ScoringService() { Stop(); }
 
 size_t ScoringService::ShardForTenant(std::string_view tenant) const {

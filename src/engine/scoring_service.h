@@ -182,23 +182,13 @@ class ScoringService {
  public:
   /// One shard per entry of `models` (at least one): distinct per-tenant
   /// models, or the same model repeated to spread one model's dispatch
-  /// over several queues. Shared ownership is the publishable form —
-  /// PublishModel can retire any of them under live traffic.
+  /// over several queues. Shared ownership lets PublishModel retire any
+  /// of them under live traffic. A caller that owns a model for the
+  /// service's whole lifetime may lend it as a non-owning shared_ptr
+  /// (aliasing constructor over an empty owner).
   explicit ScoringService(
       std::vector<std::shared_ptr<const core::LearnedWmpModel>> models,
       ScoringServiceOptions options = {});
-
-  /// Borrowing overload for callers that own their models for the whole
-  /// service lifetime (models must be trained and outlive the service —
-  /// and outlive any PublishModel that retires them).
-  explicit ScoringService(std::vector<const core::LearnedWmpModel*> models,
-                          ScoringServiceOptions options = {});
-
-  /// Braced-list convenience for the borrowing form —
-  /// `ScoringService({&m1, &m2})` — which would otherwise be ambiguous
-  /// between the two vector overloads.
-  ScoringService(std::initializer_list<const core::LearnedWmpModel*> models,
-                 ScoringServiceOptions options = {});
   ~ScoringService();
   ScoringService(const ScoringService&) = delete;
   ScoringService& operator=(const ScoringService&) = delete;

@@ -63,6 +63,10 @@ class MlpRegressor : public Regressor {
   /// Epochs (or L-BFGS iterations) actually run.
   int iterations_run() const { return iterations_run_; }
   bool fitted() const { return !weights_.empty(); }
+  /// Feature-row width the fitted network reads (0 before Fit).
+  size_t input_width() const {
+    return layer_dims_.empty() ? 0 : layer_dims_.front();
+  }
 
   const MlpOptions& options() const { return options_; }
 

@@ -29,7 +29,7 @@ std::vector<std::future<Result<double>>> RequestDispatcher::SubmitScore(
 }
 
 Frame RequestDispatcher::BuildScoreResponse(
-    std::vector<Result<double>> outcomes) {
+    uint32_t correlation_id, std::vector<Result<double>> outcomes) {
   ScoreResponse response;
   response.ok.resize(outcomes.size());
   response.predictions.assign(outcomes.size(), 0.0);
@@ -43,7 +43,9 @@ Frame RequestDispatcher::BuildScoreResponse(
       response.errors[i] = outcomes[i].status().ToString();
     }
   }
-  return Frame{FrameType::kScoreResponse, EncodeScoreResponse(response)};
+  return Frame{FrameType::kScoreResponsePipelined,
+               EncodePipelinedPayload(correlation_id,
+                                      EncodeScoreResponse(response))};
 }
 
 Frame RequestDispatcher::HandlePublish(const Frame& request) const {

@@ -5,8 +5,8 @@
 /// Request execution for net::ReactorServer — the protocol boundary
 /// between WMF1 frames and engine::ScoringService / engine::ModelRegistry.
 ///
-/// The reactor owns only transport: sockets, buffers, frame reassembly,
-/// ordering. Everything else lives here: decode, validation (including
+/// The reactor owns only transport: sockets, buffers, frame reassembly.
+/// Everything else lives here: decode, validation (including
 /// the publish artifact checksum, which DecodePublishRequest enforces),
 /// registry/service calls, and response encoding. A response frame
 /// depends only on the request frame and the service state, which is what
@@ -15,9 +15,10 @@
 ///
 /// Scoring is the one request that is intentionally split: SubmitScore
 /// enqueues every workload of a request and hands back the futures, and
-/// BuildScoreResponse turns collected outcomes into the response frame.
-/// The reactor parks the futures in between and finishes the response as
-/// the service fulfills them, without ever blocking the event loop.
+/// BuildScoreResponse turns collected outcomes into the correlated
+/// response frame. The reactor parks the futures in between and answers
+/// as the service fulfills them, without ever blocking the event loop;
+/// every other request executes inline and answers at once.
 
 #include <future>
 #include <memory>
@@ -57,8 +58,10 @@ class RequestDispatcher {
   std::vector<std::future<Result<double>>> SubmitScore(
       const ScoreRequest& request) const;
 
-  /// Folds fully-collected outcomes into a kScoreResponse frame.
-  static Frame BuildScoreResponse(std::vector<Result<double>> outcomes);
+  /// Folds fully-collected outcomes into the kScoreResponsePipelined
+  /// frame answering request `correlation_id`.
+  static Frame BuildScoreResponse(uint32_t correlation_id,
+                                  std::vector<Result<double>> outcomes);
 
   /// Deserializes the carried artifact (checksum already verified at
   /// decode) and rolls it out across all shards with registry recording.

@@ -6,7 +6,7 @@
 /// behind the fleet router's failure tests.
 ///
 /// Every blocking frame read/write in src/net (ReadFrame/WriteFrame, i.e.
-/// both wire clients; the reactor's nonblocking I/O does not pass through
+/// the wire client; the reactor's nonblocking I/O does not pass through
 /// here) consults the process-global armed FaultInjector, which may, per
 /// operation:
 ///

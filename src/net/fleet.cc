@@ -25,10 +25,20 @@ const char* NodeHealthName(NodeHealth health) {
 FleetRouter::FleetRouter(std::vector<std::string> node_addresses,
                          FleetRouterOptions options)
     : options_(options) {
+  WireClientOptions copts;
+  copts.max_payload_bytes = options_.max_payload_bytes;
+  copts.max_inflight = options_.max_inflight;
+  copts.connect_timeout_ms = options_.connect_timeout_ms;
+  copts.request_timeout_ms = options_.request_timeout_ms;
+  // One attempt: retry policy belongs to the router's state machine, not
+  // buried inside the per-node client.
+  copts.max_attempts = 1;
+  copts.jitter_seed = options_.seed;
   nodes_.reserve(node_addresses.size());
   for (std::string& address : node_addresses) {
     auto node = std::make_unique<Node>();
     node->address = std::move(address);
+    node->client = std::make_unique<WireClient>(node->address, copts);
     nodes_.push_back(std::move(node));
   }
 }
@@ -60,12 +70,7 @@ void FleetRouter::Stop() {
   }
   probe_cv_.notify_all();
   if (probe_thread_.joinable()) probe_thread_.join();
-  for (auto& node : nodes_) {
-    std::lock_guard<std::mutex> lock(node->conn_mutex);
-    if (node->pipe) node->pipe->Close();
-    node->pipe.reset();
-    node->control.reset();
-  }
+  for (auto& node : nodes_) node->client->Close();
   std::lock_guard<std::mutex> lock(probe_mutex_);
   started_ = false;
 }
@@ -99,8 +104,7 @@ Status FleetRouter::ProbeNode(Node* node) {
     // The probe thread adopting a down node is the ONLY way out of down.
     if (node->health == NodeHealth::kDown) node->health = NodeHealth::kProbing;
   }
-  auto health = WithControl(
-      node, [nonce](WireClient* control) { return control->Health(nonce); });
+  auto health = node->client->Health(nonce);
   if (!health.ok()) {
     MarkFailure(node, OutcomeKind::kProbe);
     return health.status();
@@ -114,29 +118,6 @@ Status FleetRouter::ProbeNode(Node* node) {
   // peers" is precisely a mixed-epoch fleet the map must flag.
   epoch_map_.Observe(node->address, health->registry_epoch);
   return Status::OK();
-}
-
-template <typename Op>
-auto FleetRouter::WithControl(Node* node, Op&& op)
-    -> decltype(op(static_cast<WireClient*>(nullptr))) {
-  std::lock_guard<std::mutex> lock(node->conn_mutex);
-  if (!node->control) {
-    WireClientOptions copts;
-    copts.max_payload_bytes = options_.max_payload_bytes;
-    copts.connect_timeout_ms = options_.connect_timeout_ms;
-    copts.read_timeout_ms = options_.control_timeout_ms;
-    copts.write_timeout_ms = options_.control_timeout_ms;
-    // One attempt: retry policy belongs to the router's state machine,
-    // not buried inside the per-node client.
-    copts.max_attempts = 1;
-    copts.jitter_seed = options_.seed;
-    node->control = std::make_unique<WireClient>(node->address, copts);
-  }
-  auto outcome = op(node->control.get());
-  if (!outcome.ok() && !node->control->connected()) {
-    node->control.reset();  // transport died; reconnect fresh next time
-  }
-  return outcome;
 }
 
 void FleetRouter::MarkSuccess(Node* node, OutcomeKind kind) {
@@ -188,48 +169,6 @@ FleetRouter::Node* FleetRouter::PickNode(uint64_t tenant_hash,
   return nullptr;
 }
 
-Result<std::shared_ptr<AsyncWireClient>> FleetRouter::EnsurePipe(Node* node) {
-  std::lock_guard<std::mutex> lock(node->conn_mutex);
-  if (node->pipe && node->pipe->alive()) return node->pipe;
-  AsyncWireClientOptions popts;
-  popts.max_payload_bytes = options_.max_payload_bytes;
-  popts.max_inflight = options_.max_inflight;
-  popts.connect_timeout_ms = options_.connect_timeout_ms;
-  popts.request_timeout_ms = options_.request_timeout_ms;
-  WMP_ASSIGN_OR_RETURN(auto pipe, AsyncWireClient::Connect(node->address,
-                                                           popts));
-  node->pipe = std::shared_ptr<AsyncWireClient>(std::move(pipe));
-  return node->pipe;
-}
-
-Result<std::vector<Result<double>>> FleetRouter::ScoreOnNode(
-    Node* node, std::string_view tenant,
-    const std::vector<workloads::QueryRecord>& records,
-    const std::vector<core::WorkloadBatch>& batches) {
-  WMP_ASSIGN_OR_RETURN(std::shared_ptr<AsyncWireClient> pipe,
-                       EnsurePipe(node));
-  WMP_ASSIGN_OR_RETURN(std::future<Result<ScoreResponse>> future,
-                       pipe->SubmitScore(tenant, records, batches));
-  Result<ScoreResponse> response = future.get();
-  if (!response.ok()) return response.status();
-  if (response->size() != batches.size()) {
-    return Status::Internal(
-        StrFormat("node %s answered %zu workloads for a %zu-workload "
-                  "request",
-                  node->address.c_str(), response->size(), batches.size()));
-  }
-  std::vector<Result<double>> outcomes;
-  outcomes.reserve(response->size());
-  for (size_t i = 0; i < response->size(); ++i) {
-    if (response->ok[i]) {
-      outcomes.emplace_back(response->predictions[i]);
-    } else {
-      outcomes.emplace_back(Status::Internal(response->errors[i]));
-    }
-  }
-  return outcomes;
-}
-
 Result<std::vector<Result<double>>> FleetRouter::ScoreWorkloads(
     std::string_view tenant,
     const std::vector<workloads::QueryRecord>& records,
@@ -269,7 +208,7 @@ Result<std::vector<Result<double>>> FleetRouter::ScoreWorkloads(
       last_error = Status::IOError("fleet has no nodes");
       continue;
     }
-    auto outcome = ScoreOnNode(node, tenant, records, batches);
+    auto outcome = node->client->ScoreWorkloads(tenant, records, batches);
     if (outcome.ok()) {
       MarkSuccess(node, OutcomeKind::kScore);
       return outcome;
@@ -316,9 +255,7 @@ FleetRolloutReport FleetRouter::PublishAll(
   for (size_t i = 0; i < nodes_.size(); ++i) {
     Node* node = nodes_[i].get();
     FleetNodeRollout& entry = report.nodes[i];
-    auto staged = WithControl(node, [&](WireClient* control) {
-      return control->Stage(name, bytes);
-    });
+    auto staged = node->client->Stage(name, bytes);
     if (staged.ok()) {
       entry.staged = true;
       entry.ticket = staged->ticket;
@@ -334,9 +271,7 @@ FleetRolloutReport FleetRouter::PublishAll(
     // staged copies returns the fleet to exactly its prior state.
     for (size_t i = 0; i < nodes_.size(); ++i) {
       if (!report.nodes[i].staged) continue;
-      auto aborted = WithControl(nodes_[i].get(), [&](WireClient* control) {
-        return control->Abort(report.nodes[i].ticket);
-      });
+      auto aborted = nodes_[i]->client->Abort(report.nodes[i].ticket);
       if (aborted.ok()) report.nodes[i].aborted = true;
     }
     report.failure =
@@ -349,9 +284,7 @@ FleetRolloutReport FleetRouter::PublishAll(
   for (size_t i = 0; i < nodes_.size(); ++i) {
     Node* node = nodes_[i].get();
     FleetNodeRollout& entry = report.nodes[i];
-    auto committed = WithControl(node, [&](WireClient* control) {
-      return control->Commit(entry.ticket);
-    });
+    auto committed = node->client->Commit(entry.ticket);
     if (committed.ok()) {
       entry.committed = true;
       entry.epoch = committed->registry_epoch;
@@ -369,9 +302,7 @@ FleetRolloutReport FleetRouter::PublishAll(
     for (size_t i = 0; i < failed_at; ++i) {
       Node* node = nodes_[i].get();
       FleetNodeRollout& entry = report.nodes[i];
-      auto rolled = WithControl(node, [&](WireClient* control) {
-        return control->Rollback(name);
-      });
+      auto rolled = node->client->Rollback(name);
       if (rolled.ok()) {
         entry.compensated = true;
         entry.epoch = *rolled;
@@ -398,16 +329,12 @@ FleetRolloutReport FleetRouter::PublishAll(
         prior_epoch = node->observed_epoch;
         nonce = probe_nonce_++;
       }
-      auto health = WithControl(node, [nonce](WireClient* control) {
-        return control->Health(nonce);
-      });
+      auto health = node->client->Health(nonce);
       const bool committed_after_all = health.ok() &&
                                        health->staged_ticket != entry.ticket &&
                                        health->registry_epoch != prior_epoch;
       if (committed_after_all) {
-        auto rolled = WithControl(node, [&](WireClient* control) {
-          return control->Rollback(name);
-        });
+        auto rolled = node->client->Rollback(name);
         if (rolled.ok()) {
           entry.compensated = true;
           entry.epoch = *rolled;
@@ -419,16 +346,12 @@ FleetRolloutReport FleetRouter::PublishAll(
       } else {
         // Ticket 0: discard whatever is parked — the node may have died
         // between our stage and this abort, leaving us without a ticket.
-        auto aborted = WithControl(node, [](WireClient* control) {
-          return control->Abort(0);
-        });
+        auto aborted = node->client->Abort(0);
         if (aborted.ok()) entry.aborted = true;
       }
     }
     for (size_t i = failed_at + 1; i < nodes_.size(); ++i) {
-      auto aborted = WithControl(nodes_[i].get(), [&](WireClient* control) {
-        return control->Abort(report.nodes[i].ticket);
-      });
+      auto aborted = nodes_[i]->client->Abort(report.nodes[i].ticket);
       if (aborted.ok()) report.nodes[i].aborted = true;
     }
     report.failure = StrFormat(
@@ -475,9 +398,7 @@ FleetRolloutReport FleetRouter::RollbackAll(std::string_view name) {
     Node* node = nodes_[i].get();
     FleetNodeRollout& entry = report.nodes[i];
     entry.address = node->address;
-    auto rolled = WithControl(node, [&](WireClient* control) {
-      return control->Rollback(name);
-    });
+    auto rolled = node->client->Rollback(name);
     if (rolled.ok()) {
       entry.committed = true;
       entry.epoch = *rolled;

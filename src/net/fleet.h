@@ -8,12 +8,11 @@
 ///
 /// ## Topology
 ///
-/// One FleetRouter holds, per predictor node, one pipelined scoring
-/// connection (net::AsyncWireClient, the PR 7 transport) plus one blocking
-/// control-plane connection (net::WireClient with deadlines) for probes
-/// and rollouts. Tenants hash onto nodes; every scoring call can fail over
-/// to a replica, so a node death under traffic costs retries — never a
-/// failed client call.
+/// One FleetRouter holds one net::WireClient per predictor node: scores,
+/// health probes and rollout steps share that one connection, each with
+/// the same per-request deadline. Tenants hash onto nodes; every scoring
+/// call can fail over to a replica, so a node death under traffic costs
+/// retries — never a failed client call.
 ///
 /// ## Per-node state machine
 ///
@@ -69,7 +68,6 @@
 #include "core/learned_wmp.h"
 #include "core/workload.h"
 #include "engine/fleet_map.h"
-#include "net/async_client.h"
 #include "net/wire_client.h"
 #include "util/status.h"
 #include "workloads/query_record.h"
@@ -86,12 +84,11 @@ enum class NodeHealth : uint8_t {
 const char* NodeHealthName(NodeHealth health);
 
 struct FleetRouterOptions {
-  /// Deadlines on everything the router does to a node: connect, a
-  /// pipelined score response, a control-plane round trip. A hung node
-  /// must cost a bounded wait, then the state machine takes over.
+  /// Deadlines on everything the router does to a node: connect, then
+  /// each request (a score, a probe, a rollout step). A hung node must
+  /// cost a bounded wait, then the state machine takes over.
   int connect_timeout_ms = 1000;
-  int request_timeout_ms = 2000;  ///< per pipelined score (AsyncWireClient)
-  int control_timeout_ms = 2000;  ///< read/write deadline, control plane
+  int request_timeout_ms = 2000;
   /// Probe cadence of the background health thread (<= 0 disables the
   /// thread; tests drive ProbeNow() instead for determinism).
   int probe_interval_ms = 200;
@@ -105,7 +102,7 @@ struct FleetRouterOptions {
   uint32_t backoff_cap_ms = 200;
   /// Seeds tenant hashing and retry jitter (deterministic chaos tests).
   uint64_t seed = 1;
-  size_t max_inflight = 32;  ///< per-node pipelined window
+  size_t max_inflight = 32;  ///< score requests in flight per node
   size_t max_payload_bytes = 64ull << 20;
 };
 
@@ -207,11 +204,8 @@ class FleetRouter {
     uint64_t scores_failed = 0;
     uint64_t probes_ok = 0;
     uint64_t probes_failed = 0;
-    /// Pipelined data plane; replaced on stream death (under conn_mutex).
-    std::shared_ptr<AsyncWireClient> pipe;
-    /// Blocking control plane (probes, stage/commit/abort/rollback).
-    std::unique_ptr<WireClient> control;
-    std::mutex conn_mutex;  ///< guards pipe/control setup + control use
+    /// The node's one connection; it reconnects itself after a failure.
+    std::unique_ptr<WireClient> client;
   };
 
   /// Which activity an outcome came from — scoring and probing keep their
@@ -222,18 +216,6 @@ class FleetRouter {
   /// then suspect, then probing (unknown beats known-dead), then — as the
   /// final resort — down nodes; never one already in `tried`.
   Node* PickNode(uint64_t tenant_hash, const std::vector<Node*>& tried);
-  /// Returns a live pipelined client, (re)connecting if needed.
-  Result<std::shared_ptr<AsyncWireClient>> EnsurePipe(Node* node);
-  /// One scoring attempt against one node.
-  Result<std::vector<Result<double>>> ScoreOnNode(
-      Node* node, std::string_view tenant,
-      const std::vector<workloads::QueryRecord>& records,
-      const std::vector<core::WorkloadBatch>& batches);
-  /// Runs `op` against the node's control client under its conn_mutex,
-  /// connecting first if needed; a transport error resets the client.
-  template <typename Op>
-  auto WithControl(Node* node, Op&& op)
-      -> decltype(op(static_cast<WireClient*>(nullptr)));
 
   void MarkSuccess(Node* node, OutcomeKind kind);
   void MarkFailure(Node* node, OutcomeKind kind);

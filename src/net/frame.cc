@@ -87,8 +87,6 @@ const char* FrameTypeName(FrameType type) {
   switch (type) {
     case FrameType::kPing: return "ping";
     case FrameType::kPong: return "pong";
-    case FrameType::kScoreRequest: return "score-request";
-    case FrameType::kScoreResponse: return "score-response";
     case FrameType::kPublishRequest: return "publish-request";
     case FrameType::kPublishResponse: return "publish-response";
     case FrameType::kStatsRequest: return "stats-request";

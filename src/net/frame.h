@@ -4,8 +4,8 @@
 /// \file frame.h
 /// Length-prefixed binary frame codec — the unit of the wire protocol.
 ///
-/// Every message between a client (net::WireClient, net::AsyncWireClient)
-/// and net::ReactorServer is one frame:
+/// Every message between net::WireClient and net::ReactorServer is one
+/// frame:
 ///
 ///   offset 0  u32  magic  0x31464D57 ("WMF1", little-endian)
 ///   offset 4  u8   type   (FrameType)
@@ -35,27 +35,26 @@
 namespace wmp::net {
 
 /// Message kinds carried by a frame. Requests are even, their responses
-/// odd, so a response type is always `request | 1`.
+/// odd, so a response type is always `request | 1`. Values 2 and 3 (the
+/// retired uncorrelated score pair) stay unassigned; a server answers
+/// them with kError like any unknown type.
 enum class FrameType : uint8_t {
   kPing = 0,
   kPong = 1,
-  kScoreRequest = 2,
-  kScoreResponse = 3,
   kPublishRequest = 4,
   kPublishResponse = 5,
   kStatsRequest = 6,
   kStatsResponse = 7,
   kRollbackRequest = 8,
   kRollbackResponse = 9,
-  /// \name Pipelined scoring (net::AsyncWireClient <-> net::ReactorServer).
+  /// \name Scoring, the one correlated request.
   ///
-  /// Payload is a u32 correlation id followed by the plain
+  /// Payload is a u32 correlation id followed by the
   /// ScoreRequest/ScoreResponse encoding. A client may have many of these
   /// in flight on one connection and the server answers in COMPLETION
   /// order, not request order — the correlation id is how responses find
-  /// their request. The plain (non-pipelined) frame types above keep strict
-  /// request/response ordering, which is what the blocking
-  /// net::WireClient relies on.
+  /// their request. Every other (plain) frame type is answered inline, in
+  /// request order.
   /// @{
   kScoreRequestPipelined = 10,
   kScoreResponsePipelined = 11,
@@ -84,7 +83,7 @@ enum class FrameType : uint8_t {
   kAbortRequest = 18,
   kAbortResponse = 19,
   /// @}
-  /// Failure of one pipelined request: u32 correlation id + ErrorBody.
+  /// Failure of one score request: u32 correlation id + ErrorBody.
   /// Unlike kError it indicts a single in-flight request, not the stream.
   kErrorPipelined = 253,
   /// Server-side failure report: payload is a protocol::ErrorBody.

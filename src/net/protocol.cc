@@ -42,11 +42,11 @@ std::string EncodeScoreRequest(
   for (const core::WorkloadBatch& b : batches) {
     WriteIndexVec(&w, b.query_indices);
   }
-  return w.buffer();
+  return w.TakeBuffer();
 }
 
-Result<ScoreRequest> DecodeScoreRequest(const std::string& payload) {
-  BinaryReader r(payload);
+Result<ScoreRequest> DecodeScoreRequest(std::string payload) {
+  BinaryReader r(std::move(payload));
   ScoreRequest request;
   WMP_ASSIGN_OR_RETURN(request.tenant, r.ReadString());
   WMP_ASSIGN_OR_RETURN(request.records,

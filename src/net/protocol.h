@@ -9,8 +9,8 @@
 /// primitives, and every Decode is bounds-checked — a malformed or
 /// truncated payload yields a Status, never UB. The encodings are shared
 /// verbatim by net::ReactorServer (through net::RequestDispatcher) and
-/// both clients (and unit-tested symmetrically), so the two sides cannot
-/// drift.
+/// net::WireClient (and unit-tested symmetrically), so the two sides
+/// cannot drift.
 ///
 /// Request/response summary:
 ///
@@ -18,6 +18,8 @@
 ///                   + per-workload member indices; one frame scores many
 ///                   workloads — the wire analogue of a BatchScorer call.
 ///   ScoreResponse   one {ok, prediction | error} per workload, in order.
+///                   Both score payloads travel behind a correlation id
+///                   (EncodePipelinedPayload below).
 ///   PublishRequest  model name + serialized LearnedWmpModel artifact;
 ///                   the server installs it on EVERY shard (PublishAll)
 ///                   and records it in its ModelRegistry.
@@ -166,7 +168,9 @@ std::string EncodeScoreRequest(
     std::string_view tenant,
     const std::vector<workloads::QueryRecord>& records,
     const std::vector<core::WorkloadBatch>& batches);
-Result<ScoreRequest> DecodeScoreRequest(const std::string& payload);
+/// Takes the payload by value: a request can run to megabytes, and a
+/// caller done with its bytes moves them in instead of copying.
+Result<ScoreRequest> DecodeScoreRequest(std::string payload);
 
 std::string EncodeScoreResponse(const ScoreResponse& response);
 Result<ScoreResponse> DecodeScoreResponse(const std::string& payload);
@@ -205,8 +209,9 @@ uint64_t ArtifactChecksum(std::string_view model_bytes);
 /// \name Pipelined-frame payload framing.
 ///
 /// A kScoreRequestPipelined / kScoreResponsePipelined / kErrorPipelined
-/// payload is a u32 correlation id followed by the corresponding plain
-/// payload encoding — compose these with the Encode/Decode pairs above.
+/// payload is a u32 correlation id followed by the ScoreRequest,
+/// ScoreResponse or ErrorBody encoding — compose these with the
+/// Encode/Decode pairs above.
 /// @{
 std::string EncodePipelinedPayload(uint32_t correlation_id,
                                    std::string_view body);

@@ -336,7 +336,7 @@ void ReactorServer::ParseFrames(const std::shared_ptr<Conn>& conn) {
       // Bad magic or oversize announced length: the stream is
       // desynchronized (or hostile) and there is no next frame boundary
       // to find. Answer once, flush, close — neighbors keep streaming.
-      PushOrdered(conn, ErrorFrame(frame.status()));
+      AppendFrame(conn, ErrorFrame(frame.status()));
       conn->closing = true;
       conn->rbuf.clear();
       conn->rpos = 0;
@@ -364,10 +364,7 @@ void ReactorServer::HandleFrame(const std::shared_ptr<Conn>& conn,
   frames_served_.fetch_add(1, std::memory_order_relaxed);
   switch (frame.type) {
     case FrameType::kPing:
-      PushOrdered(conn, Frame{FrameType::kPong, std::move(frame.payload)});
-      return;
-    case FrameType::kScoreRequest:
-      HandleScoreFrame(conn, frame);
+      AppendFrame(conn, Frame{FrameType::kPong, std::move(frame.payload)});
       return;
     case FrameType::kScoreRequestPipelined:
       HandlePipelinedScoreFrame(conn, frame);
@@ -376,49 +373,32 @@ void ReactorServer::HandleFrame(const std::shared_ptr<Conn>& conn,
       // Control plane: executes inline on the loop thread. A rollout
       // serializes on the service's publish mutex anyway; the few ms of
       // deserialize+swap are invisible next to training a replacement.
-      PushOrdered(conn, dispatcher_.HandlePublish(frame));
+      AppendFrame(conn, dispatcher_.HandlePublish(frame));
       return;
     case FrameType::kRollbackRequest:
-      PushOrdered(conn, dispatcher_.HandleRollback(frame));
+      AppendFrame(conn, dispatcher_.HandleRollback(frame));
       return;
     case FrameType::kStatsRequest:
-      PushOrdered(conn, dispatcher_.HandleStats(WireCounters()));
+      AppendFrame(conn, dispatcher_.HandleStats(WireCounters()));
       return;
     case FrameType::kHealthRequest:
-      PushOrdered(conn, dispatcher_.HandleHealth(frame));
+      AppendFrame(conn, dispatcher_.HandleHealth(frame));
       return;
     case FrameType::kStageRequest:
       // Inline like publish: stage validates + deserializes but installs
       // nothing; commit is the same PublishAll a kPublishRequest runs.
-      PushOrdered(conn, dispatcher_.HandleStage(frame));
+      AppendFrame(conn, dispatcher_.HandleStage(frame));
       return;
     case FrameType::kCommitRequest:
-      PushOrdered(conn, dispatcher_.HandleCommit(frame));
+      AppendFrame(conn, dispatcher_.HandleCommit(frame));
       return;
     case FrameType::kAbortRequest:
-      PushOrdered(conn, dispatcher_.HandleAbort(frame));
+      AppendFrame(conn, dispatcher_.HandleAbort(frame));
       return;
     default:
-      PushOrdered(conn, RequestDispatcher::UnexpectedFrame(frame.type));
+      AppendFrame(conn, RequestDispatcher::UnexpectedFrame(frame.type));
       return;
   }
-}
-
-void ReactorServer::HandleScoreFrame(const std::shared_ptr<Conn>& conn,
-                                     const Frame& frame) {
-  auto decoded = DecodeScoreRequest(frame.payload);
-  if (!decoded.ok()) {
-    PushOrdered(conn, ErrorFrame(decoded.status()));
-    return;
-  }
-  auto pending = std::make_unique<PendingScore>();
-  pending->conn = conn;
-  pending->request = std::make_unique<ScoreRequest>(std::move(*decoded));
-  pending->slot_id = OpenSlot(conn);
-  pending->futures = dispatcher_.SubmitScore(*pending->request);
-  pending->outcomes.reserve(pending->futures.size());
-  ++conn->pending_scores;
-  pendings_.push_back(std::move(pending));
 }
 
 void ReactorServer::HandlePipelinedScoreFrame(
@@ -426,28 +406,22 @@ void ReactorServer::HandlePipelinedScoreFrame(
   std::string body;
   auto correlation_id = DecodePipelinedPayload(frame.payload, &body);
   if (!correlation_id.ok()) {
-    // No id to indict: degrade to a stream-level error, which the async
-    // client treats as fatal for its in-flight window.
-    PushOrdered(conn, ErrorFrame(correlation_id.status()));
+    // No id to indict: degrade to a stream-level error, which the client
+    // treats as fatal for everything in flight on the connection.
+    AppendFrame(conn, ErrorFrame(correlation_id.status()));
     return;
   }
-  pipelined_frames_.fetch_add(1, std::memory_order_relaxed);
-  auto decoded = DecodeScoreRequest(body);
+  auto decoded = DecodeScoreRequest(std::move(body));
   if (!decoded.ok()) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    ErrorBody error;
-    error.code = static_cast<uint8_t>(decoded.status().code());
-    error.message = decoded.status().message();
-    AppendFrame(conn,
-                Frame{FrameType::kErrorPipelined,
-                      EncodePipelinedPayload(*correlation_id,
-                                             EncodeErrorBody(error))});
+    AppendFrame(conn, Frame{FrameType::kErrorPipelined,
+                            EncodePipelinedPayload(
+                                *correlation_id,
+                                ErrorFrame(decoded.status()).payload)});
     return;
   }
   auto pending = std::make_unique<PendingScore>();
   pending->conn = conn;
   pending->request = std::make_unique<ScoreRequest>(std::move(*decoded));
-  pending->pipelined = true;
   pending->correlation_id = *correlation_id;
   pending->futures = dispatcher_.SubmitScore(*pending->request);
   pending->outcomes.reserve(pending->futures.size());
@@ -455,55 +429,12 @@ void ReactorServer::HandlePipelinedScoreFrame(
   pendings_.push_back(std::move(pending));
 }
 
-void ReactorServer::PushOrdered(const std::shared_ptr<Conn>& conn,
-                                Frame frame) {
-  if (frame.type == FrameType::kError) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-  ResponseSlot slot;
-  slot.id = conn->next_slot_id++;
-  slot.ready = true;
-  slot.frame = std::move(frame);
-  conn->slots.push_back(std::move(slot));
-  FlushReadySlots(conn);
-}
-
-uint64_t ReactorServer::OpenSlot(const std::shared_ptr<Conn>& conn) {
-  ResponseSlot slot;
-  slot.id = conn->next_slot_id++;
-  slot.ready = false;
-  conn->slots.push_back(std::move(slot));
-  return conn->slots.back().id;
-}
-
-void ReactorServer::CompleteSlot(const std::shared_ptr<Conn>& conn,
-                                 uint64_t slot_id, Frame frame) {
-  for (ResponseSlot& slot : conn->slots) {
-    if (slot.id == slot_id) {
-      if (frame.type == FrameType::kError) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-      slot.frame = std::move(frame);
-      slot.ready = true;
-      break;
-    }
-  }
-  FlushReadySlots(conn);
-}
-
-void ReactorServer::FlushReadySlots(const std::shared_ptr<Conn>& conn) {
-  // Plain responses leave in request order: only the longest READY prefix
-  // may be written. Pipelined responses never enter the slot queue.
-  while (!conn->slots.empty() && conn->slots.front().ready) {
-    Frame frame = std::move(conn->slots.front().frame);
-    conn->slots.pop_front();
-    AppendFrame(conn, frame);
-    if (conn->fd < 0) return;  // write failure tore the connection down
-  }
-}
-
 void ReactorServer::AppendFrame(const std::shared_ptr<Conn>& conn,
                                 const Frame& frame) {
+  if (frame.type == FrameType::kError ||
+      frame.type == FrameType::kErrorPipelined) {
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+  }
   if (conn->fd < 0) return;
   conn->wbuf += EncodeFrame(frame.type, frame.payload);
   TryWrite(conn);
@@ -575,16 +506,9 @@ void ReactorServer::DrainCompletions() {
     }
     const std::shared_ptr<Conn>& conn = pending.conn;
     if (conn->fd >= 0) {
-      Frame response =
-          RequestDispatcher::BuildScoreResponse(std::move(pending.outcomes));
-      if (pending.pipelined) {
-        AppendFrame(conn, Frame{FrameType::kScoreResponsePipelined,
-                                EncodePipelinedPayload(
-                                    pending.correlation_id,
-                                    response.payload)});
-      } else {
-        CompleteSlot(conn, pending.slot_id, std::move(response));
-      }
+      AppendFrame(conn, RequestDispatcher::BuildScoreResponse(
+                            pending.correlation_id,
+                            std::move(pending.outcomes)));
     }
     --conn->pending_scores;
     if (conn->fd >= 0) MaybeFinishClose(conn);
@@ -627,7 +551,7 @@ void ReactorServer::CloseIdleConns() {
 }
 
 void ReactorServer::MaybeFinishClose(const std::shared_ptr<Conn>& conn) {
-  if (conn->closing && conn->slots.empty() && conn->pending_scores == 0 &&
+  if (conn->closing && conn->pending_scores == 0 &&
       conn->wpos == conn->wbuf.size()) {
     Teardown(conn);
   }
@@ -677,8 +601,6 @@ ReactorCounters ReactorServer::stats() const {
   counters.backpressure_pauses =
       backpressure_pauses_.load(std::memory_order_relaxed);
   counters.idle_closed = idle_closed_.load(std::memory_order_relaxed);
-  counters.pipelined_frames =
-      pipelined_frames_.load(std::memory_order_relaxed);
   return counters;
 }
 

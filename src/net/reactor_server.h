@@ -35,12 +35,11 @@
 ///    zero-timeout polls and writes the responses. Publish/rollback/stats
 ///    frames execute inline — they are control-plane rare and must
 ///    serialize against rollouts anyway.
-///  * **Ordering.** Plain frames keep strict request→response order per
-///    connection, which the blocking net::WireClient relies on (an ordered
-///    response-slot queue holds completed responses until their
-///    predecessors finish). kScoreRequestPipelined frames answer in
-///    completion order, matched by correlation id — that is what lets
-///    net::AsyncWireClient keep N requests in flight per connection.
+///  * **Ordering.** Score frames (kScoreRequestPipelined) answer in
+///    completion order, matched by correlation id — that is what lets one
+///    net::WireClient keep many requests in flight per connection. Every
+///    other frame is answered inline as it is parsed, so plain responses
+///    leave in request order without any queue.
 ///  * **Backpressure.** Responses are buffered per connection and written
 ///    as the socket accepts them (write interest toggles on partial
 ///    writes). When a slow reader's buffer passes the high watermark the
@@ -60,7 +59,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -96,7 +94,6 @@ struct ReactorCounters {
   WireServerCounters wire;
   uint64_t backpressure_pauses = 0;  ///< reads paused on the high watermark
   uint64_t idle_closed = 0;          ///< connections reaped by the timeout
-  uint64_t pipelined_frames = 0;     ///< kScoreRequestPipelined served
 };
 
 /// \brief Event-loop socket server exposing a ScoringService + ModelRegistry.
@@ -140,14 +137,6 @@ class ReactorServer {
     bool error = false;
   };
 
-  /// A response waiting for its place in the plain (non-pipelined)
-  /// request→response order of one connection.
-  struct ResponseSlot {
-    uint64_t id = 0;
-    bool ready = false;
-    Frame frame;
-  };
-
   struct Conn {
     int fd = -1;
     /// Inbound bytes not yet parsed; `rpos` is the consumed prefix
@@ -159,12 +148,10 @@ class ReactorServer {
     std::string wbuf;
     size_t wpos = 0;
     bool read_paused = false;  ///< backpressure: over the high watermark
-    bool closing = false;      ///< flush slots + wbuf, then close
+    bool closing = false;      ///< flush wbuf, then close
     bool registered_read = false;
     bool registered_write = false;
     uint64_t pending_scores = 0;  ///< parked score requests on this conn
-    uint64_t next_slot_id = 0;
-    std::deque<ResponseSlot> slots;
     std::chrono::steady_clock::time_point last_activity;
   };
 
@@ -176,9 +163,7 @@ class ReactorServer {
     std::unique_ptr<ScoreRequest> request;
     std::vector<std::future<Result<double>>> futures;
     std::vector<Result<double>> outcomes;
-    bool pipelined = false;
     uint32_t correlation_id = 0;
-    uint64_t slot_id = 0;  ///< plain requests only
   };
 
   void RunLoop();
@@ -187,20 +172,10 @@ class ReactorServer {
   void OnWritable(const std::shared_ptr<Conn>& conn);
   void ParseFrames(const std::shared_ptr<Conn>& conn);
   void HandleFrame(const std::shared_ptr<Conn>& conn, Frame frame);
-  void HandleScoreFrame(const std::shared_ptr<Conn>& conn,
-                        const Frame& frame);
   void HandlePipelinedScoreFrame(const std::shared_ptr<Conn>& conn,
                                  const Frame& frame);
-  /// Appends a frame at the back of the plain response order.
-  void PushOrdered(const std::shared_ptr<Conn>& conn, Frame frame);
-  /// Opens an unfilled slot in the plain response order; CompleteSlot
-  /// fills it (possibly much later) and flushes what became writable.
-  uint64_t OpenSlot(const std::shared_ptr<Conn>& conn);
-  void CompleteSlot(const std::shared_ptr<Conn>& conn, uint64_t slot_id,
-                    Frame frame);
-  void FlushReadySlots(const std::shared_ptr<Conn>& conn);
   /// Encodes `frame` into the connection's write buffer and writes what
-  /// the socket will take now.
+  /// the socket will take now; error frames count as protocol errors.
   void AppendFrame(const std::shared_ptr<Conn>& conn, const Frame& frame);
   /// Writes buffered bytes until the kernel pushes back; manages write
   /// interest, backpressure resume, and deferred close.
@@ -236,7 +211,6 @@ class ReactorServer {
   std::atomic<uint64_t> accept_failures_{0};
   std::atomic<uint64_t> backpressure_pauses_{0};
   std::atomic<uint64_t> idle_closed_{0};
-  std::atomic<uint64_t> pipelined_frames_{0};
 };
 
 }  // namespace wmp::net

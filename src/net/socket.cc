@@ -13,6 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "util/strings.h"
@@ -252,24 +253,16 @@ Result<int> ConnectTo(const std::string& address, int timeout_ms) {
   return fd;
 }
 
-Status SetIoDeadlines(int fd, int recv_timeout_ms, int send_timeout_ms) {
-  const auto set = [fd](int opt, int ms, const char* what) -> Status {
-    timeval tv{};
-    tv.tv_sec = ms / 1000;
-    tv.tv_usec = (ms % 1000) * 1000;
+Status SetIoDeadlines(int fd, int timeout_ms) {
+  const int ms = std::max(timeout_ms, 0);
+  timeval tv{};
+  tv.tv_sec = ms / 1000;
+  tv.tv_usec = (ms % 1000) * 1000;
+  for (const int opt : {SO_RCVTIMEO, SO_SNDTIMEO}) {
     if (::setsockopt(fd, SOL_SOCKET, opt, &tv, sizeof(tv)) < 0) {
       if (errno == ENOTSOCK) return Status::OK();  // pipes in tests
-      return Errno(what);
+      return Errno("setsockopt(SO_RCVTIMEO/SO_SNDTIMEO)");
     }
-    return Status::OK();
-  };
-  if (recv_timeout_ms >= 0) {
-    WMP_RETURN_IF_ERROR(set(SO_RCVTIMEO, recv_timeout_ms,
-                            "setsockopt(SO_RCVTIMEO)"));
-  }
-  if (send_timeout_ms >= 0) {
-    WMP_RETURN_IF_ERROR(set(SO_SNDTIMEO, send_timeout_ms,
-                            "setsockopt(SO_SNDTIMEO)"));
   }
   return Status::OK();
 }

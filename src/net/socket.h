@@ -3,8 +3,7 @@
 
 /// \file socket.h
 /// Address parsing and socket setup shared by the wire-protocol endpoints:
-/// the event-loop net::ReactorServer and its two clients, the blocking
-/// net::WireClient and the pipelined net::AsyncWireClient.
+/// the event-loop net::ReactorServer and its client, net::WireClient.
 ///
 /// Addresses come in two spellings:
 ///
@@ -15,7 +14,7 @@
 ///                          port, reported back by Listener::port()
 ///
 /// Everything here is thin POSIX. Sockets are created blocking (what the
-/// clients want); the reactor flips its listener and every accepted
+/// client wants); the reactor flips its listener and every accepted
 /// connection to nonblocking via SetNonBlocking and drives them from one
 /// poll/epoll loop (see reactor_server.h).
 
@@ -78,11 +77,12 @@ class Listener {
 /// fd is blocking either way.
 Result<int> ConnectTo(const std::string& address, int timeout_ms = 0);
 
-/// Arms SO_RCVTIMEO / SO_SNDTIMEO on `fd` (0 disables a direction). Once
-/// armed, a stalled read/write fails with EAGAIN, which ReadSome/SendSome
-/// callers surface as kDeadlineExceeded. A no-op on non-socket
-/// descriptors (pipes in tests), so frame I/O code need not care.
-Status SetIoDeadlines(int fd, int recv_timeout_ms, int send_timeout_ms);
+/// Arms SO_RCVTIMEO and SO_SNDTIMEO on `fd` with `timeout_ms` (<= 0
+/// disables both). Once armed, a stalled read/write fails with EAGAIN,
+/// which ReadSome/SendSome callers surface as kDeadlineExceeded. A no-op
+/// on non-socket descriptors (pipes in tests), so frame I/O code need not
+/// care.
+Status SetIoDeadlines(int fd, int timeout_ms);
 
 /// \name Shared low-level I/O — the ONE place src/net handles SIGPIPE and
 /// EINTR, instead of per-call-site patches.
@@ -104,8 +104,8 @@ ssize_t ReadSome(int fd, void* data, size_t n);
 void CloseConnection(int fd);
 
 /// Sets or clears O_NONBLOCK on `fd`. The reactor flips every accepted
-/// connection (and the listener itself) to nonblocking; the clients never
-/// call this.
+/// connection (and the listener itself) to nonblocking; the client never
+/// calls this.
 Status SetNonBlocking(int fd, bool nonblocking);
 
 /// EINTR-correct close(2), safe on -1 — the one way every endpoint

@@ -1,9 +1,15 @@
 #include "net/wire_client.h"
 
 #include <poll.h>
+#include <sys/socket.h>
 
-#include <chrono>
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <deque>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "net/backoff.h"
@@ -14,94 +20,364 @@
 
 namespace wmp::net {
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+constexpr Clock::time_point kNever = Clock::time_point::max();
+
+// Reads the next frame, giving up at `deadline` with OutOfRange (the
+// codec's "nothing yet" code; ReadFrame never returns it).
+Result<Frame> ReadBefore(int fd, Clock::time_point deadline,
+                        const FrameLimits& limits) {
+  if (deadline != kNever) {
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
+    pollfd ready{fd, POLLIN, 0};
+    const int n = ::poll(&ready, 1,
+                         static_cast<int>(std::max<int64_t>(left.count(), 0)));
+    if (n == 0 || (n < 0 && errno == EINTR)) {
+      return Status::OutOfRange("no frame before the deadline");
+    }
+  }
+  return ReadFrame(fd, limits);
+}
+
+Result<std::vector<Result<double>>> ScoreOutcomes(const Frame& frame,
+                                                  size_t workloads) {
+  if (frame.type == FrameType::kErrorPipelined) {
+    return StatusFromError(DecodeErrorBody(frame.payload));
+  }
+  WMP_ASSIGN_OR_RETURN(ScoreResponse response,
+                       DecodeScoreResponse(frame.payload));
+  if (response.size() != workloads) {
+    return Status::Internal(
+        StrFormat("server answered %zu workloads for a %zu-workload request",
+                  response.size(), workloads));
+  }
+  std::vector<Result<double>> outcomes;
+  outcomes.reserve(response.size());
+  for (size_t i = 0; i < response.size(); ++i) {
+    if (response.ok[i]) {
+      outcomes.emplace_back(response.predictions[i]);
+    } else {
+      outcomes.emplace_back(Status::Internal(response.errors[i]));
+    }
+  }
+  return outcomes;
+}
+
+}  // namespace
+
+/// One request on the wire. A plain request is answered in order with the
+/// connection's other plain requests; a score request by its correlation
+/// id, in completion order.
+struct WireClient::Call {
+  Clock::time_point deadline = kNever;
+  bool done = false;
+  Result<Frame> response = Status::Internal("unanswered");
+};
+
+/// One connection. Callers using it hold a reference, so the descriptor
+/// is closed only after the last of them lets go: a dead stream's fd
+/// number is never reused under a reader or a writer.
+struct WireClient::Stream {
+  explicit Stream(int fd) : fd(fd) {}
+  ~Stream() { CloseFd(fd); }
+  const int fd;
+  // The rest is guarded by WireClient::mutex_.
+  bool dead = false;
+  Status death;
+  bool reading = false;  ///< a waiting caller owns the read side
+  std::deque<std::shared_ptr<Call>> plain;  ///< unanswered, in send order
+  std::unordered_map<uint32_t, std::shared_ptr<Call>> scores;
+  /// Score ids whose deadline passed; their late answers are dropped
+  /// instead of indicting the stream.
+  std::unordered_set<uint32_t> expired;
+};
+
 WireClient::WireClient(std::string address, WireClientOptions options)
     : address_(std::move(address)),
       options_(options),
       backoff_state_(options.jitter_seed ^
                      util::HashBytes(address_.data(), address_.size(),
-                                     0x574D504A49545452ull)) {}  // "WMPJITTR"
+                                     0x574D504A49545452ull)) {  // "WMPJITTR"
+  options_.max_inflight = std::max<size_t>(options_.max_inflight, 1);
+  limits_.max_payload_bytes = options_.max_payload_bytes;
+}
 
 WireClient::~WireClient() { Close(); }
 
 Status WireClient::Connect() {
-  if (fd_ >= 0) {
-    // A plain connection holds no unread bytes between round trips, so a
-    // readable socket means the server hung up (e.g. its idle timeout).
-    // Reconnect now: a write into the dead TCP stream would only fail at
-    // the response read, where a non-idempotent request cannot resend.
-    pollfd pending{fd_, POLLIN, 0};
-    if (::poll(&pending, 1, 0) == 0) return Status::OK();
-    Close();
-  }
-  WMP_ASSIGN_OR_RETURN(fd_, ConnectTo(address_, options_.connect_timeout_ms));
-  if (Status st = SetIoDeadlines(fd_, options_.read_timeout_ms,
-                                 options_.write_timeout_ms);
-      !st.ok()) {
-    Close();
-    return st;
-  }
-  return Status::OK();
+  std::lock_guard<std::mutex> lock(mutex_);
+  return LiveStream().status();
 }
 
 void WireClient::Close() {
-  CloseConnection(fd_);
-  fd_ = -1;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (const std::shared_ptr<Stream> open = stream_) {
+    Kill(*open, Status::FailedPrecondition("connection closed"));
+  }
+}
+
+bool WireClient::connected() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stream_ != nullptr;
+}
+
+Result<std::shared_ptr<WireClient::Stream>> WireClient::LiveStream() {
+  if (stream_ != nullptr && !stream_->reading && stream_->plain.empty() &&
+      stream_->scores.empty()) {
+    // Nothing is owed on an idle stream, so EOF on it means the server
+    // hung up (e.g. its idle timeout). Reconnect now: a write into the
+    // dead TCP stream would only fail at the response read, where a
+    // non-idempotent request cannot resend. Bytes waiting instead are a
+    // late answer to an expired request, which the next reader drops.
+    char byte;
+    const ssize_t n =
+        ::recv(stream_->fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+    if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                   errno != EINTR)) {
+      const std::shared_ptr<Stream> idle = stream_;
+      Kill(*idle, Status::IOError("server closed the idle connection"));
+    }
+  }
+  if (stream_ == nullptr) {
+    WMP_ASSIGN_OR_RETURN(const int fd,
+                         ConnectTo(address_, options_.connect_timeout_ms));
+    auto stream = std::make_shared<Stream>(fd);
+    WMP_RETURN_IF_ERROR(SetIoDeadlines(fd, options_.request_timeout_ms));
+    stream_ = std::move(stream);
+  }
+  return stream_;
+}
+
+template <typename Done>
+void WireClient::ReadUntil(std::unique_lock<std::mutex>& lock, Stream& stream,
+                           Done done) {
+  for (;;) {
+    const Clock::time_point deadline = ExpireOverdue(stream);
+    if (done() || stream.dead) return;
+    if (stream.reading) {
+      // Another caller holds the socket; it hands our frame over, or
+      // wakes us when it leaves so one of us can take the socket.
+      const auto wake = [&] {
+        return done() || stream.dead || !stream.reading;
+      };
+      if (deadline == kNever) {
+        cv_.wait(lock, wake);
+      } else {
+        cv_.wait_until(lock, deadline, wake);
+      }
+      continue;
+    }
+    stream.reading = true;
+    lock.unlock();
+    Result<Frame> frame = ReadBefore(stream.fd, deadline, limits_);
+    lock.lock();
+    stream.reading = false;
+    Deliver(stream, std::move(frame));
+    cv_.notify_all();
+  }
+}
+
+Result<WireClient::Pending> WireClient::Send(FrameType type,
+                                             std::string* payload) {
+  const bool correlated = type == FrameType::kScoreRequestPipelined;
+  Pending pending;
+  pending.call_ = std::make_shared<Call>();
+  Call& call = *pending.call_;
+  uint32_t id = 0;
+  // Writes go out one frame at a time, and plain requests register in the
+  // order they are written: that order is how their answers find them.
+  std::unique_lock<std::mutex> write_lock(write_mutex_);
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    WMP_ASSIGN_OR_RETURN(pending.stream_, LiveStream());
+    Stream& stream = *pending.stream_;
+    if (correlated) {
+      ReadUntil(lock, stream, [&] {
+        return stream.scores.size() < options_.max_inflight;
+      });
+      if (stream.dead) return stream.death;
+      id = next_id_++;
+      if (next_id_ == 0) next_id_ = 1;
+      stream.scores.emplace(id, pending.call_);
+    } else {
+      stream.plain.push_back(pending.call_);
+    }
+    if (options_.request_timeout_ms > 0) {
+      call.deadline = Clock::now() + std::chrono::milliseconds(
+                                         options_.request_timeout_ms);
+    }
+  }
+  if (correlated) {
+    // The id slot EncodePipelinedPayload put at the payload's front.
+    std::memcpy(payload->data(), &id, sizeof(id));
+  }
+  const Status written = WriteFrame(pending.stream_->fd, type, *payload);
+  write_lock.unlock();
+  if (!written.ok()) {
+    // At most a truncated frame reached the peer, which discards it
+    // undecoded — but the stream position is lost for everyone.
+    std::lock_guard<std::mutex> lock(mutex_);
+    Kill(*pending.stream_, written);
+    return written;
+  }
+  return pending;
+}
+
+Result<Frame> WireClient::Await(const Pending& pending) {
+  Call& call = *pending.call_;
+  std::unique_lock<std::mutex> lock(mutex_);
+  ReadUntil(lock, *pending.stream_, [&] { return call.done; });
+  return std::move(call.response);
+}
+
+void WireClient::Deliver(Stream& stream, Result<Frame> frame) {
+  if (!frame.ok()) {
+    if (frame.status().IsOutOfRange()) return;  // deadline poll: no frame
+    Kill(stream, frame.status().IsNotFound()
+                     ? Status::IOError("server closed the connection")
+                     : frame.status());
+    return;
+  }
+  if (frame->type == FrameType::kScoreResponsePipelined ||
+      frame->type == FrameType::kErrorPipelined) {
+    std::string body;
+    auto id = DecodePipelinedPayload(frame->payload, &body);
+    if (!id.ok()) {
+      Kill(stream, id.status());
+      return;
+    }
+    auto it = stream.scores.find(*id);
+    if (it == stream.scores.end()) {
+      // Lateness is not desynchronization; an id never issued is.
+      if (stream.expired.erase(*id) == 0) {
+        Kill(stream, Status::Internal(StrFormat(
+                         "unmatched correlation id %u on a score response",
+                         *id)));
+      }
+      return;
+    }
+    it->second->response = Frame{frame->type, std::move(body)};
+    it->second->done = true;
+    stream.scores.erase(it);
+    return;
+  }
+  if (stream.plain.empty()) {
+    // Nothing plain is owed: a kError indicts the stream (e.g. a frame the
+    // server could not attribute to a request); anything else means the
+    // two sides disagree about it.
+    Kill(stream, frame->type == FrameType::kError
+                     ? StatusFromError(DecodeErrorBody(frame->payload))
+                     : Status::Internal(StrFormat(
+                           "unexpected %s frame on the connection",
+                           FrameTypeName(frame->type))));
+    return;
+  }
+  Call& call = *stream.plain.front();
+  call.response = std::move(*frame);
+  call.done = true;
+  stream.plain.pop_front();
+}
+
+Clock::time_point WireClient::ExpireOverdue(Stream& stream) {
+  if (options_.request_timeout_ms <= 0 || stream.dead) return kNever;
+  const Clock::time_point now = Clock::now();
+  if (!stream.plain.empty() && stream.plain.front()->deadline <= now) {
+    Kill(stream, Status::DeadlineExceeded(
+                     StrFormat("no response within %d ms; connection dropped",
+                               options_.request_timeout_ms)));
+    return kNever;
+  }
+  Clock::time_point earliest =
+      stream.plain.empty() ? kNever : stream.plain.front()->deadline;
+  for (auto it = stream.scores.begin(); it != stream.scores.end();) {
+    Call& call = *it->second;
+    if (call.deadline > now) {
+      earliest = std::min(earliest, call.deadline);
+      ++it;
+      continue;
+    }
+    call.response = Status::DeadlineExceeded(
+        StrFormat("no response within %d ms (stream still up; only this "
+                  "request failed)",
+                  options_.request_timeout_ms));
+    call.done = true;
+    stream.expired.insert(it->first);
+    it = stream.scores.erase(it);
+    cv_.notify_all();
+  }
+  return earliest;
+}
+
+void WireClient::Kill(Stream& stream, const Status& why) {
+  if (!stream.dead) {
+    stream.dead = true;
+    stream.death = why;
+    // Wakes a reader parked in poll/read and a writer parked in send; the
+    // descriptor itself closes when the last caller lets go.
+    ::shutdown(stream.fd, SHUT_RDWR);
+    for (auto& call : stream.plain) {
+      call->response = why;
+      call->done = true;
+    }
+    for (auto& [id, call] : stream.scores) {
+      call->response = why;
+      call->done = true;
+    }
+    stream.plain.clear();
+    stream.scores.clear();
+    stream.expired.clear();
+  }
+  if (stream_.get() == &stream) stream_.reset();
+  cv_.notify_all();
 }
 
 Result<Frame> WireClient::RoundTrip(FrameType request, std::string payload,
                                     FrameType expected_response,
                                     bool idempotent) {
-  FrameLimits limits;
-  limits.max_payload_bytes = options_.max_payload_bytes;
-  // One transparent retry for failures that provably happened BEFORE the
-  // server could have executed the request: Connect and WriteFrame
-  // failures mean at most a truncated frame reached the peer (which it
-  // discards undecoded), so any request is safe to resend. A failed
-  // *response read* is different — the server may well have executed the
-  // request and died writing back — so only idempotent requests (score,
-  // ping, stats) retry across it; publish/rollback surface the error and
-  // let the operator check registry state rather than risk applying a
-  // rollout twice.
-  // Retries pace themselves with bounded exponential backoff + full
-  // jitter, so a fleet of clients retrying against a recovering server
-  // doesn't arrive in synchronized waves.
-  const int attempts = options_.max_attempts < 1 ? 1 : options_.max_attempts;
+  // A failed *response read* may follow server-side execution, so only
+  // idempotent requests retry across it; publish/rollback/commit surface
+  // the error rather than risk applying a rollout twice. Retries pace
+  // themselves with backoff + full jitter, so a fleet of clients retrying
+  // against a recovering server doesn't arrive in synchronized waves.
+  const int attempts = std::max(options_.max_attempts, 1);
   Status last_error = Status::OK();
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
-      const uint32_t delay_ms =
-          BackoffDelayMs(&backoff_state_, attempt - 1,
-                         options_.backoff_base_ms, options_.backoff_cap_ms);
+      uint32_t delay_ms = 0;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        delay_ms = BackoffDelayMs(&backoff_state_, attempt - 1,
+                                  options_.backoff_base_ms,
+                                  options_.backoff_cap_ms);
+      }
       if (delay_ms > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
       }
     }
-    if (Status st = Connect(); !st.ok()) {
-      last_error = st;
+    auto pending = Send(request, &payload);
+    if (!pending.ok()) {
+      last_error = pending.status();
       continue;
     }
-    Status write = WriteFrame(fd_, request, payload);
-    if (!write.ok()) {
-      last_error = write;
-      Close();
-      continue;
-    }
-    auto response = ReadFrame(fd_, limits);
+    auto response = Await(*pending);
     if (!response.ok()) {
-      last_error = response.status().IsNotFound()
-                       ? Status::IOError("server closed the connection")
-                       : response.status();
-      Close();
+      last_error = response.status();
       if (!idempotent) return last_error;
       continue;
     }
-    if (response->type == FrameType::kError) {
+    if (response->type == FrameType::kError ||
+        response->type == FrameType::kErrorPipelined) {
       // Protocol-level rejection: the connection is still framed and
       // reusable; only this request failed.
       return StatusFromError(DecodeErrorBody(response->payload));
     }
     if (response->type != expected_response) {
-      Close();  // desynchronized — do not reuse the stream
+      std::lock_guard<std::mutex> lock(mutex_);
+      Kill(*pending->stream_,
+           Status::Internal("connection desynchronized"));
       return Status::Internal(
           StrFormat("expected %s frame, got %s",
                     FrameTypeName(expected_response),
@@ -125,28 +401,32 @@ Result<std::vector<Result<double>>> WireClient::ScoreWorkloads(
     std::string_view tenant,
     const std::vector<workloads::QueryRecord>& records,
     const std::vector<core::WorkloadBatch>& batches) {
-  WMP_ASSIGN_OR_RETURN(
-      Frame frame,
-      RoundTrip(FrameType::kScoreRequest,
-                EncodeScoreRequest(tenant, records, batches),
-                FrameType::kScoreResponse));
-  WMP_ASSIGN_OR_RETURN(ScoreResponse response,
-                       DecodeScoreResponse(frame.payload));
-  if (response.size() != batches.size()) {
-    return Status::Internal(
-        StrFormat("server answered %zu workloads for a %zu-workload request",
-                  response.size(), batches.size()));
-  }
-  std::vector<Result<double>> outcomes;
-  outcomes.reserve(response.size());
-  for (size_t i = 0; i < response.size(); ++i) {
-    if (response.ok[i]) {
-      outcomes.emplace_back(response.predictions[i]);
-    } else {
-      outcomes.emplace_back(Status::Internal(response.errors[i]));
-    }
-  }
-  return outcomes;
+  // Built in its own statement, so the bare encoding is freed before the
+  // frame is: a large request is held twice at most, not three times.
+  std::string payload =
+      EncodePipelinedPayload(0, EncodeScoreRequest(tenant, records, batches));
+  WMP_ASSIGN_OR_RETURN(Frame frame,
+                       RoundTrip(FrameType::kScoreRequestPipelined,
+                                 std::move(payload),
+                                 FrameType::kScoreResponsePipelined));
+  return ScoreOutcomes(frame, batches.size());
+}
+
+Result<WireClient::Pending> WireClient::SubmitScore(
+    std::string_view tenant,
+    const std::vector<workloads::QueryRecord>& records,
+    const std::vector<core::WorkloadBatch>& batches) {
+  std::string payload =
+      EncodePipelinedPayload(0, EncodeScoreRequest(tenant, records, batches));
+  WMP_ASSIGN_OR_RETURN(Pending pending,
+                       Send(FrameType::kScoreRequestPipelined, &payload));
+  pending.workloads_ = batches.size();
+  return pending;
+}
+
+Result<std::vector<Result<double>>> WireClient::Wait(Pending pending) {
+  WMP_ASSIGN_OR_RETURN(Frame frame, Await(pending));
+  return ScoreOutcomes(frame, pending.workloads_);
 }
 
 Result<uint64_t> WireClient::Publish(std::string_view name,

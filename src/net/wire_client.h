@@ -3,27 +3,37 @@
 
 /// \file wire_client.h
 /// Client side of the wire protocol: what a DBMS admission controller (or
-/// wmpctl / the benches) embeds to consult a remote ScoringService.
+/// wmpctl, the benches, net::FleetRouter) embeds to consult a remote
+/// ScoringService.
 ///
-///  * **Connection reuse.** One client holds one blocking connection and
-///    pipelines request/response pairs over it; Connect is automatic on
-///    first use, after an I/O failure (one transparent reconnect per call
-///    — a restarted server looks like a slow call, not an error), and
-///    when the server has closed the idle pooled connection.
-///  * **Batched score requests.** `ScoreWorkloads` mirrors
-///    engine::BatchScorer::ScoreWorkloads: one frame carries the whole
-///    record batch plus every workload's member indices, the server
-///    micro-batches them through its shards, and one frame returns every
-///    outcome — the request count is per *call*, not per workload.
-///  * **Rollouts.** `Publish` ships a locally-trained artifact
-///    (LearnedWmpModel::Serialize bytes) and returns the registry epoch
-///    the server now serves; `Rollback` restores the previous epoch.
-///
-/// Thread-safety: a WireClient is a single connection and is NOT
-/// thread-safe; give each client thread its own instance (they multiplex
-/// fine on the server side).
+///  * **One connection, any number of callers.** The client is
+///    thread-safe. It connects on first use, after a stream failure, and
+///    when the server has closed the idle connection.
+///  * **Correlated score frames.** Every score request is a
+///    kScoreRequestPipelined frame with a correlation id, answered in
+///    completion order; up to `max_inflight` share the connection.
+///    `ScoreWorkloads` is one blocking round trip, `SubmitScore` + `Wait`
+///    keep a window open. One frame carries a record batch plus every
+///    workload's member indices, so requests count per call, not per
+///    workload. Every other request is plain and answered in order.
+///  * **No client threads.** A caller waiting for an answer reads the
+///    socket itself, one reader at a time, and hands other callers'
+///    frames to them; the others sleep until their frame arrives or the
+///    reader leaves. Nothing sits between a caller and its socket.
+///  * **Deadlines.** With `request_timeout_ms` set, each request has that
+///    long to be answered (the waiting reader's poll timeout). An overdue
+///    score fails alone, and its late answer is dropped when it comes. An
+///    overdue plain request drops the connection: plain answers carry no
+///    id, so a late one would land on the next plain request.
+///  * **Failures.** EOF, an I/O error, or an undecodable or unmatched
+///    frame fails every request in flight on the connection; the next
+///    request reconnects.
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,24 +49,23 @@ namespace wmp::net {
 struct WireClientOptions {
   /// Receiver-side frame bound (see FrameLimits).
   size_t max_payload_bytes = 64ull << 20;
-  /// \name Deadlines (0 = unbounded, the pre-hardening behavior).
-  ///
-  /// connect_timeout_ms bounds connect(2) itself (see ConnectTo);
-  /// read/write_timeout_ms arm SO_RCVTIMEO/SO_SNDTIMEO, so a stalled
-  /// server surfaces as kDeadlineExceeded instead of parking the caller
-  /// forever. A deadline error closes the connection (the stream position
-  /// is unknowable once a frame may be half-transferred).
-  /// @{
+  /// Score requests in flight on the connection at once. A submit beyond
+  /// it first reads responses until one is answered (flow control, not
+  /// latency): deep enough to hide wire latency, shallow enough that one
+  /// client cannot monopolize the server's flush windows.
+  size_t max_inflight = 32;
+  /// Bounds connect(2) itself (0 = OS default; see ConnectTo).
   int connect_timeout_ms = 0;
-  int read_timeout_ms = 0;
-  int write_timeout_ms = 0;
-  /// @}
-  /// Total tries per call, >= 1. The default keeps the original "one
-  /// transparent resend" behavior; a router talking to a flapping node
-  /// raises it. Retries beyond the first pace themselves with bounded
-  /// exponential backoff + full jitter (net/backoff.h). Regardless of
-  /// attempts left, a non-idempotent request NEVER resends after a failed
-  /// response read — see RoundTrip.
+  /// Per-request deadline (0 = unbounded). Also arms SO_RCVTIMEO and
+  /// SO_SNDTIMEO, so a peer that stalls inside a frame fails the stream
+  /// instead of parking the reader forever.
+  int request_timeout_ms = 0;
+  /// Total tries per blocking call, >= 1. The default keeps the original
+  /// "one transparent resend" behavior; a router talking to a flapping
+  /// node sets 1 and owns the retry policy itself. Retries beyond the
+  /// first pace themselves with bounded exponential backoff + full jitter
+  /// (net/backoff.h). Regardless of attempts left, a non-idempotent
+  /// request NEVER resends after a failed response read — see RoundTrip.
   int max_attempts = 2;
   uint32_t backoff_base_ms = 10;
   uint32_t backoff_cap_ms = 1000;
@@ -65,21 +74,38 @@ struct WireClientOptions {
   uint64_t jitter_seed = 0;
 };
 
-/// \brief One reusable client connection to a net::ReactorServer.
+/// \brief One shared, thread-safe client connection to a
+/// net::ReactorServer.
 class WireClient {
+ private:
+  struct Call;
+  struct Stream;
+
  public:
+  /// A submitted score request, redeemed once by Wait. It must not
+  /// outlive its client.
+  class Pending {
+   private:
+    friend class WireClient;
+    std::shared_ptr<Stream> stream_;
+    std::shared_ptr<Call> call_;
+    size_t workloads_ = 0;
+  };
+
   explicit WireClient(std::string address, WireClientOptions options = {});
+  /// Fails whatever is still in flight. No call may be running.
   ~WireClient();
   WireClient(WireClient&&) = delete;
   WireClient(const WireClient&) = delete;
   WireClient& operator=(const WireClient&) = delete;
 
   /// Establishes the connection now (otherwise the first call does).
-  /// Reconnects first if the server has hung up on the pooled one.
+  /// Reconnects first if the server has hung up on the idle one.
   Status Connect();
-  /// Drops the connection; the next call reconnects.
+  /// Drops the connection, failing every request in flight on it; the
+  /// next call reconnects.
   void Close();
-  bool connected() const { return fd_ >= 0; }
+  bool connected() const;
   const std::string& address() const { return address_; }
 
   /// Round-trips a ping (connectivity / liveness probe).
@@ -93,6 +119,21 @@ class WireClient {
       std::string_view tenant,
       const std::vector<workloads::QueryRecord>& records,
       const std::vector<core::WorkloadBatch>& batches);
+
+  /// \name Windowed scoring: ScoreWorkloads split in two, without its
+  /// retries, so one caller can keep several requests in flight.
+  /// @{
+  /// Encodes and sends one score request. `records` may be released as
+  /// soon as this returns. Blocks only while `max_inflight` requests are
+  /// unanswered.
+  Result<Pending> SubmitScore(
+      std::string_view tenant,
+      const std::vector<workloads::QueryRecord>& records,
+      const std::vector<core::WorkloadBatch>& batches);
+  /// Blocks until the request is answered, failed, or overdue; same
+  /// result shape as ScoreWorkloads. Requests may be waited in any order.
+  Result<std::vector<Result<double>>> Wait(Pending pending);
+  /// @}
 
   /// Serializes `model` and publishes it across every server shard under
   /// `name` (server default when empty). Returns the registry epoch now
@@ -124,20 +165,50 @@ class WireClient {
   /// @}
 
  private:
-  /// Sends one request frame and reads its response, reconnecting and
-  /// resending once when the failure provably preceded server-side
-  /// execution (connect/write failures). `idempotent` additionally allows
-  /// the resend after a failed response READ — safe for score/ping/stats,
-  /// never for publish/rollback (the server may have applied them before
-  /// the response was lost). kError frames convert to their carried
-  /// Status.
+  /// Sends one request and waits for its response, reconnecting and
+  /// resending when the failure provably preceded server-side execution
+  /// (connect/write failures). `idempotent` additionally allows the
+  /// resend after a failed response READ — safe for score/ping/stats,
+  /// never for publish/rollback/commit (the server may have applied them
+  /// before the response was lost). kError frames convert to their
+  /// carried Status.
   Result<Frame> RoundTrip(FrameType request, std::string payload,
                           FrameType expected_response,
                           bool idempotent = true);
+  /// Registers and writes one request on the live stream; a score
+  /// request's payload gets its correlation id stamped in. A failure here
+  /// means the request never reached the server whole.
+  Result<Pending> Send(FrameType type, std::string* payload);
+  /// Reads (or waits for another reader) until `pending` is answered.
+  Result<Frame> Await(const Pending& pending);
+  /// The live stream, (re)connecting when there is none or the server
+  /// hung up on the idle one. Requires mutex_.
+  Result<std::shared_ptr<Stream>> LiveStream();
+  /// Reads frames, one reader at a time, until `done()` holds or the
+  /// stream dies. Requires mutex_ (held by `lock`).
+  template <typename Done>
+  void ReadUntil(std::unique_lock<std::mutex>& lock, Stream& stream,
+                 Done done);
+  /// Hands one read outcome to the request it answers. Requires mutex_.
+  void Deliver(Stream& stream, Result<Frame> frame);
+  /// Fails overdue requests; returns the earliest deadline still pending.
+  /// Requires mutex_.
+  std::chrono::steady_clock::time_point ExpireOverdue(Stream& stream);
+  /// Marks the stream dead, fails everything in flight on it, and wakes
+  /// its reader. Requires mutex_.
+  void Kill(Stream& stream, const Status& why);
 
   std::string address_;
   WireClientOptions options_;
-  int fd_ = -1;
+  FrameLimits limits_;
+  /// Serializes frame writes (and orders plain requests as they register).
+  std::mutex write_mutex_;
+  /// Guards the stream's bookkeeping, next_id_ and backoff_state_.
+  mutable std::mutex mutex_;
+  /// Signaled when a response lands or the reader leaves the socket.
+  std::condition_variable cv_;
+  std::shared_ptr<Stream> stream_;
+  uint32_t next_id_ = 1;  ///< correlation ids; 0 is never issued
   uint64_t backoff_state_ = 0;  ///< jitter RNG; seeded in the constructor
 };
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -37,6 +38,8 @@ class BinaryWriter {
   void WriteIntVec(const std::vector<int>& v);
 
   const std::string& buffer() const { return buf_; }
+  /// Moves the accumulated bytes out, leaving the writer empty.
+  std::string TakeBuffer() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
 
   /// Writes the accumulated buffer to `path`, replacing any existing file.

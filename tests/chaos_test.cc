@@ -1,6 +1,6 @@
 // Chaos tests: the deterministic net::FaultInjector itself, the hardened
-// clients under scripted faults (idempotent retries, the publish
-// never-resend rule, read deadlines, per-request pipelined deadlines),
+// client under scripted faults (idempotent retries, the publish
+// never-resend rule, read deadlines, per-request score deadlines),
 // the reactor under concurrent hostile connections, and the fleet
 // router's commit-failure compensation — the scenario where a commit
 // response is lost AFTER the node applied it, which the router must
@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,7 +23,6 @@
 #include "engine/batch_scorer.h"
 #include "engine/model_registry.h"
 #include "engine/scoring_service.h"
-#include "net/async_client.h"
 #include "net/fault_inject.h"
 #include "net/fleet.h"
 #include "net/frame.h"
@@ -189,7 +187,7 @@ TEST(FaultInjectorTest, ScriptedFaultsFireAtExactOpIndexesOnTargetedFds) {
 // ---------- WireClient under faults ----------
 
 TEST_F(ChaosTest, WireClientRetriesIdempotentCallsAcrossResets) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("retry");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -202,8 +200,7 @@ TEST_F(ChaosTest, WireClientRetriesIdempotentCallsAcrossResets) {
   copts.max_attempts = 3;
   copts.backoff_base_ms = 1;
   copts.backoff_cap_ms = 2;
-  copts.read_timeout_ms = 2000;
-  copts.write_timeout_ms = 2000;
+  copts.request_timeout_ms = 2000;
   net::WireClient client(address, copts);
   ASSERT_TRUE(client.Connect().ok());
 
@@ -230,7 +227,7 @@ TEST_F(ChaosTest, WireClientRetriesIdempotentCallsAcrossResets) {
 }
 
 TEST_F(ChaosTest, PublishAppliesOnceAndNeverResendsAcrossALostResponse) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
   net::ReactorServer server(&service, &registry, "default");
@@ -279,7 +276,7 @@ TEST_F(ChaosTest, PublishAppliesOnceAndNeverResendsAcrossALostResponse) {
 
 TEST_F(ChaosTest, WireClientReadDeadlineFailsFastAgainstAStalledServer) {
   // A hand-rolled server that accepts, swallows the request, and answers
-  // nothing: without SO_RCVTIMEO the client would park forever.
+  // nothing: without a deadline the client would park forever.
   net::Listener listener;
   const std::string address = SocketAddress("stall");
   ASSERT_TRUE(listener.Listen(address).ok());
@@ -294,7 +291,7 @@ TEST_F(ChaosTest, WireClientReadDeadlineFailsFastAgainstAStalledServer) {
   });
 
   net::WireClientOptions copts;
-  copts.read_timeout_ms = 100;
+  copts.request_timeout_ms = 100;
   copts.max_attempts = 1;
   net::WireClient client(address, copts);
   const auto started = std::chrono::steady_clock::now();
@@ -302,16 +299,16 @@ TEST_F(ChaosTest, WireClientReadDeadlineFailsFastAgainstAStalledServer) {
   const auto waited = std::chrono::steady_clock::now() - started;
   EXPECT_TRUE(outcome.IsDeadlineExceeded()) << outcome.ToString();
   EXPECT_FALSE(client.connected())
-      << "a deadline mid-frame must drop the connection";
+      << "a plain request's deadline must drop the connection";
   EXPECT_LT(waited, std::chrono::seconds(2));
   fake.join();
 }
 
-// ---------- AsyncWireClient per-request deadlines ----------
+// ---------- Per-request score deadlines ----------
 
 TEST_F(ChaosTest, PipelinedDeadlineFailsOnlyTheStalledFutureStreamIntact) {
   // The server answers requests 1 and 3 immediately, withholds 2 past its
-  // deadline, then delivers it LATE. Exactly future 2 must fail (with
+  // deadline, then delivers it LATE. Exactly request 2 must fail (with
   // kDeadlineExceeded), the others succeed, the late response is dropped
   // quietly, and the stream keeps serving new requests.
   net::Listener listener;
@@ -358,48 +355,47 @@ TEST_F(ChaosTest, PipelinedDeadlineFailsOnlyTheStalledFutureStreamIntact) {
     net::CloseConnection(*fd);
   });
 
-  net::AsyncWireClientOptions aopts;
-  aopts.request_timeout_ms = 150;
-  auto client = net::AsyncWireClient::Connect(address, aopts);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  net::WireClientOptions copts;
+  copts.request_timeout_ms = 150;
+  net::WireClient client(address, copts);
   const auto batches = engine::MakeConsecutiveBatches(
       dataset_->records.size(), dataset_->records.size());
-  std::vector<std::future<Result<net::ScoreResponse>>> futures;
+  std::vector<net::WireClient::Pending> pending;
   for (int i = 0; i < 3; ++i) {
-    auto future = (*client)->SubmitScore("t", dataset_->records, batches);
-    ASSERT_TRUE(future.ok()) << future.status().ToString();
-    futures.push_back(std::move(*future));
+    auto submitted = client.SubmitScore("t", dataset_->records, batches);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    pending.push_back(std::move(*submitted));
   }
-  auto first = futures[0].get();
+  auto first = client.Wait(std::move(pending[0]));
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(first->predictions[0], 1.0);
-  auto third = futures[2].get();
+  EXPECT_EQ(*(*first)[0], 1.0);
+  auto third = client.Wait(std::move(pending[2]));
   ASSERT_TRUE(third.ok()) << third.status().ToString();
-  EXPECT_EQ(third->predictions[0], 3.0);
-  auto second = futures[1].get();
+  EXPECT_EQ(*(*third)[0], 3.0);
+  auto second = client.Wait(std::move(pending[1]));
   ASSERT_FALSE(second.ok());
   EXPECT_TRUE(second.status().IsDeadlineExceeded())
       << second.status().ToString();
-  EXPECT_TRUE((*client)->alive())
+  EXPECT_TRUE(client.connected())
       << "one expired request must not kill the stream";
 
   // Wait for the late response for the expired id to arrive; it must be
   // discarded instead of being read as a desynchronized stream.
   while (!late_sent) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  auto fourth = (*client)->SubmitScore("t", dataset_->records, batches);
+  auto fourth = client.SubmitScore("t", dataset_->records, batches);
   ASSERT_TRUE(fourth.ok()) << fourth.status().ToString();
-  auto outcome = fourth->get();
+  auto outcome = client.Wait(std::move(*fourth));
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(outcome->predictions[0], 4.0);
-  EXPECT_TRUE((*client)->alive());
-  (*client)->Close();
+  EXPECT_EQ(*(*outcome)[0], 4.0);
+  EXPECT_TRUE(client.connected());
+  client.Close();
   fake.join();
 }
 
 // ---------- Reactor under concurrent hostile connections ----------
 
 TEST_F(ChaosTest, ReactorStaysBitwiseCorrectUnderConnectionChaos) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("hostile");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -428,7 +424,7 @@ TEST_F(ChaosTest, ReactorStaysBitwiseCorrectUnderConnectionChaos) {
       if (!fd.ok()) continue;
       // Valid header promising 4096 payload bytes; deliver 16 and die.
       const std::string wire = net::EncodeFrame(
-          net::FrameType::kScoreRequest, std::string(4096, 'x'));
+          net::FrameType::kScoreRequestPipelined, std::string(4096, 'x'));
       net::SendSome(*fd, wire.data(), net::kFrameHeaderBytes + 16);
       net::CloseConnection(*fd);
     }
@@ -445,25 +441,24 @@ TEST_F(ChaosTest, ReactorStaysBitwiseCorrectUnderConnectionChaos) {
   std::thread attackers[3] = {std::thread(slow_loris), std::thread(truncator),
                               std::thread(garbage)};
 
-  auto client = net::AsyncWireClient::Connect(address);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  std::vector<std::future<Result<net::ScoreResponse>>> futures;
+  net::WireClient client(address);
+  std::vector<net::WireClient::Pending> pending;
   for (const core::WorkloadBatch& batch : batches) {
-    auto future = (*client)->SubmitScore(
+    auto submitted = client.SubmitScore(
         "t", dataset_->records, std::vector<core::WorkloadBatch>{batch});
-    ASSERT_TRUE(future.ok()) << future.status().ToString();
-    futures.push_back(std::move(*future));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    pending.push_back(std::move(*submitted));
   }
-  for (size_t w = 0; w < futures.size(); ++w) {
-    auto outcome = futures[w].get();
+  for (size_t w = 0; w < pending.size(); ++w) {
+    auto outcome = client.Wait(std::move(pending[w]));
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_EQ(outcome->size(), 1u);
-    ASSERT_TRUE(outcome->ok[0]);
-    EXPECT_EQ(outcome->predictions[0], want[w]) << "w=" << w;
+    ASSERT_TRUE((*outcome)[0].ok());
+    EXPECT_EQ(*(*outcome)[0], want[w]) << "w=" << w;
   }
   stop = true;
   for (auto& attacker : attackers) attacker.join();
-  (*client)->Close();
+  client.Close();
 
   // The server survived all of it and still answers a fresh connection.
   net::WireClient prober(address);
@@ -484,7 +479,8 @@ TEST_F(ChaosTest, CommitResponseLossTriggersCompensationBackToPriorEpoch) {
     engine::ModelRegistry registry;
     net::ReactorServer server;
     TestNode(const core::LearnedWmpModel* model)
-        : service({model}), server(&service, &registry, "default") {}
+        : service({Borrow(model)}),
+          server(&service, &registry, "default") {}
   };
   std::vector<std::unique_ptr<TestNode>> fleet;
   std::vector<std::string> addresses;
@@ -509,7 +505,7 @@ TEST_F(ChaosTest, CommitResponseLossTriggersCompensationBackToPriorEpoch) {
   net::FleetRouter router(addresses, ropts);
   ASSERT_TRUE(router.Start().ok());  // probes run before the injector arms
 
-  // Reactor nodes do no blocking frame ops, so the router's control-plane
+  // Reactor nodes do no blocking frame ops, so the router's per-node
   // clients are the only ops counted. PublishAll: stage = ops 0..5
   // (write/read per node), commit node 0 = ops 6,7, commit node 1 =
   // write 8, read 9 — reset op 9, the commit response read.

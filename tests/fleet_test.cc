@@ -97,7 +97,7 @@ class FleetTest : public ::testing::Test {
     std::string address;
 
     TestNode(const core::LearnedWmpModel* model, std::string addr)
-        : service({model}),
+        : service({Borrow(model)}),
           server(&service, &registry, "default"),
           address(std::move(addr)) {}
     ~TestNode() { Down(); }
@@ -120,7 +120,6 @@ class FleetTest : public ::testing::Test {
     opts.probe_interval_ms = 0;
     opts.connect_timeout_ms = 500;
     opts.request_timeout_ms = 3000;
-    opts.control_timeout_ms = 3000;
     opts.down_after_failures = 2;
     opts.backoff_base_ms = 1;  // keep retries fast in tests
     opts.backoff_cap_ms = 4;

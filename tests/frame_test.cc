@@ -42,12 +42,13 @@ struct Pipe {
 
 TEST(FrameTest, EncodeDecodeRoundTrip) {
   const std::string payload = "hello workload memory prediction";
-  const std::string wire = EncodeFrame(FrameType::kScoreRequest, payload);
+  const std::string wire =
+      EncodeFrame(FrameType::kScoreRequestPipelined, payload);
   size_t consumed = 0;
   auto frame = DecodeFrame(wire, FrameLimits{}, &consumed);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(consumed, wire.size());
-  EXPECT_EQ(frame->type, FrameType::kScoreRequest);
+  EXPECT_EQ(frame->type, FrameType::kScoreRequestPipelined);
   EXPECT_EQ(frame->payload, payload);
 }
 
@@ -78,7 +79,7 @@ TEST(FrameTest, DecodeRejectsOversizeAnnouncedLength) {
   FrameLimits limits;
   limits.max_payload_bytes = 16;
   const std::string wire =
-      EncodeFrame(FrameType::kScoreRequest, std::string(17, 'x'));
+      EncodeFrame(FrameType::kScoreRequestPipelined, std::string(17, 'x'));
   size_t consumed = 0;
   auto frame = DecodeFrame(wire, limits, &consumed);
   ASSERT_FALSE(frame.ok());

@@ -10,6 +10,8 @@
 #include "core/featurizer.h"
 #include "core/learned_wmp.h"
 #include "core/template_learner.h"
+#include "ml/dtree.h"
+#include "ml/gbt.h"
 #include "ml/regressor.h"
 #include "plan/features.h"
 #include "workloads/dataset.h"
@@ -35,10 +37,11 @@ class PersistenceTest : public ::testing::Test {
 
   static LearnedWmpModel TrainSmall(ml::RegressorKind kind,
                                     TemplateMethod method =
-                                        TemplateMethod::kPlanKMeans) {
+                                        TemplateMethod::kPlanKMeans,
+                                    int num_templates = 8) {
     LearnedWmpOptions opt;
     opt.templates.method = method;
-    opt.templates.num_templates = 8;
+    opt.templates.num_templates = num_templates;
     opt.regressor = kind;
     auto model = LearnedWmpModel::Train(dataset_->records, *indices_,
                                         *dataset_->generator, opt);
@@ -244,6 +247,52 @@ TEST_F(PersistenceTest, CorruptStreamRejected) {
   BinaryReader r(bad);
   EXPECT_TRUE(
       LearnedWmpModel::Deserialize(&r).status().IsInvalidArgument());
+}
+
+// One model's header and templates followed by another model's regressor:
+// the artifact a bad merge or a hand-edited rollout could produce.
+std::string SplicedArtifact(const LearnedWmpModel& head,
+                            const LearnedWmpModel& tail) {
+  BinaryWriter a, b;
+  EXPECT_TRUE(head.Serialize(&a).ok());
+  EXPECT_TRUE(tail.Serialize(&b).ok());
+  return a.buffer().substr(0, a.size() - head.RegressorBytes().value()) +
+         b.buffer().substr(b.size() - tail.RegressorBytes().value());
+}
+
+TEST_F(PersistenceTest, RegressorOfAnotherWidthRejectedAtLoad) {
+  constexpr int kNarrow = 4;
+  const LearnedWmpModel narrow = TrainSmall(
+      ml::RegressorKind::kGbt, TemplateMethod::kPlanKMeans, kNarrow);
+  const LearnedWmpModel wide_gbt = TrainSmall(
+      ml::RegressorKind::kGbt, TemplateMethod::kPlanKMeans, 40);
+  const LearnedWmpModel wide_ridge = TrainSmall(
+      ml::RegressorKind::kRidge, TemplateMethod::kPlanKMeans, 40);
+  // The splice must really read past the 12-wide histogram, or it would
+  // prove nothing: some tree of the wide GBT splits on a feature >= k.
+  bool splits_past_k = false;
+  for (const ml::RegressionTree& tree :
+       dynamic_cast<const ml::GbtRegressor&>(wide_gbt.regressor()).trees()) {
+    for (const ml::TreeNode& node : tree.nodes()) {
+      splits_past_k |= node.feature >= kNarrow;
+    }
+  }
+  ASSERT_TRUE(splits_past_k);
+
+  for (const LearnedWmpModel* wide : {&wide_gbt, &wide_ridge}) {
+    BinaryReader r(SplicedArtifact(narrow, *wide));
+    const auto loaded = LearnedWmpModel::Deserialize(&r);
+    EXPECT_TRUE(loaded.status().IsInvalidArgument())
+        << wide->regressor().Name() << ": " << loaded.status().ToString();
+  }
+  // A twin spliced at the same width is well formed and still decodes.
+  const LearnedWmpModel narrow_ridge = TrainSmall(
+      ml::RegressorKind::kRidge, TemplateMethod::kPlanKMeans, kNarrow);
+  BinaryReader r(SplicedArtifact(narrow, narrow_ridge));
+  const auto twin = LearnedWmpModel::Deserialize(&r);
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+  std::vector<uint32_t> batch{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_TRUE(twin->PredictWorkload(dataset_->records, batch).ok());
 }
 
 TEST_F(PersistenceTest, UntrainedModelRefusesSerialize) {

@@ -1,9 +1,9 @@
 // End-to-end tests of the event-loop serving stack: net::ReactorServer
-// driven by the blocking net::WireClient (plain frames, strict ordering),
-// the pipelined net::AsyncWireClient, every score gated bitwise against
-// in-process engine::BatchScorer, and the reactor's transport edge cases —
-// fragmented frames, slow-reader backpressure, oversize/malformed frame
-// isolation, idle reaping, and publish/rollback under live traffic.
+// driven by net::WireClient — blocking calls, a window of correlated score
+// requests, one client shared by many threads — every score gated bitwise
+// against in-process engine::BatchScorer, and the reactor's transport edge
+// cases: fragmented frames, slow-reader backpressure, oversize/malformed
+// frame isolation, idle reaping, and publish/rollback under live traffic.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,7 +21,6 @@
 #include "engine/batch_scorer.h"
 #include "engine/model_registry.h"
 #include "engine/scoring_service.h"
-#include "net/async_client.h"
 #include "net/frame.h"
 #include "net/reactor_server.h"
 #include "net/socket.h"
@@ -106,7 +104,7 @@ core::LearnedWmpModel* ReactorTest::model2_ = nullptr;
 // ---------- Basic equivalence: blocking client against the reactor ----------
 
 TEST_F(ReactorTest, BlockingClientScoresBitwiseEqualThroughReactor) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   engine::ModelRegistry registry;
   net::ReactorServer server(&service, &registry, "default");
   const std::string address = SocketAddress("equiv");
@@ -131,7 +129,7 @@ TEST_F(ReactorTest, BlockingClientScoresBitwiseEqualThroughReactor) {
 }
 
 TEST_F(ReactorTest, StartNeedsListenAndRunsOneLoop) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   engine::ModelRegistry registry;
   net::ReactorServer server(&service, &registry, "default");
   EXPECT_TRUE(server.Start().IsFailedPrecondition());  // before Listen
@@ -150,7 +148,7 @@ TEST_F(ReactorTest, StartNeedsListenAndRunsOneLoop) {
 // ---------- Incremental reassembly ----------
 
 TEST_F(ReactorTest, ByteAtATimeFramesReassembleCorrectly) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("dribble");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -165,9 +163,10 @@ TEST_F(ReactorTest, ByteAtATimeFramesReassembleCorrectly) {
   const std::vector<double> want = Reference(model_, batches);
   const std::string wire =
       net::EncodeFrame(net::FrameType::kPing, "fragmented") +
-      net::EncodeFrame(net::FrameType::kScoreRequest,
-                       net::EncodeScoreRequest("t", dataset_->records,
-                                               batches));
+      net::EncodeFrame(net::FrameType::kScoreRequestPipelined,
+                       net::EncodePipelinedPayload(
+                           7, net::EncodeScoreRequest("t", dataset_->records,
+                                                      batches)));
   for (char byte : wire) {
     ASSERT_EQ(::write(*fd, &byte, 1), 1);
   }
@@ -177,8 +176,12 @@ TEST_F(ReactorTest, ByteAtATimeFramesReassembleCorrectly) {
   EXPECT_EQ(pong->payload, "fragmented");
   auto response = net::ReadFrame(*fd);
   ASSERT_TRUE(response.ok());
-  ASSERT_EQ(response->type, net::FrameType::kScoreResponse);
-  auto decoded = net::DecodeScoreResponse(response->payload);
+  ASSERT_EQ(response->type, net::FrameType::kScoreResponsePipelined);
+  std::string body;
+  auto corr = net::DecodePipelinedPayload(response->payload, &body);
+  ASSERT_TRUE(corr.ok());
+  EXPECT_EQ(*corr, 7u);
+  auto decoded = net::DecodeScoreResponse(body);
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->size(), batches.size());
   for (size_t w = 0; w < batches.size(); ++w) {
@@ -193,7 +196,7 @@ TEST_F(ReactorTest, ByteAtATimeFramesReassembleCorrectly) {
 // ---------- Backpressure ----------
 
 TEST_F(ReactorTest, SlowReaderTripsBackpressureWithoutLosingFrames) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   net::ReactorServerOptions options;
   options.write_high_watermark = 4096;  // tiny: easy to trip
   net::ReactorServer server(&service, nullptr, "default", options);
@@ -233,7 +236,7 @@ TEST_F(ReactorTest, SlowReaderTripsBackpressureWithoutLosingFrames) {
 // ---------- Hostile input isolation ----------
 
 TEST_F(ReactorTest, OversizeFrameRejectedWithoutStallingOthers) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("oversize");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -278,7 +281,7 @@ TEST_F(ReactorTest, OversizeFrameRejectedWithoutStallingOthers) {
 }
 
 TEST_F(ReactorTest, MalformedFrameKillsOneConnectionLeavesOthersLive) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("garbage");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -316,7 +319,7 @@ TEST_F(ReactorTest, MalformedFrameKillsOneConnectionLeavesOthersLive) {
 // ---------- Concurrency sweep ----------
 
 TEST_F(ReactorTest, SixtyFourConnectionsScoreBitwiseEqual) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("sweep");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -357,13 +360,66 @@ TEST_F(ReactorTest, SixtyFourConnectionsScoreBitwiseEqual) {
   service.Stop();
 }
 
-// ---------- Pipelined client ----------
+TEST_F(ReactorTest, OneClientSharedByEightThreadsStaysBitwise) {
+  engine::ScoringService service({Borrow(model_)});
+  engine::ModelRegistry registry;
+  ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
+  net::ReactorServer server(&service, &registry, "default");
+  const std::string address = SocketAddress("shared");
+  ASSERT_TRUE(server.Listen(address).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  const auto batches =
+      engine::MakeConsecutiveBatches(dataset_->records.size(), 10);
+  const std::vector<double> want = Reference(model_, batches);
+
+  // Eight threads on ONE connection, interleaving correlated score frames
+  // with plain stats and health frames: whichever thread reads the socket
+  // hands every other thread its own answer.
+  net::WireClient client(address);
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        if ((round + t) % 4 == 1) {
+          if (!client.Stats().ok()) failures.fetch_add(1);
+          continue;
+        }
+        if ((round + t) % 4 == 3) {
+          const uint64_t nonce = static_cast<uint64_t>(t * 100 + round);
+          auto health = client.Health(nonce);
+          if (!health.ok() || health->nonce != nonce) failures.fetch_add(1);
+          continue;
+        }
+        const size_t w = static_cast<size_t>(t * 20 + round) % batches.size();
+        auto got =
+            client.ScoreWorkloads("t", dataset_->records,
+                                  std::vector<core::WorkloadBatch>{batches[w]});
+        if (!got.ok() || got->size() != 1 || !(*got)[0].ok()) {
+          failures.fetch_add(1);
+        } else if (*(*got)[0] != want[w]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(server.stats().wire.connections_accepted, 1u)
+      << "every thread must share the client's one connection";
+  server.Shutdown();
+  service.Stop();
+}
+
+// ---------- Windowed scoring ----------
 
 TEST_F(ReactorTest, PipelinedClientCompletesOutOfOrderResponses) {
-  // A hand-rolled server that answers three pipelined requests in REVERSE
+  // A hand-rolled server that answers three score requests in REVERSE
   // order, encoding each request's correlation id into its prediction —
-  // the futures must each resolve with their OWN response, not the
-  // arrival-order one.
+  // each Wait must return its OWN response, not the arrival-order one.
   net::Listener listener;
   const std::string address = SocketAddress("ooo");
   ASSERT_TRUE(listener.Listen(address).ok());
@@ -394,32 +450,30 @@ TEST_F(ReactorTest, PipelinedClientCompletesOutOfOrderResponses) {
     net::CloseConnection(*fd);
   });
 
-  auto client = net::AsyncWireClient::Connect(address);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  net::WireClient client(address);
   const auto batches =
       engine::MakeConsecutiveBatches(dataset_->records.size(),
                                      dataset_->records.size());
-  std::vector<std::future<Result<net::ScoreResponse>>> futures;
+  std::vector<net::WireClient::Pending> pending;
   for (int i = 0; i < 3; ++i) {
-    auto future =
-        (*client)->SubmitScore("t", dataset_->records, batches);
-    ASSERT_TRUE(future.ok()) << future.status().ToString();
-    futures.push_back(std::move(*future));
+    auto submitted = client.SubmitScore("t", dataset_->records, batches);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    pending.push_back(std::move(*submitted));
   }
   // Correlation ids are assigned 1, 2, 3 in submit order; the fake server
-  // answered 3, 2, 1 — each future must still see its own id.
+  // answered 3, 2, 1 — each request must still see its own id.
   for (int i = 0; i < 3; ++i) {
-    auto outcome = futures[i].get();
+    auto outcome = client.Wait(std::move(pending[i]));
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_EQ(outcome->size(), 1u);
-    EXPECT_EQ(outcome->predictions[0], static_cast<double>(i + 1));
+    EXPECT_EQ(*(*outcome)[0], static_cast<double>(i + 1));
   }
   fake.join();
-  (*client)->Close();
+  client.Close();
 }
 
 TEST_F(ReactorTest, PipelinedScoringAgainstReactorMatchesReference) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("pipe");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -429,32 +483,34 @@ TEST_F(ReactorTest, PipelinedScoringAgainstReactorMatchesReference) {
       engine::MakeConsecutiveBatches(dataset_->records.size(), 10);
   const std::vector<double> want = Reference(model_, batches);
 
-  auto client = net::AsyncWireClient::Connect(address);
-  ASSERT_TRUE(client.ok());
-  // Many single-batch requests in flight at once; the reactor answers in
-  // completion order, the correlation ids route them home.
-  std::vector<std::future<Result<net::ScoreResponse>>> futures;
+  // A window of 8 over 30 single-batch requests: submits past the window
+  // read answers first, the reactor answers in completion order, and the
+  // correlation ids route them home.
+  net::WireClientOptions copts;
+  copts.max_inflight = 8;
+  net::WireClient client(address, copts);
+  std::vector<net::WireClient::Pending> pending;
   for (const core::WorkloadBatch& batch : batches) {
-    auto future = (*client)->SubmitScore(
+    auto submitted = client.SubmitScore(
         "t", dataset_->records, std::vector<core::WorkloadBatch>{batch});
-    ASSERT_TRUE(future.ok()) << future.status().ToString();
-    futures.push_back(std::move(*future));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    pending.push_back(std::move(*submitted));
   }
-  for (size_t w = 0; w < futures.size(); ++w) {
-    auto outcome = futures[w].get();
+  for (size_t w = 0; w < pending.size(); ++w) {
+    auto outcome = client.Wait(std::move(pending[w]));
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_EQ(outcome->size(), 1u);
-    ASSERT_TRUE(outcome->ok[0]);
-    EXPECT_EQ(outcome->predictions[0], want[w]) << "w=" << w;
+    ASSERT_TRUE((*outcome)[0].ok());
+    EXPECT_EQ(*(*outcome)[0], want[w]) << "w=" << w;
   }
-  EXPECT_GE(server.stats().pipelined_frames, batches.size());
-  (*client)->Close();
+  EXPECT_GE(server.stats().wire.frames_served, batches.size());
+  client.Close();
   server.Shutdown();
   service.Stop();
 }
 
 TEST_F(ReactorTest, PipelinedErrorIndictsOneRequestNotTheStream) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("pipeerr");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -487,7 +543,7 @@ TEST_F(ReactorTest, PipelinedErrorIndictsOneRequestNotTheStream) {
 // ---------- Rollouts under traffic ----------
 
 TEST_F(ReactorTest, PublishAndRollbackUnderTrafficStayBitwise) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
   net::ReactorServer server(&service, &registry, "default");
@@ -537,7 +593,7 @@ TEST_F(ReactorTest, PublishAndRollbackUnderTrafficStayBitwise) {
 }
 
 TEST_F(ReactorTest, CorruptChecksumPublishRejectedBeforeAnyEpoch) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
   net::ReactorServer server(&service, &registry, "default");
@@ -575,7 +631,7 @@ TEST_F(ReactorTest, CorruptChecksumPublishRejectedBeforeAnyEpoch) {
 // ---------- Idle reaping ----------
 
 TEST_F(ReactorTest, IdleConnectionsAreReaped) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   net::ReactorServerOptions options;
   options.idle_timeout_ms = 50;
   net::ReactorServer server(&service, nullptr, "default", options);

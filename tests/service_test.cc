@@ -296,7 +296,7 @@ TEST(TemplateIdCacheTest, ConcurrentMixedUseIsSafe) {
 // ---------- ScoringService ----------
 
 TEST_F(ServiceTest, SingleShardMatchesScalarPath) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   const auto batches = engine::MakeConsecutiveBatches(400, 10);
   std::vector<std::future<Result<double>>> futures;
   for (const auto& b : batches) {
@@ -326,7 +326,8 @@ TEST_F(ServiceTest, ManyClientsManyShardsEveryFutureResolvesCorrectly) {
   engine::ScoringServiceOptions opt;
   opt.max_batch = 16;
   opt.max_delay_us = 100;
-  engine::ScoringService service({model_, model2_, model_}, opt);
+  engine::ScoringService service(
+      {Borrow(model_), Borrow(model2_), Borrow(model_)}, opt);
 
   constexpr size_t kClients = 8, kPerClient = 60;
   util::Latch start(kClients);
@@ -361,7 +362,7 @@ TEST_F(ServiceTest, ManyClientsManyShardsEveryFutureResolvesCorrectly) {
 TEST_F(ServiceTest, RepeatedWorkloadsHitTheCacheBitwise) {
   engine::ScoringServiceOptions opt;
   opt.cache_capacity = 256;
-  engine::ScoringService service({model_}, opt);
+  engine::ScoringService service({Borrow(model_)}, opt);
   const auto batches = engine::MakeConsecutiveBatches(400, 10);
 
   std::vector<double> cold;
@@ -394,7 +395,7 @@ TEST_F(ServiceTest, BadRequestFailsAloneGoodNeighborsSucceed) {
   opt.max_batch = 64;
   opt.max_delay_us = 5000;  // wide window so the good pair share a flush
   opt.adaptive_flush = false;  // keep the window; adaptive would flush early
-  engine::ScoringService service({model_}, opt);
+  engine::ScoringService service({Borrow(model_)}, opt);
 
   auto good1 = service.Submit("t", dataset_->records, Workload(0, 10));
   // Out-of-range query index: rejected at the Submit trust boundary, before
@@ -430,7 +431,7 @@ TEST_F(ServiceTest, EmptyWorkloadFailsAloneUnderVariableLengthModel) {
   engine::ScoringServiceOptions opt;
   opt.max_delay_us = 5000;  // wide window so all three share a flush
   opt.adaptive_flush = false;  // keep the window; adaptive would flush early
-  engine::ScoringService service({&*model}, opt);
+  engine::ScoringService service({Borrow(&*model)}, opt);
   auto good1 = service.Submit("t", dataset_->records, Workload(0, 10));
   auto empty = service.Submit("t", dataset_->records, {});
   auto good2 = service.Submit("t", dataset_->records, Workload(50, 25));
@@ -457,7 +458,7 @@ TEST_F(ServiceTest, EmptyWorkloadFailsAloneUnderVariableLengthModel) {
 // of abandoning promises or crashing the dispatcher.
 TEST_F(ServiceTest, ScoringFailureResolvesEveryFutureWithError) {
   const core::LearnedWmpModel untrained;
-  engine::ScoringService service({&untrained});
+  engine::ScoringService service({Borrow(&untrained)});
   std::vector<std::future<Result<double>>> futures;
   for (int i = 0; i < 10; ++i) {
     futures.push_back(
@@ -478,7 +479,9 @@ TEST_F(ServiceTest, StopDrainsAcceptedWorkAndRejectsNewWork) {
   opt.max_delay_us = 20000;  // requests sit in the queue when Stop arrives
   opt.adaptive_flush = false;  // adaptive would score them before Stop
   auto service = std::make_unique<engine::ScoringService>(
-      std::vector<const core::LearnedWmpModel*>{model_}, opt);
+      std::vector<std::shared_ptr<const core::LearnedWmpModel>>{
+          Borrow(model_)},
+      opt);
   std::vector<std::future<Result<double>>> futures;
   for (int i = 0; i < 30; ++i) {
     futures.push_back(
@@ -495,7 +498,8 @@ TEST_F(ServiceTest, StopDrainsAcceptedWorkAndRejectsNewWork) {
 }
 
 TEST_F(ServiceTest, RouterIsStableAndCoversShards) {
-  engine::ScoringService service({model_, model2_, model_, model2_});
+  engine::ScoringService service(
+      {Borrow(model_), Borrow(model2_), Borrow(model_), Borrow(model2_)});
   std::set<size_t> seen;
   for (int t = 0; t < 64; ++t) {
     const std::string tenant = "tenant-" + std::to_string(t);
@@ -516,7 +520,7 @@ TEST_F(ServiceTest, MicroBatchingActuallyBatches) {
   // This test is about the fixed collection window; the adaptive
   // controller would trade batch depth for latency on purpose.
   opt.adaptive_flush = false;
-  engine::ScoringService service({model_}, opt);
+  engine::ScoringService service({Borrow(model_)}, opt);
   constexpr size_t kClients = 4, kPerClient = 25;
   util::Latch start(kClients);
   std::vector<std::thread> clients;
@@ -553,7 +557,7 @@ TEST_F(ServiceTest, NovelCombinationsOfKnownQueriesHitTemplateCacheBitwise) {
   engine::ScoringServiceOptions opt;
   opt.cache_capacity = 0;  // disable level 1: isolate the per-query memo
   opt.template_cache_capacity = 4096;
-  engine::ScoringService service({model_}, opt);
+  engine::ScoringService service({Borrow(model_)}, opt);
   const auto batches = engine::MakeConsecutiveBatches(400, 10);
 
   std::vector<double> cold;
@@ -612,7 +616,7 @@ TEST_F(ServiceTest, ConcurrentSubmitWithTinyTemplateCacheStaysCorrect) {
   engine::ScoringServiceOptions opt;
   opt.cache_capacity = 0;         // every workload reaches the binning path
   opt.template_cache_capacity = 16;  // constant eviction under 400 queries
-  engine::ScoringService service({model_}, opt);
+  engine::ScoringService service({Borrow(model_)}, opt);
   constexpr size_t kClients = 4, kPerClient = 40;
   util::Latch start(kClients);
   std::atomic<int> failures{0};
@@ -648,7 +652,7 @@ TEST_F(ServiceTest, AdaptiveFlushSparesClosedLoopClientsTheDelayWindow) {
   engine::ScoringServiceOptions opt;
   opt.max_delay_us = kDelayUs;
   opt.adaptive_flush = true;
-  engine::ScoringService service({model_}, opt);
+  engine::ScoringService service({Borrow(model_)}, opt);
   Stopwatch sw;
   for (int i = 0; i < kRequests; ++i) {
     auto got =
@@ -677,7 +681,7 @@ TEST_F(ServiceTest, FixedDelayFlushesAreDeadlineBoundAndCounted) {
   engine::ScoringServiceOptions opt;
   opt.max_delay_us = kDelayUs;
   opt.adaptive_flush = false;
-  engine::ScoringService service({model_}, opt);
+  engine::ScoringService service({Borrow(model_)}, opt);
   Stopwatch sw;
   for (int i = 0; i < kRequests; ++i) {
     auto got =
@@ -703,7 +707,7 @@ TEST_F(ServiceTest, PublishModelServesNewModelBitwiseAndInvalidatesCaches) {
   engine::ScoringServiceOptions opt;
   opt.cache_capacity = 256;
   opt.template_cache_capacity = 4096;
-  engine::ScoringService service({model_}, opt);
+  engine::ScoringService service({Borrow(model_)}, opt);
   const auto batches = engine::MakeConsecutiveBatches(400, 10);
 
   // Warm both cache levels under the old model.
@@ -748,7 +752,7 @@ TEST_F(ServiceTest, PublishModelServesNewModelBitwiseAndInvalidatesCaches) {
 // bitwise. Also retires an *owned* model under traffic (RCU: the last
 // in-flight reference frees it).
 TEST_F(ServiceTest, PublishModelUnderLiveTrafficLosesNothing) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   constexpr size_t kClients = 4, kPerClient = 60;
   util::Latch start(kClients + 1);
   std::atomic<int> failures{0};

@@ -132,7 +132,8 @@ TEST_F(WireTest, RegistryRecordRollbackAndKeepLast) {
 // ---------- PublishAll ----------
 
 TEST_F(WireTest, PublishAllSwapsEveryShardBitwiseAndRecords) {
-  engine::ScoringService service({model_, model_, model_});
+  engine::ScoringService service(
+      {Borrow(model_), Borrow(model_), Borrow(model_)});
   const auto batches =
       engine::MakeConsecutiveBatches(dataset_->records.size(), 10);
   engine::BatchScorer ref2(model2_);
@@ -162,7 +163,7 @@ TEST_F(WireTest, PublishAllSwapsEveryShardBitwiseAndRecords) {
 }
 
 TEST_F(WireTest, PublishAllRejectsBadArtifactsUntouched) {
-  engine::ScoringService service({model_, model_});
+  engine::ScoringService service({Borrow(model_), Borrow(model_)});
   EXPECT_TRUE(service.PublishAll(nullptr).status().IsInvalidArgument());
   auto untrained = std::make_shared<const core::LearnedWmpModel>();
   EXPECT_TRUE(
@@ -185,7 +186,7 @@ TEST_F(WireTest, PublishAllRejectsBadArtifactsUntouched) {
 TEST_F(WireTest, PublishWarmsTemplateCacheAndKeepsPredictionsBitwise) {
   engine::ScoringServiceOptions sopt;
   sopt.cache_capacity = 0;  // isolate level 2
-  engine::ScoringService service({model_}, sopt);
+  engine::ScoringService service({Borrow(model_)}, sopt);
   service.SetWarmCorpus(&dataset_->records);
   const auto batches =
       engine::MakeConsecutiveBatches(dataset_->records.size(), 10);
@@ -233,7 +234,7 @@ TEST_F(WireTest, PublishWarmsTemplateCacheAndKeepsPredictionsBitwise) {
 }
 
 TEST_F(WireTest, WarmingIsSkippedWithoutACorpus) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   const auto batches =
       engine::MakeConsecutiveBatches(dataset_->records.size(), 10);
   for (const auto& b : batches) {
@@ -250,7 +251,7 @@ TEST_F(WireTest, WarmingIsSkippedWithoutACorpus) {
 // ---------- Wire server end to end ----------
 
 TEST_F(WireTest, PingScoreAndStatsOverUnixSocket) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
   net::ReactorServer server(&service, &registry, "default");
@@ -297,7 +298,7 @@ TEST_F(WireTest, PingScoreAndStatsOverUnixSocket) {
 }
 
 TEST_F(WireTest, ConcurrentClientsAllBitwise) {
-  engine::ScoringService service({model_, model_});
+  engine::ScoringService service({Borrow(model_), Borrow(model_)});
   net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("conc");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -341,7 +342,7 @@ TEST_F(WireTest, ConcurrentClientsAllBitwise) {
 }
 
 TEST_F(WireTest, PublishUnderTrafficThenRollbackRestoresPriorEpochScores) {
-  engine::ScoringService service({model_, model_});
+  engine::ScoringService service({Borrow(model_), Borrow(model_)});
   service.SetWarmCorpus(&dataset_->records);
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
@@ -414,7 +415,7 @@ TEST_F(WireTest, PublishUnderTrafficThenRollbackRestoresPriorEpochScores) {
 }
 
 TEST_F(WireTest, MalformedFramesGetCleanErrorsAndServerSurvives) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   net::ReactorServer server(&service, nullptr, "default");
   const std::string address = SocketAddress("bad");
   ASSERT_TRUE(server.Listen(address).ok());
@@ -440,14 +441,24 @@ TEST_F(WireTest, MalformedFramesGetCleanErrorsAndServerSurvives) {
   {
     // A well-framed but undecodable score payload: error frame, and the
     // connection stays usable.
-    net::WireClient client(address);
     auto fd = net::ConnectTo(address);
     ASSERT_TRUE(fd.ok());
-    ASSERT_TRUE(
-        net::WriteFrame(*fd, net::FrameType::kScoreRequest, "nonsense").ok());
+    ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kScoreRequestPipelined,
+                                "nonsense")
+                    .ok());
     auto error = net::ReadFrame(*fd);
     ASSERT_TRUE(error.ok());
-    EXPECT_EQ(error->type, net::FrameType::kError);
+    EXPECT_EQ(error->type, net::FrameType::kErrorPipelined);
+    // The retired uncorrelated score pair (types 2 and 3) is unknown now:
+    // kError each, and the connection keeps serving.
+    for (const uint8_t retired : {2, 3}) {
+      ASSERT_TRUE(net::WriteFrame(*fd, static_cast<net::FrameType>(retired),
+                                  "nonsense")
+                      .ok());
+      auto rejected = net::ReadFrame(*fd);
+      ASSERT_TRUE(rejected.ok());
+      EXPECT_EQ(rejected->type, net::FrameType::kError);
+    }
     ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kPing, "p").ok());
     auto pong = net::ReadFrame(*fd);
     ASSERT_TRUE(pong.ok());
@@ -459,7 +470,8 @@ TEST_F(WireTest, MalformedFramesGetCleanErrorsAndServerSurvives) {
     auto fd = net::ConnectTo(address);
     ASSERT_TRUE(fd.ok());
     ASSERT_TRUE(
-        net::WriteFrame(*fd, net::FrameType::kScoreResponse, "").ok());
+        net::WriteFrame(*fd, net::FrameType::kScoreResponsePipelined, "")
+            .ok());
     auto error = net::ReadFrame(*fd);
     ASSERT_TRUE(error.ok());
     EXPECT_EQ(error->type, net::FrameType::kError);
@@ -474,7 +486,7 @@ TEST_F(WireTest, MalformedFramesGetCleanErrorsAndServerSurvives) {
 }
 
 TEST_F(WireTest, PublishRejectsCorruptArtifactAndKeepsServing) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
   net::ReactorServer server(&service, &registry, "default");
@@ -520,7 +532,7 @@ TEST_F(WireTest, PublishChecksumCatchesWireCorruptionBeforeAnyEpoch) {
   // model bytes must be rejected at DecodePublishRequest (the error
   // names the checksum), leaving the registry epoch count untouched —
   // the artifact never even reaches Deserialize.
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model_)).ok());
   net::ReactorServer server(&service, &registry, "default");
@@ -569,7 +581,7 @@ TEST_F(WireTest, PublishedArtifactServesThroughCompiledEnsemble) {
   // deserialize must rebuild the compiled ensemble (model_ is GBT — a tree
   // family), which then serves scores bitwise equal to the training-side
   // model's own.
-  engine::ScoringService service({model2_});
+  engine::ScoringService service({Borrow(model2_)});
   engine::ModelRegistry registry;
   ASSERT_TRUE(registry.Record("default", Borrow(model2_)).ok());
   net::ReactorServer server(&service, &registry, "default");
@@ -607,7 +619,7 @@ TEST_F(WireTest, PublishedArtifactServesThroughCompiledEnsemble) {
 }
 
 TEST_F(WireTest, ClientReconnectsAfterServerRestart) {
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   const std::string address = SocketAddress("restart");
   auto server = std::make_unique<net::ReactorServer>(&service, nullptr, "d");
   ASSERT_TRUE(server->Listen(address).ok());
@@ -630,7 +642,7 @@ TEST_F(WireTest, PublishAfterIdleCloseReconnectsAndAppliesOnceOverTcp) {
   // On TCP a write into that dead stream still "succeeds" and the failure
   // only shows at the response read, where a publish may not be resent —
   // so the client must notice the hangup before writing.
-  engine::ScoringService service({model_});
+  engine::ScoringService service({Borrow(model_)});
   engine::ModelRegistry registry;
   auto first = registry.Record("default", Borrow(model_));
   ASSERT_TRUE(first.ok());

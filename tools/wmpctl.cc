@@ -68,7 +68,6 @@
 #include "engine/model_registry.h"
 #include "engine/scoring_service.h"
 #include "ml/metrics.h"
-#include "net/async_client.h"
 #include "net/fleet.h"
 #include "net/reactor_server.h"
 #include "net/wire_client.h"
@@ -127,8 +126,7 @@ int Usage() {
                "[--max-delay-us=200]\n"
                "  wmpctl score    --log=PATH (--connect=ADDR | "
                "--model=PATH) [--batch=S]\n"
-               "                 [--chunk=4096] [--tenant=NAME] "
-               "[--pipeline[=N]]\n"
+               "                 [--chunk=4096] [--tenant=NAME]\n"
                "  wmpctl rollback --connect=ADDR [--name=default]\n"
                "  wmpctl fleet status|score|publish|rollback "
                "--nodes=ADDR,ADDR,...\n"
@@ -453,8 +451,10 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
 
   auto records = workloads::LoadQueryLog(log_path);
   if (!records.ok()) return Fail(records.status());
-  auto model = core::LearnedWmpModel::LoadFromFile(model_path);
-  if (!model.ok()) return Fail(model.status());
+  auto loaded = core::LearnedWmpModel::LoadFromFile(model_path);
+  if (!loaded.ok()) return Fail(loaded.status());
+  auto model =
+      std::make_shared<const core::LearnedWmpModel>(std::move(*loaded));
 
   const int clients = std::max(std::atoi(FlagOr(flags, "clients", "8").c_str()), 1);
   const int num_shards = std::max(std::atoi(FlagOr(flags, "shards", "1").c_str()), 1);
@@ -472,8 +472,8 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
       std::atoll(FlagOr(flags, "template-cache", "65536").c_str()));
   // All shards serve the one trained model; sharding spreads dispatch.
   engine::ScoringService service(
-      std::vector<const core::LearnedWmpModel*>(
-          static_cast<size_t>(num_shards), &*model),
+      std::vector<std::shared_ptr<const core::LearnedWmpModel>>(
+          static_cast<size_t>(num_shards), model),
       sopt);
 
   const auto batches = engine::MakeConsecutiveBatches(records->size(), batch_size);
@@ -563,8 +563,7 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
 
 // wmpctl serve — the out-of-process serving daemon: the epoll reactor
 // fronting a sharded ScoringService, with a ModelRegistry so remote
-// publishes are rollback-able. It answers plain and pipelined score frames
-// alike. Blocks until SIGINT/SIGTERM.
+// publishes are rollback-able. Blocks until SIGINT/SIGTERM.
 int CmdServe(const std::map<std::string, std::string>& flags) {
   const std::string address = FlagOr(flags, "listen", "");
   const std::string model_path = FlagOr(flags, "model", "");
@@ -653,9 +652,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
       static_cast<unsigned long long>(rc.wire.frames_served),
       static_cast<unsigned long long>(rc.wire.protocol_errors));
   std::printf(
-      "  %llu pipelined frames, %llu backpressure pauses, "
-      "%llu idle connections reaped\n",
-      static_cast<unsigned long long>(rc.pipelined_frames),
+      "  %llu backpressure pauses, %llu idle connections reaped\n",
       static_cast<unsigned long long>(rc.backpressure_pauses),
       static_cast<unsigned long long>(rc.idle_closed));
   std::printf(
@@ -670,10 +667,8 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
 // wmpctl score — chunked log scoring: the log streams through
 // QueryLogReader in --chunk-sized slices, each scored remotely
 // (--connect) or locally (--model), so the resident set never exceeds
-// ~one chunk of parsed records regardless of log size. With --pipeline[=N]
-// (requires --connect) each workload travels as its own pipelined frame
-// with up to N in flight, so wire latency amortizes instead of gating
-// every workload on a round trip.
+// ~one chunk of parsed records regardless of log size; remotely, one
+// frame carries a whole chunk's workloads.
 int CmdScore(const std::map<std::string, std::string>& flags) {
   const std::string log_path = FlagOr(flags, "log", "");
   const std::string address = FlagOr(flags, "connect", "");
@@ -688,32 +683,10 @@ int CmdScore(const std::map<std::string, std::string>& flags) {
                static_cast<long long>(batch_size)));
   const std::string tenant = FlagOr(flags, "tenant", "wmpctl");
 
-  const std::string pipeline_flag = FlagOr(flags, "pipeline", "");
-  size_t pipeline_window = 0;  // 0 = plain request/response client
-  if (!pipeline_flag.empty() && pipeline_flag != "0") {
-    if (address.empty()) {
-      std::fprintf(stderr, "--pipeline requires --connect\n");
-      return Usage();
-    }
-    // Bare --pipeline parses as "1"; treat it as "use the default window"
-    // rather than a window of one (which would be plain request/response
-    // with extra framing).
-    const long long n = std::atoll(pipeline_flag.c_str());
-    pipeline_window = n > 1 ? static_cast<size_t>(n)
-                            : net::AsyncWireClientOptions{}.max_inflight;
-  }
-
   Result<core::LearnedWmpModel> local_model = Status::NotFound("unused");
   std::unique_ptr<engine::BatchScorer> local;
   std::unique_ptr<net::WireClient> remote;
-  std::unique_ptr<net::AsyncWireClient> pipelined;
-  if (pipeline_window > 0) {
-    net::AsyncWireClientOptions aopt;
-    aopt.max_inflight = pipeline_window;
-    auto connected = net::AsyncWireClient::Connect(address, aopt);
-    if (!connected.ok()) return Fail(connected.status());
-    pipelined = std::move(*connected);
-  } else if (!address.empty()) {
+  if (!address.empty()) {
     remote = std::make_unique<net::WireClient>(address);
     if (Status st = remote->Connect(); !st.ok()) return Fail(st);
   } else {
@@ -749,47 +722,7 @@ int CmdScore(const std::map<std::string, std::string>& flags) {
       scored.push_back(std::move(window[i]));
     }
     window.erase(window.begin(), window.begin() + static_cast<long>(usable));
-    if (pipelined != nullptr) {
-      // One workload per pipelined frame: submission only blocks when the
-      // in-flight window is full, so up to `pipeline_window` round trips
-      // overlap. Futures resolve in the server's completion order; we
-      // harvest them in submission order, which re-serializes the results.
-      // Records are move-only, so each workload's slice is moved out of
-      // `scored` and its label taken here (the shared label loop below is
-      // skipped for this branch).
-      std::vector<std::future<Result<net::ScoreResponse>>> futures;
-      futures.reserve(batches.size());
-      for (const auto& b : batches) {
-        std::vector<workloads::QueryRecord> sub;
-        sub.reserve(b.query_indices.size());
-        double label = 0.0;
-        for (uint32_t qi : b.query_indices) {
-          label += scored[qi].actual_memory_mb;
-          sub.push_back(std::move(scored[qi]));
-        }
-        labels.push_back(label);
-        total_queries += b.query_indices.size();
-        core::WorkloadBatch whole;
-        whole.query_indices.resize(sub.size());
-        for (uint32_t i = 0; i < whole.query_indices.size(); ++i) {
-          whole.query_indices[i] = i;
-        }
-        auto submitted =
-            pipelined->SubmitScore(tenant, sub, {std::move(whole)});
-        if (!submitted.ok()) return Fail(submitted.status());
-        futures.push_back(std::move(*submitted));
-      }
-      for (auto& f : futures) {
-        auto got = f.get();
-        if (!got.ok()) return Fail(got.status());
-        if (got->size() == 1 && got->ok[0]) {
-          predictions.push_back(got->predictions[0]);
-        } else {
-          predictions.push_back(0.0);
-          ++failures;
-        }
-      }
-    } else if (remote != nullptr) {
+    if (remote != nullptr) {
       auto got = remote->ScoreWorkloads(tenant, scored, batches);
       if (!got.ok()) return Fail(got.status());
       for (size_t w = 0; w < batches.size(); ++w) {
@@ -805,15 +738,13 @@ int CmdScore(const std::map<std::string, std::string>& flags) {
       if (!got.ok()) return Fail(got.status());
       for (double p : got->predictions) predictions.push_back(p);
     }
-    if (pipelined == nullptr) {
-      for (const auto& b : batches) {
-        double label = 0.0;
-        for (uint32_t qi : b.query_indices) {
-          label += scored[qi].actual_memory_mb;
-        }
-        labels.push_back(label);
-        total_queries += b.query_indices.size();
+    for (const auto& b : batches) {
+      double label = 0.0;
+      for (uint32_t qi : b.query_indices) {
+        label += scored[qi].actual_memory_mb;
       }
+      labels.push_back(label);
+      total_queries += b.query_indices.size();
     }
     if (reader->exhausted()) break;
   }
@@ -822,12 +753,11 @@ int CmdScore(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "log produced no workloads\n");
     return 1;
   }
-  std::printf("scored %zu workloads (%zu queries) in %.2f s via %s%s — "
+  std::printf("scored %zu workloads (%zu queries) in %.2f s via %s — "
               "%.0f queries/sec, resident set capped at %zu records "
               "(chunk %zu)\n",
               predictions.size(), total_queries, seconds,
               !address.empty() ? address.c_str() : "local model",
-              pipelined != nullptr ? " (pipelined)" : "",
               seconds > 0 ? static_cast<double>(total_queries) / seconds : 0.0,
               max_resident, chunk);
   const bool labeled =
@@ -835,12 +765,6 @@ int CmdScore(const std::map<std::string, std::string>& flags) {
   if (labeled && failures == 0) {
     std::printf("LearnedWMP      RMSE %.1f MB   MAPE %.1f%%\n",
                 ml::Rmse(labels, predictions), ml::Mape(labels, predictions));
-  }
-  if (pipelined != nullptr) {
-    // The async client only speaks score frames; fetch the closing stats
-    // over a throwaway plain client (the server speaks both dialects).
-    pipelined->Close();
-    remote = std::make_unique<net::WireClient>(address);
   }
   if (remote != nullptr) {
     if (auto stats = remote->Stats(); stats.ok()) {
@@ -919,7 +843,6 @@ int CmdFleet(int argc, char** argv,
       std::atoi(FlagOr(flags, "connect-timeout-ms", "1000").c_str());
   ropt.request_timeout_ms =
       std::atoi(FlagOr(flags, "request-timeout-ms", "2000").c_str());
-  ropt.control_timeout_ms = ropt.request_timeout_ms;
   ropt.probe_interval_ms =
       std::atoi(FlagOr(flags, "probe-interval-ms", "200").c_str());
   ropt.max_score_attempts =
