@@ -25,9 +25,10 @@
 //                   PREVIOUS epoch's scores come back bitwise. Zero failed
 //                   requests allowed anywhere.
 //   pipelined       net::WireClient::SubmitScore/Wait against the same
-//                   server: one workload per score frame with a 16-deep
-//                   in-flight window per connection, so round trips
-//                   overlap instead of serializing. Same connection sweep
+//                   server: one workload per score frame with a sliding
+//                   16-deep in-flight window per connection (a full window
+//                   waits on its oldest request), so round trips overlap
+//                   instead of serializing. Same connection sweep
 //                   as `remote`, whose qps it is compared against at the
 //                   top connection count.
 //
@@ -39,6 +40,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <deque>
 #include <future>
 #include <iostream>
 #include <memory>
@@ -225,10 +227,10 @@ DriveOut DriveRemote(const std::string& address,
 }
 
 // Drives `clients` WireClient connections against the server: one
-// workload per score frame, `window` requests in flight per connection.
-// Latency is submit→harvest per request (harvested in submission order,
-// so it reflects the amortized wire cost a caller actually experiences
-// with the window open, not a single round trip).
+// workload per score frame, a sliding window of `window` requests in flight
+// per connection. Once the window is full the client waits on its oldest
+// request before it submits the next, so each latency runs from a request's
+// own submit to its own answer.
 DriveOut DrivePipelined(const std::string& address,
                         const std::vector<workloads::QueryRecord>& records,
                         const std::vector<core::WorkloadBatch>& batches,
@@ -270,11 +272,22 @@ DriveOut DrivePipelined(const std::string& address,
         Stopwatch sw;
         net::WireClient::Pending response;
       };
+      std::deque<InFlight> inflight;
+      const auto harvest_oldest = [&] {
+        InFlight& f = inflight.front();
+        auto got = client.Wait(std::move(f.response));
+        lat.push_back(f.sw.ElapsedMicros());
+        if (!got.ok() || !(*got)[0].ok()) {
+          errors.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          out.predictions[f.w] = *(*got)[0];
+        }
+        inflight.pop_front();
+      };
       start.ArriveAndWait();
       for (int pass = 0; pass < passes; ++pass) {
-        std::vector<InFlight> inflight;
-        inflight.reserve(slice.size());
         for (size_t i = 0; i < slice.size(); ++i) {
+          if (inflight.size() == window) harvest_oldest();
           InFlight f;
           f.w = slice[i];
           auto submitted = client.SubmitScore(tenant, member_records[i],
@@ -286,16 +299,8 @@ DriveOut DrivePipelined(const std::string& address,
           f.response = std::move(*submitted);
           inflight.push_back(std::move(f));
         }
-        for (InFlight& f : inflight) {
-          auto got = client.Wait(std::move(f.response));
-          lat.push_back(f.sw.ElapsedMicros());
-          if (!got.ok() || !(*got)[0].ok()) {
-            errors.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            out.predictions[f.w] = *(*got)[0];
-          }
-        }
       }
+      while (!inflight.empty()) harvest_oldest();
     });
   }
   Stopwatch wall;

@@ -10,16 +10,99 @@
 #include "util/parallel.h"
 #include "util/random.h"
 
+// Lloyd's iterations here are bounded (Hamerly 2010, "Making k-means even
+// faster") and exact.
+//
+// Every iteration labels each row with its nearest centroid as a full
+// NearestCentroids scan would: the first index among the smallest
+// SquaredDistance values. A row keeps its label a without scanning the other
+// k - 1 centroids when its distance u to c_a clears one of two bounds, both
+// in plain (not squared) distance:
+//
+//   * half_gap[a], half the distance from c_a to its nearest other centroid.
+//     For any c != a the triangle inequality gives
+//     |x - c| >= |c_a - c| - |x - c_a| >= 2 half_gap[a] - u > u.
+//   * lower[i], a lower bound on the row's distance to every centroid but its
+//     own. A full scan sets it to the second-smallest distance. Each centroid
+//     update then lowers it by the largest centroid move, a reseeded empty
+//     cluster's jump included, since no centroid comes closer to a row than
+//     it moved.
+//
+// u is computed exactly every iteration (the inertia needs it anyway), so no
+// upper bound is carried, and lower is the only state between iterations.
+// The first iteration starts every row on label 0 with lower = -inf.
+//
+// Why a skip cannot change a label. The triangle inequality holds for the
+// true distances between the stored doubles, but the labels come from the
+// computed SquaredDistance, so every bound is rounded toward its safe side:
+//
+//   * SquaredDistance adds d non-negative products. Its result is within a
+//     relative (d + 3) 2^-53 of the true square, to first order, plus at
+//     most d 2^-1075 where a product underflows. Each sqrt, multiply or
+//     subtract below adds a relative 2^-53.
+//   * kRel = 1e-9 is far above those relative errors for rows of up to 10^6
+//     columns. Lower bounds (half_gap, lower) are scaled by (1 - kRel), and
+//     what is subtracted from or compared with them (the move, u) by
+//     (1 + kRel), so each stays on its safe side after its own rounding.
+//   * kAbs = 1e-150 is subtracted from lower bounds and added to u and the
+//     move. It covers underflow: sqrt(d 2^-1075) is below 2e-159 for
+//     d <= 10^6, and kAbs^2 is above d 2^-1075.
+//
+// So a skip means every other centroid is farther than u (1 + kRel) + kAbs
+// in true distance, and its computed SquaredDistance is strictly above the
+// row's own: a full scan would pick a as the only minimum, with no tie to
+// break. For data whose squared distances could overflow (a |value| above
+// 1e100), non-finite data and rows wider than 10^6 columns the absolute
+// allowance is +inf instead, which turns every skip off.
+//
+// Labels, centroids, the inertia and every Rng draw are therefore bitwise
+// those of a full scan every iteration, at every thread count: each row
+// writes only its own slots, and every sum over rows stays serial. (Where a
+// squared distance is NaN or inf, a run's inertia is not below DBL_MAX with
+// or without bounds, and Fit discards that run either way.)
+
 namespace wmp::ml {
 
 namespace {
 
 // Rows per ParallelFor chunk in RunOnce's two row scans (the k-means++
-// distance update and the Lloyd assignment). Each row's result is written to
-// its own slot and every sum over rows runs serially afterwards, so the
-// chunking never changes a bit. 256 splits a 3,000-row training log into
-// twelve chunks; larger grains left cores idle on such logs.
+// distance update and the bounded Lloyd assignment). Each row's result is
+// written to its own slot and every sum over rows runs serially afterwards,
+// so the chunking never changes a bit. 256 splits a 3,000-row training log
+// into twelve chunks; larger grains left cores idle on such logs.
 constexpr size_t kRowGrain = 256;
+
+// The bounds' rounding allowances; see the file comment.
+constexpr double kRel = 1e-9;
+constexpr double kAbs = 1e-150;
+
+// kAbs, or +inf (no row ever skips) for data the file comment's argument
+// does not cover.
+double AbsoluteAllowance(const Matrix& x) {
+  const double off = std::numeric_limits<double>::infinity();
+  if (x.cols() > 1'000'000) return off;
+  for (double v : x.data()) {
+    if (!(std::fabs(v) <= 1e100)) return off;  // NaN fails too
+  }
+  return kAbs;
+}
+
+// half_gap[c]: a lower bound on half the distance from centroid c to its
+// nearest other centroid (+inf for k = 1).
+void HalfGaps(const Matrix& centroids, double abs_allowance,
+              std::vector<double>* half_gap) {
+  const size_t k = centroids.rows(), d = centroids.cols();
+  half_gap->assign(k, std::numeric_limits<double>::infinity());
+  for (size_t a = 0; a < k; ++a) {
+    for (size_t b = a + 1; b < k; ++b) {
+      const double gap = std::sqrt(
+          SquaredDistance(centroids.RowPtr(a), centroids.RowPtr(b), d));
+      (*half_gap)[a] = std::min((*half_gap)[a], gap);
+      (*half_gap)[b] = std::min((*half_gap)[b], gap);
+    }
+  }
+  for (double& g : *half_gap) g = 0.5 * g * (1.0 - kRel) - abs_allowance;
+}
 
 // One full k-means++ init followed by Lloyd iterations.
 // Returns (centroids, inertia).
@@ -61,25 +144,53 @@ std::pair<Matrix, double> RunOnce(const Matrix& x, int k, int max_iters,
     std::copy(x.RowPtr(chosen), x.RowPtr(chosen) + d, centroids.RowPtr(c));
   }
 
-  // --- Lloyd iterations ---
+  // --- Lloyd iterations, bounded (see the file comment) ---
+  const double inf = std::numeric_limits<double>::infinity();
+  const double abs_allowance = AbsoluteAllowance(x);
   std::vector<int> labels(n, 0);
   std::vector<double> best(n, 0.0);
+  std::vector<double> lower(n, -inf);  // nothing known before the first scan
+  std::vector<double> half_gap;
+  double max_move = 0.0;  // largest centroid move of the last update, inflated
   double prev_inertia = std::numeric_limits<double>::max();
   double inertia = prev_inertia;
   for (int it = 0; it < max_iters; ++it) {
-    // Labels from the serving assignment kernel, then each row's distance to
-    // its label; the inertia sums those distances in row order.
+    HalfGaps(centroids, abs_allowance, &half_gap);
     util::ParallelFor(n, kRowGrain, [&](size_t begin, size_t end) {
-      NearestCentroids(x.RowPtr(begin), end - begin, centroids,
-                       labels.data() + begin);
       for (size_t i = begin; i < end; ++i) {
-        best[i] = SquaredDistance(
-            x.RowPtr(i), centroids.RowPtr(static_cast<size_t>(labels[i])), d);
+        const double* row = x.RowPtr(i);
+        const size_t a = static_cast<size_t>(labels[i]);
+        const double own = SquaredDistance(row, centroids.RowPtr(a), d);
+        const double bound = lower[i] * (1.0 - kRel) - max_move;
+        if (std::sqrt(own) * (1.0 + kRel) + abs_allowance <
+            std::max(half_gap[a], bound)) {
+          best[i] = own;
+          lower[i] = bound;
+          continue;
+        }
+        // Full scan with NearestCentroids' start, order and strict <, so
+        // the first index wins a tie; it also finds the runner-up.
+        double nearest = std::numeric_limits<double>::max(), second = inf;
+        int label = 0;
+        for (size_t c = 0; c < kk; ++c) {
+          const double s = SquaredDistance(row, centroids.RowPtr(c), d);
+          if (s < nearest) {
+            second = nearest;
+            nearest = s;
+            label = static_cast<int>(c);
+          } else if (s < second) {
+            second = s;
+          }
+        }
+        labels[i] = label;
+        best[i] = nearest;
+        lower[i] = std::sqrt(second) * (1.0 - kRel) - abs_allowance;
       }
     });
     inertia = 0.0;
     for (double v : best) inertia += v;
     // Recompute centroids.
+    const Matrix previous = centroids;
     Matrix sums(kk, d);
     std::vector<size_t> counts(kk, 0);
     for (size_t i = 0; i < n; ++i) {
@@ -103,6 +214,13 @@ std::pair<Matrix, double> RunOnce(const Matrix& x, int k, int max_iters,
     }
     if (prev_inertia - inertia <= tol * std::max(prev_inertia, 1e-12)) break;
     prev_inertia = inertia;
+    max_move = 0.0;
+    for (size_t c = 0; c < kk; ++c) {
+      max_move = std::max(max_move, std::sqrt(SquaredDistance(
+                                        previous.RowPtr(c),
+                                        centroids.RowPtr(c), d)));
+    }
+    max_move = max_move * (1.0 + kRel) + abs_allowance;
   }
   return {std::move(centroids), inertia};
 }

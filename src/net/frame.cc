@@ -16,28 +16,12 @@ namespace {
 constexpr uint32_t kFrameMagic = 0x31464D57;  // "WMF1" little-endian
 constexpr size_t kHeaderBytes = kFrameHeaderBytes;
 
-// Blocking write of exactly n bytes. SendSome (net/socket.h) is the shared
-// EINTR/SIGPIPE-correct primitive; an armed FaultInjector takes over the
-// whole operation instead (chaos tests). With SO_SNDTIMEO armed on the fd
-// a stalled peer surfaces as kDeadlineExceeded, not an indefinite block.
-Status WriteAll(int fd, const char* data, size_t n) {
-  if (FaultInjector* chaos = ActiveFaultInjector()) {
-    return chaos->InjectedWrite(fd, data, n);
-  }
-  size_t off = 0;
-  while (off < n) {
-    const ssize_t w = SendSome(fd, data + off, n - off);
-    if (w < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::DeadlineExceeded("frame write timed out");
-      }
-      return Status::IOError(
-          StrFormat("frame write failed: %s", std::strerror(errno)));
-    }
-    if (w == 0) return Status::IOError("frame write made no progress");
-    off += static_cast<size_t>(w);
-  }
-  return Status::OK();
+// Writes the 9-byte frame header for a payload of `len` bytes.
+void EncodeHeader(FrameType type, uint32_t len, char* out) {
+  const uint32_t magic = kFrameMagic;
+  std::memcpy(out, &magic, sizeof(magic));
+  out[4] = static_cast<char>(type);
+  std::memcpy(out + 5, &len, sizeof(len));
 }
 
 // Blocking read of exactly n bytes. `*got` reports progress so the caller
@@ -111,13 +95,8 @@ const char* FrameTypeName(FrameType type) {
 }
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {
-  std::string out;
-  out.reserve(kHeaderBytes + payload.size());
-  const uint32_t magic = kFrameMagic;
-  out.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.push_back(static_cast<char>(type));
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  out.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  std::string out(kHeaderBytes, '\0');
+  EncodeHeader(type, static_cast<uint32_t>(payload.size()), out.data());
   out.append(payload.data(), payload.size());
   return out;
 }
@@ -145,10 +124,45 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload) {
   if (payload.size() > UINT32_MAX) {
     return Status::InvalidArgument("frame payload exceeds 4 GB");
   }
-  // One header+payload buffer, one write loop: a frame is never interleaved
-  // with another thread's frame as long as callers serialize per fd.
-  const std::string wire = EncodeFrame(type, payload);
-  return WriteAll(fd, wire.data(), wire.size());
+  // An armed FaultInjector takes over the whole write (chaos tests), and its
+  // scripts count byte offsets in one header+payload buffer.
+  if (FaultInjector* chaos = ActiveFaultInjector()) {
+    const std::string wire = EncodeFrame(type, payload);
+    return chaos->InjectedWrite(fd, wire.data(), wire.size());
+  }
+  // Otherwise the header and the caller's payload go out as two iovecs, so
+  // the payload is never copied; a short write resumes where it stopped.
+  // One write loop per frame: a frame is never interleaved with another
+  // thread's frame as long as callers serialize per fd. With SO_SNDTIMEO
+  // armed on the fd a stalled peer surfaces as kDeadlineExceeded, not an
+  // indefinite block.
+  char header[kHeaderBytes];
+  EncodeHeader(type, static_cast<uint32_t>(payload.size()), header);
+  const size_t total = kHeaderBytes + payload.size();
+  size_t off = 0;
+  while (off < total) {
+    struct iovec iov[2];
+    int count = 0;
+    if (off < kHeaderBytes) {
+      iov[count++] = {header + off, kHeaderBytes - off};
+    }
+    const size_t payload_sent = off > kHeaderBytes ? off - kHeaderBytes : 0;
+    if (payload_sent < payload.size()) {
+      iov[count++] = {const_cast<char*>(payload.data()) + payload_sent,
+                      payload.size() - payload_sent};
+    }
+    const ssize_t w = SendSomeV(fd, iov, count);
+    if (w < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        return Status::DeadlineExceeded("frame write timed out");
+      }
+      return Status::IOError(
+          StrFormat("frame write failed: %s", std::strerror(errno)));
+    }
+    if (w == 0) return Status::IOError("frame write made no progress");
+    off += static_cast<size_t>(w);
+  }
+  return Status::OK();
 }
 
 Result<Frame> ReadFrame(int fd, const FrameLimits& limits) {

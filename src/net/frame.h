@@ -124,6 +124,8 @@ Result<Frame> DecodeFrame(std::string_view buf, const FrameLimits& limits,
 
 /// Writes one frame to a blocking descriptor, looping over short writes
 /// and EINTR. Safe on sockets and pipes; socket writes suppress SIGPIPE.
+/// The header and `payload` go out as one gather write, without copying
+/// the payload.
 Status WriteFrame(int fd, FrameType type, std::string_view payload);
 
 /// Reads one frame from a blocking descriptor, looping over partial reads.

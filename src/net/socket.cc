@@ -280,6 +280,22 @@ ssize_t SendSome(int fd, const void* data, size_t n) {
   }
 }
 
+ssize_t SendSomeV(int fd, const struct iovec* iov, int iovcnt) {
+  for (;;) {
+#ifdef MSG_NOSIGNAL
+    msghdr msg{};
+    msg.msg_iov = const_cast<struct iovec*>(iov);
+    msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(iovcnt);
+    ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (w < 0 && errno == ENOTSOCK) w = ::writev(fd, iov, iovcnt);
+#else
+    ssize_t w = ::writev(fd, iov, iovcnt);
+#endif
+    if (w < 0 && errno == EINTR) continue;
+    return w;
+  }
+}
+
 ssize_t ReadSome(int fd, void* data, size_t n) {
   for (;;) {
     const ssize_t r = ::read(fd, data, n);

@@ -19,6 +19,7 @@
 /// poll/epoll loop (see reactor_server.h).
 
 #include <sys/types.h>
+#include <sys/uio.h>
 
 #include <string>
 
@@ -89,13 +90,15 @@ Status SetIoDeadlines(int fd, int timeout_ms);
 ///
 /// Every byte src/net puts on a descriptor goes through SendSome (send(2)
 /// with MSG_NOSIGNAL so a peer hangup is an EPIPE errno, never a
-/// process-killing SIGPIPE; falls back to write(2) for non-socket fds)
-/// and every byte read comes through ReadSome. Both retry EINTR
-/// internally and otherwise behave exactly like the syscall: bytes
+/// process-killing SIGPIPE; falls back to write(2) for non-socket fds) or
+/// its gather form SendSomeV (sendmsg(2) with MSG_NOSIGNAL, else
+/// writev(2)), and every byte read comes through ReadSome. All three retry
+/// EINTR internally and otherwise behave exactly like the syscall: bytes
 /// transferred, 0 on EOF (reads), or -1 with errno set (EAGAIN when a
 /// deadline armed by SetIoDeadlines expires, or on a nonblocking fd).
 /// @{
 ssize_t SendSome(int fd, const void* data, size_t n);
+ssize_t SendSomeV(int fd, const struct iovec* iov, int iovcnt);
 ssize_t ReadSome(int fd, void* data, size_t n);
 /// @}
 

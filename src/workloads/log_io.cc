@@ -1,6 +1,13 @@
 #include "workloads/log_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 
 #include "plan/explain.h"
@@ -45,6 +52,16 @@ Status WriteQueryLog(const std::vector<QueryRecord>& records,
 
 namespace {
 
+// strtod and atoi read up to a NUL, and a line view has none: they would
+// read on into the next line (strtod skips a leading newline). So a field is
+// copied out before it is converted.
+double ToDouble(std::string_view field) {
+  return std::strtod(std::string(field).c_str(), nullptr);
+}
+int ToInt(std::string_view field) {
+  return std::atoi(std::string(field).c_str());
+}
+
 /// Incremental single-record parser shared by the whole-text ParseQueryLog
 /// and the streaming QueryLogReader — the format's record boundary is a
 /// blank line, so one line of lookahead is never needed and a record can
@@ -82,7 +99,7 @@ struct RecordAssembler {
   }
 
   /// Consumes one line; a blank line completes the pending record.
-  Status Feed(const std::string& raw, size_t line_no, QueryRecord* done,
+  Status Feed(std::string_view raw, size_t line_no, QueryRecord* done,
               bool* completed) {
     *completed = false;
     if (Trim(raw).empty()) return Complete(line_no, done, completed);
@@ -97,17 +114,17 @@ struct RecordAssembler {
       return Status::OK();
     }
     if (StartsWith(raw, "-- memory_mb: ")) {
-      current.actual_memory_mb = std::strtod(raw.c_str() + 14, nullptr);
+      current.actual_memory_mb = ToDouble(raw.substr(14));
       in_record = true;
       return Status::OK();
     }
     if (StartsWith(raw, "-- dbms_estimate_mb: ")) {
-      current.dbms_estimate_mb = std::strtod(raw.c_str() + 21, nullptr);
+      current.dbms_estimate_mb = ToDouble(raw.substr(21));
       in_record = true;
       return Status::OK();
     }
     if (StartsWith(raw, "-- family: ")) {
-      current.family_id = std::atoi(raw.c_str() + 11);
+      current.family_id = ToInt(raw.substr(11));
       in_record = true;
       return Status::OK();
     }
@@ -125,17 +142,22 @@ struct RecordAssembler {
 
 }  // namespace
 
-Result<std::vector<QueryRecord>> ParseQueryLog(const std::string& text) {
+Result<std::vector<QueryRecord>> ParseQueryLog(std::string_view text) {
   std::vector<QueryRecord> records;
-  std::vector<std::string> lines = Split(text, '\n');
   RecordAssembler assembler;
   size_t line_no = 0;
   QueryRecord done;
   bool completed = false;
-  for (const std::string& raw : lines) {
+  // Lines are views into `text`: one before each '\n', then the rest after
+  // the last one (empty when `text` ends in '\n'), numbered from 1.
+  for (size_t start = 0;;) {
+    const size_t end = std::min(text.find('\n', start), text.size());
     ++line_no;
-    WMP_RETURN_IF_ERROR(assembler.Feed(raw, line_no, &done, &completed));
+    WMP_RETURN_IF_ERROR(assembler.Feed(text.substr(start, end - start),
+                                       line_no, &done, &completed));
     if (completed) records.push_back(std::move(done));
+    if (end == text.size()) break;
+    start = end + 1;
   }
   WMP_RETURN_IF_ERROR(assembler.Complete(line_no, &done, &completed));
   if (completed) records.push_back(std::move(done));
@@ -148,10 +170,29 @@ Result<std::vector<QueryRecord>> ParseQueryLog(const std::string& text) {
 }
 
 Result<std::vector<QueryRecord>> LoadQueryLog(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open for read: " + path);
+  // One bulk read to EOF. A regular file's buffer is its size plus the byte
+  // that lets the read seeing EOF fit without growing; anything else (a
+  // FIFO, a pipe) starts at 64 KB and doubles. Nothing seeks.
+  struct stat st;
+  const bool regular = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+  std::string text(regular ? static_cast<size_t>(st.st_size) + 1 : 64 << 10,
+                   '\0');
+  size_t size = 0;
+  ssize_t got = 0;
+  do {
+    if (size == text.size()) text.resize(2 * size);
+    got = ::read(fd, text.data() + size, text.size() - size);
+    if (got > 0) size += static_cast<size_t>(got);
+  } while (got > 0 || (got < 0 && errno == EINTR));
+  const int read_errno = got < 0 ? errno : 0;
+  ::close(fd);
+  if (read_errno != 0) {
+    return Status::IOError(StrFormat("cannot read %s: %s", path.c_str(),
+                                     std::strerror(read_errno)));
+  }
+  text.resize(size);
   return ParseQueryLog(text);
 }
 

@@ -17,6 +17,7 @@
 
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -36,12 +37,14 @@ Status WriteQueryLog(const std::vector<QueryRecord>& records,
 /// plan tree; plan features are recomputed from the parsed plan. Records
 /// missing the optional fields get `dbms_estimate_mb = 0` and
 /// `family_id = -1`. Malformed records fail the whole load with a
-/// line-annotated error.
+/// line-annotated error. The file is read once, in bulk, without seeking
+/// (a FIFO loads too), and parsed in place as ParseQueryLog parses text;
+/// an unopenable or unreadable file fails with IOError.
 Result<std::vector<QueryRecord>> LoadQueryLog(const std::string& path);
 
 /// In-memory variants (for tests and piping).
 std::string SerializeQueryLog(const std::vector<QueryRecord>& records);
-Result<std::vector<QueryRecord>> ParseQueryLog(const std::string& text);
+Result<std::vector<QueryRecord>> ParseQueryLog(std::string_view text);
 
 /// \brief Streaming reader of the query-log format.
 ///

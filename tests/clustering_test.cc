@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <set>
 
 #include "core/featurizer.h"
 #include "core/template_learner.h"
 #include "ml/dbscan.h"
 #include "ml/kmeans.h"
+#include "ml/scaler.h"
 #include "util/io.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -270,6 +272,209 @@ TEST(KMeansThreadsTest, ChooseNumTemplatesIsEqualAtOneAndFourThreads) {
   EXPECT_EQ(*one, *four);
   ASSERT_EQ(curve_four.size(), ks.size());
   EXPECT_EQ(Bits(curve_one), Bits(curve_four));
+}
+
+// ---------- the bounded Lloyd equals a plain one, bit for bit ----------
+
+// The reference for the bounded Lloyd: k-means++ seeding, then a full
+// NearestCentroids scan of every row in every iteration, with KMeans::Fit's
+// restarts, empty-cluster reseeds and stopping rule. It is the only
+// unbounded Lloyd in the tree. `late_ties`, when given, counts rows whose
+// nearest distance is shared by two centroids in an iteration after the
+// first, where a bound could wrongly keep a label.
+struct PlainFit {
+  Matrix centroids;
+  double inertia = 0.0;
+};
+
+PlainFit PlainRunOnce(const Matrix& x, size_t k, const KMeansOptions& opt,
+                      Rng* rng, size_t* late_ties) {
+  const size_t n = x.rows(), d = x.cols();
+  const auto draw = [&] {
+    return static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  Matrix centroids(k, d);
+  std::vector<double> min_dist(n, std::numeric_limits<double>::max());
+  const size_t first = draw();
+  std::copy(x.RowPtr(first), x.RowPtr(first) + d, centroids.RowPtr(0));
+  for (size_t c = 1; c < k; ++c) {
+    for (size_t i = 0; i < n; ++i) {
+      min_dist[i] = std::min(
+          min_dist[i], SquaredDistance(x.RowPtr(i), centroids.RowPtr(c - 1), d));
+    }
+    double total = 0.0;
+    for (double v : min_dist) total += v;
+    size_t chosen = n - 1;
+    if (total <= 0.0) {
+      chosen = draw();
+    } else {
+      const double r = rng->UniformDouble() * total;
+      double acc = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        acc += min_dist[i];
+        if (r < acc) {
+          chosen = i;
+          break;
+        }
+      }
+    }
+    std::copy(x.RowPtr(chosen), x.RowPtr(chosen) + d, centroids.RowPtr(c));
+  }
+  std::vector<int> labels(n);
+  double prev_inertia = std::numeric_limits<double>::max();
+  double inertia = prev_inertia;
+  for (int it = 0; it < opt.max_iters; ++it) {
+    NearestCentroids(x.RowPtr(0), n, centroids, labels.data());
+    inertia = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double own = SquaredDistance(
+          x.RowPtr(i), centroids.RowPtr(static_cast<size_t>(labels[i])), d);
+      inertia += own;
+      if (late_ties != nullptr && it > 0) {
+        size_t at_min = 0;
+        for (size_t c = 0; c < k; ++c) {
+          at_min += SquaredDistance(x.RowPtr(i), centroids.RowPtr(c), d) == own;
+        }
+        *late_ties += at_min > 1;
+      }
+    }
+    Matrix sums(k, d);
+    std::vector<size_t> counts(k, 0);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t c = static_cast<size_t>(labels[i]);
+      for (size_t j = 0; j < d; ++j) sums.At(c, j) += x.At(i, j);
+      ++counts[c];
+    }
+    for (size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) {
+        const size_t p = draw();
+        std::copy(x.RowPtr(p), x.RowPtr(p) + d, centroids.RowPtr(c));
+        continue;
+      }
+      for (size_t j = 0; j < d; ++j) {
+        centroids.At(c, j) = sums.At(c, j) / static_cast<double>(counts[c]);
+      }
+    }
+    if (prev_inertia - inertia <= opt.tol * std::max(prev_inertia, 1e-12)) {
+      break;
+    }
+    prev_inertia = inertia;
+  }
+  return {std::move(centroids), inertia};
+}
+
+PlainFit PlainKMeans(const Matrix& x, const KMeansOptions& opt,
+                     size_t* late_ties = nullptr) {
+  const size_t k = std::min<size_t>(static_cast<size_t>(opt.num_clusters),
+                                    x.rows());
+  Rng rng(opt.seed);
+  PlainFit best{Matrix(), std::numeric_limits<double>::max()};
+  for (int r = 0; r < std::max(opt.n_init, 1); ++r) {
+    PlainFit fit = PlainRunOnce(x, k, opt, &rng, late_ties);
+    if (fit.inertia < best.inertia) best = std::move(fit);
+  }
+  return best;
+}
+
+// Fit and KMeansElbowCurve, at one and four threads and with one and three
+// restarts, against the oracle: centroid bytes, inertia and every point of
+// the curve.
+void ExpectBitwisePlain(const Matrix& x, const std::vector<int>& ks) {
+  for (int n_init : {1, 3}) {
+    const KMeansOptions base{.n_init = n_init, .seed = 17};
+    std::vector<double> plain_curve;
+    for (int k : ks) {
+      KMeansOptions opt = base;
+      opt.num_clusters = k;
+      const PlainFit plain = PlainKMeans(x, opt);
+      plain_curve.push_back(plain.inertia);
+      for (int threads : {1, 4}) {
+        KMeans km;
+        ASSERT_TRUE(AtThreads(threads, [&] { return km.Fit(x, opt); }).ok());
+        EXPECT_EQ(Bits(km.centroids().data()), Bits(plain.centroids.data()))
+            << "k=" << k << " n_init=" << n_init << " threads=" << threads;
+        EXPECT_EQ(Bits({km.inertia()}), Bits({plain.inertia}))
+            << "k=" << k << " n_init=" << n_init << " threads=" << threads;
+      }
+    }
+    for (int threads : {1, 4}) {
+      auto curve =
+          AtThreads(threads, [&] { return KMeansElbowCurve(x, ks, base); });
+      ASSERT_TRUE(curve.ok()) << curve.status().ToString();
+      EXPECT_EQ(Bits(*curve), Bits(plain_curve))
+          << "n_init=" << n_init << " threads=" << threads;
+    }
+  }
+}
+
+TEST(KMeansBoundedTest, SeparatedBlobsMatchPlainLloydBitwise) {
+  ExpectBitwisePlain(ManyRows(1500, 31), {1, 2, 7, 30, 60, 90});
+}
+
+// 700 rows drawn from 9 distinct points, fitted with up to 40 centroids:
+// centroids coincide (half_gap is 0), exact ties between them recur every
+// iteration, and clusters empty and reseed.
+TEST(KMeansBoundedTest, DuplicateRowsMatchPlainLloydBitwise) {
+  Rng rng(33);
+  Matrix points(9, 4);
+  for (double& v : points.data()) v = static_cast<double>(rng.UniformInt(-3, 3));
+  Matrix x(700, 4);
+  for (size_t i = 0; i < x.rows(); ++i) {
+    const size_t p = static_cast<size_t>(rng.UniformInt(0, 8));
+    std::copy(points.RowPtr(p), points.RowPtr(p) + 4, x.RowPtr(i));
+  }
+  size_t late_ties = 0;
+  PlainKMeans(x, {.num_clusters = 20, .n_init = 1, .seed = 17}, &late_ties);
+  EXPECT_GT(late_ties, 0u);
+  ExpectBitwisePlain(x, {3, 9, 12, 20, 40});
+}
+
+// A symmetric integer grid: distances between rows and the integer or
+// half-integer centroids it produces are exact, so rows sit exactly
+// equidistant from two centroids and the lower index must win.
+TEST(KMeansBoundedTest, SymmetricGridTiesMatchPlainLloydBitwise) {
+  Matrix x(11 * 11 * 2, 2);
+  size_t r = 0;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int i = -5; i <= 5; ++i) {
+      for (int j = -5; j <= 5; ++j) {
+        x.At(r, 0) = i;
+        x.At(r, 1) = j;
+        ++r;
+      }
+    }
+  }
+  size_t late_ties = 0;
+  for (int k : {2, 4, 5, 8, 16}) {
+    PlainKMeans(x, {.num_clusters = k, .n_init = 3, .seed = 17}, &late_ties);
+  }
+  EXPECT_GT(late_ties, 0u);
+  ExpectBitwisePlain(x, {2, 4, 5, 8, 16});
+}
+
+// Values above 1e100, whose squared distances could overflow, turn every
+// skip off; the fit still equals the plain Lloyd's.
+TEST(KMeansBoundedTest, HugeValuesMatchPlainLloydBitwise) {
+  Matrix huge = ManyRows(300, 35);
+  for (double& v : huge.data()) v *= 1e120;
+  ExpectBitwisePlain(huge, {1, 5, 20});
+}
+
+// The input the templates are learned from: the scaled plan-feature matrix
+// of a generated 3,000-query TPC-DS log, over the elbow sweep's k range.
+TEST(KMeansBoundedTest, PlanFeaturesMatchPlainLloydBitwise) {
+  workloads::DatasetOptions dopt;
+  dopt.num_queries = 3000;
+  dopt.seed = 29;
+  auto data = workloads::BuildDataset(workloads::Benchmark::kTpcds, dopt);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const Matrix z = core::PlanFeatureMatrix(
+      data->records, core::AllIndices(data->records.size()));
+  StandardScaler scaler;
+  ASSERT_TRUE(scaler.Fit(z).ok());
+  auto scaled = scaler.Transform(z);
+  ASSERT_TRUE(scaled.ok());
+  ExpectBitwisePlain(*scaled, {10, 40, 100});
 }
 
 // ---------- DBSCAN ----------

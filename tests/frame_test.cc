@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <pthread.h>
+#include <signal.h>
+#include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -136,6 +141,68 @@ TEST(FrameTest, WriteFrameSurvivesShortWritesOnAFullPipe) {
                   .ok());
   reader.join();
   EXPECT_EQ(received, payload);
+}
+
+// The gather write over a socketpair: a 4 MB frame, then an empty-payload
+// frame, must arrive as exactly EncodeFrame's bytes. A reader drains the
+// stream concurrently, and SIGUSR1 (a no-op handler installed without
+// SA_RESTART) keeps interrupting the blocked writer, so sends return short
+// at arbitrary offsets and the write has to resume mid-frame.
+TEST(FrameTest, GatherWriteRoundTripsByteExactlyOverASocketpair) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  std::string payload(4 << 20, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>((i * 131) ^ (i >> 9));
+  }
+  const std::string want = EncodeFrame(FrameType::kPublishRequest, payload) +
+                           EncodeFrame(FrameType::kPing, "");
+  struct sigaction quiet {}, previous {};
+  quiet.sa_handler = [](int) {};
+  sigemptyset(&quiet.sa_mask);
+  ASSERT_EQ(::sigaction(SIGUSR1, &quiet, &previous), 0);
+
+  std::string got;
+  std::thread reader([&] {
+    char buf[1 << 16];
+    for (;;) {
+      const ssize_t r = ::read(sv[1], buf, sizeof(buf));
+      if (r <= 0) break;
+      got.append(buf, static_cast<size_t>(r));
+    }
+  });
+  std::atomic<bool> writing{true};
+  const pthread_t writer = ::pthread_self();
+  std::thread pester([&] {
+    while (writing.load()) {
+      ::pthread_kill(writer, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  const Status big = WriteFrame(sv[0], FrameType::kPublishRequest, payload);
+  const Status empty = WriteFrame(sv[0], FrameType::kPing, "");
+  writing.store(false);
+  pester.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  ::shutdown(sv[0], SHUT_WR);
+  reader.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+
+  ASSERT_TRUE(big.ok()) << big.ToString();
+  ASSERT_TRUE(empty.ok()) << empty.ToString();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want);
+  size_t consumed = 0;
+  auto first = DecodeFrame(got, FrameLimits{}, &consumed);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->type, FrameType::kPublishRequest);
+  EXPECT_TRUE(first->payload == payload);
+  auto second = DecodeFrame(std::string_view(got).substr(consumed),
+                            FrameLimits{}, &consumed);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->type, FrameType::kPing);
+  EXPECT_TRUE(second->payload.empty());
 }
 
 TEST(FrameTest, ReadFrameCleanEofIsNotFound) {

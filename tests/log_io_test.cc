@@ -2,6 +2,13 @@
 // generator-free training from an ingested log.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
+#include <fstream>
+#include <thread>
 
 #include "core/featurizer.h"
 #include "core/learned_wmp.h"
@@ -203,6 +210,125 @@ TEST(QueryLogReaderTest, MalformedRecordFailsWithLineAnnotatedError) {
   ASSERT_FALSE(second.ok());
   EXPECT_NE(second.status().message().find("line 6"), std::string::npos)
       << second.status().ToString();
+}
+
+// ---------- LoadQueryLog: one read, lines parsed in place ----------
+
+std::string WriteBytes(const std::string& name, const std::string& bytes) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+  return path;
+}
+
+// Field by field, doubles by their bits.
+void ExpectSameRecords(const std::vector<QueryRecord>& got,
+                       const std::vector<QueryRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  const auto bits = [](double v) {
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].sql_text, want[i].sql_text) << i;
+    EXPECT_EQ(bits(got[i].actual_memory_mb), bits(want[i].actual_memory_mb));
+    EXPECT_EQ(bits(got[i].dbms_estimate_mb), bits(want[i].dbms_estimate_mb));
+    EXPECT_EQ(got[i].family_id, want[i].family_id) << i;
+    EXPECT_EQ(plan::Explain(*got[i].plan), plan::Explain(*want[i].plan)) << i;
+    EXPECT_EQ(got[i].plan_features, want[i].plan_features) << i;
+    EXPECT_EQ(got[i].content_fingerprint, want[i].content_fingerprint) << i;
+  }
+}
+
+// Loads `bytes` from a file and parses them in memory; both must agree.
+void ExpectLoadEqualsParse(const std::string& name, const std::string& bytes) {
+  auto parsed = ParseQueryLog(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto loaded = LoadQueryLog(WriteBytes(name, bytes));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameRecords(*loaded, *parsed);
+}
+
+TEST(LogIoTest, LoadEqualsParseWithoutTrailingNewline) {
+  std::string text = SerializeQueryLog(SmallDataset().records);
+  while (!text.empty() && text.back() == '\n') text.pop_back();
+  ExpectLoadEqualsParse("wmp_no_newline_log.txt", text);
+  auto parsed = ParseQueryLog(text);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->size(), SmallDataset().records.size());
+}
+
+TEST(LogIoTest, LoadEqualsParseWhenTheFileEndsInABlankLine) {
+  const std::string text = SerializeQueryLog(SmallDataset().records);
+  ASSERT_EQ(text.substr(text.size() - 2), "\n\n");
+  ExpectLoadEqualsParse("wmp_blank_end_log.txt", text);
+  ExpectLoadEqualsParse("wmp_blank_ends_log.txt", text + "  \n\n");
+}
+
+// A FIFO has no size to read and cannot seek. The log is larger than the
+// 64 KB first buffer and than a pipe's capacity, so the read grows its
+// buffer and takes several reads.
+TEST(LogIoTest, LoadReadsAFifo) {
+  DatasetOptions opt;
+  opt.num_queries = 400;
+  opt.seed = 37;
+  auto dataset = BuildDataset(Benchmark::kTpcc, opt);
+  ASSERT_TRUE(dataset.ok());
+  const std::string text = SerializeQueryLog(dataset->records);
+  ASSERT_GT(text.size(), size_t{128} << 10);
+  const std::string path = ::testing::TempDir() + "/wmp_log_fifo";
+  ::unlink(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);  // waits for the reader
+    out << text;
+  });
+  auto loaded = LoadQueryLog(path);
+  writer.join();
+  ::unlink(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto parsed = ParseQueryLog(text);
+  ASSERT_TRUE(parsed.ok());
+  ExpectSameRecords(*loaded, *parsed);
+}
+
+TEST(LogIoTest, LoadFailsOnEmptyAndMissingFiles) {
+  auto empty = LoadQueryLog(WriteBytes("wmp_empty_whole_log.txt", ""));
+  ASSERT_TRUE(empty.status().IsInvalidArgument());
+  EXPECT_EQ(empty.status().message(), "query log contains no records");
+  auto missing = LoadQueryLog("/no/such/wmp/log.txt");
+  ASSERT_TRUE(missing.status().IsIOError());
+  EXPECT_EQ(missing.status().message(),
+            "cannot open for read: /no/such/wmp/log.txt");
+}
+
+// A bad directive mid-log, and a last record without an EXPLAIN block and
+// without a final newline: both functions name the same line.
+TEST(LogIoTest, MalformedRecordReportsTheSameLineThroughLoadAndParse) {
+  const std::string good =
+      "-- query: SELECT a FROM t\n"
+      "-- memory_mb: 12.5\n"
+      "RETURN in=1 out=1 width=8\n"
+      "  TBSCAN(t) in=10 out=1 width=8\n"
+      "\n";
+  const struct {
+    std::string text;
+    std::string line;
+  } cases[] = {
+      {good + "-- bogus-directive: nope\n\n" + good, "line 6"},
+      {good + good + "-- query: SELECT b FROM t\n-- memory_mb: 3", "line 12"},
+  };
+  for (const auto& c : cases) {
+    const Status parsed = ParseQueryLog(c.text).status();
+    const Status loaded =
+        LoadQueryLog(WriteBytes("wmp_malformed_whole_log.txt", c.text))
+            .status();
+    ASSERT_TRUE(parsed.IsInvalidArgument()) << parsed.ToString();
+    EXPECT_EQ(loaded.ToString(), parsed.ToString());
+    EXPECT_NE(parsed.message().find(c.line), std::string::npos)
+        << parsed.ToString();
+  }
 }
 
 TEST(LogIoTest, GeneratorFreeTrainingRejectsRuleBased) {
