@@ -54,17 +54,6 @@ BatchScorer::Snapshot BatchScorer::PinSnapshot() const {
   return Snapshot{model_, epoch_};
 }
 
-std::shared_ptr<const core::LearnedWmpModel> BatchScorer::model_snapshot()
-    const {
-  std::lock_guard<std::mutex> lock(*model_mutex_);
-  return model_;
-}
-
-uint64_t BatchScorer::model_epoch() const {
-  std::lock_guard<std::mutex> lock(*model_mutex_);
-  return epoch_;
-}
-
 Result<std::vector<double>> BatchScorer::ScoreWithCache(
     const Snapshot& snap, const std::vector<workloads::QueryRecord>& records,
     const std::vector<core::WorkloadBatch>& batches,

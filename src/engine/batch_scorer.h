@@ -40,8 +40,8 @@
 ///    path, so hit predictions are bitwise equal to cold ones. Both caches
 ///    stamp entries with the scoring call's model epoch, so a hot-swap
 ///    implicitly invalidates them — stale entries can never serve the new
-///    model (see histogram_cache.h / template_cache.h). Share caches only
-///    among scorers whose models are published in lockstep.
+///    model (see epoch_lru.h). Share caches only among scorers whose
+///    models are published in lockstep.
 ///
 /// This is the layer the serving work builds on: engine::ScoringService
 /// micro-batches concurrent client requests into ScoreWorkloads calls,
@@ -140,23 +140,19 @@ class BatchScorer {
   /// those finish on the snapshot they pinned at entry.
   void PublishModel(std::shared_ptr<const core::LearnedWmpModel> model);
 
-  /// Current model snapshot (null only if constructed with one). Holding
-  /// the returned shared_ptr keeps the snapshot alive across hot-swaps.
-  std::shared_ptr<const core::LearnedWmpModel> model_snapshot() const;
-  /// Epoch of the current snapshot; bumped by each PublishModel.
-  uint64_t model_epoch() const;
-
-  const BatchScorerOptions& options() const { return options_; }
-
- private:
-  // The (model, epoch) pair a scoring call pins once at entry.
+  /// The current model and its epoch, read together (one lock), as each
+  /// scoring call pins them at entry. `model` is null only if the scorer
+  /// was constructed with a null model; holding it keeps the model alive
+  /// across hot-swaps. `epoch` is bumped by each PublishModel.
   struct Snapshot {
     std::shared_ptr<const core::LearnedWmpModel> model;
     uint64_t epoch = 0;
   };
-
   Snapshot PinSnapshot() const;
 
+  const BatchScorerOptions& options() const { return options_; }
+
+ private:
   // Cache-aware front half: histogram rows from the caches where
   // fingerprints hit, BinWorkloadsInto (with the per-query memo) for the
   // rest.

@@ -3,7 +3,7 @@
 
 /// \file histogram_cache.h
 /// Sharded LRU cache of workload histograms, keyed by
-/// `core::WorkloadFingerprint`.
+/// `core::WorkloadFingerprint` — the first cache level of the serving path.
 ///
 /// Steady-state workloads (OLTP, Sibyl-style template-repetitive streams)
 /// re-submit the same query sets; their histograms are identical, so the
@@ -13,111 +13,58 @@
 /// hit-path predictions bitwise identical to cold-path ones (the regressor
 /// sees the exact same doubles).
 ///
-/// Thread-safety: fully thread-safe. Entries are hashed across independent
-/// shards, each with its own mutex + LRU list, so concurrent dispatchers
-/// (one per model shard) and any monitoring thread contend only when they
-/// collide on a shard. Stats counters are lock-free atomics.
-///
-/// Keys are 64-bit content fingerprints; a collision returns the colliding
-/// entry's histogram (the standard content-addressed-cache tradeoff,
-/// ~2^-32 per pair). Use one cache per model: histograms are only
-/// meaningful against the template model that produced them.
-///
-/// Model versioning: every entry is stamped with the caller's model
-/// *epoch* (engine::BatchScorer bumps it on each PublishModel hot-swap).
-/// A lookup hits only when the stored epoch matches the caller's, so
-/// entries computed under a retired model can never serve the new model's
-/// predictions. The comparison is directional: a probe newer than the
-/// entry lazily erases it (the model it served is retired), while a probe
-/// *older* than the entry — an in-flight flush still pinned to a retired
-/// snapshot racing a publish — just misses, and a stale writer's insert
-/// is dropped rather than clobbering what the new model already cached.
+/// Storage, sharding, thread-safety and the model-epoch rule are
+/// engine::EpochLru's (epoch_lru.h): an entry computed under a retired
+/// model can never serve the new one. Use one cache per model: histograms
+/// are only meaningful against the template model that produced them.
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "engine/epoch_lru.h"
+
 namespace wmp::engine {
-
-struct HistogramCacheOptions {
-  /// Maximum resident entries across all shards; 0 disables insertion
-  /// (every lookup misses).
-  size_t capacity = 4096;
-  /// Lock shards (rounded up to a power of two, >= 1).
-  size_t num_shards = 8;
-};
-
-/// Monotonic counters; `size` is the current resident entry count.
-struct HistogramCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  /// Entries dropped because their epoch no longer matched a probe's —
-  /// the model was hot-swapped under them.
-  uint64_t invalidations = 0;
-  size_t size = 0;
-};
 
 /// \brief Thread-safe sharded LRU map: fingerprint -> histogram bins.
 class HistogramCache {
  public:
-  explicit HistogramCache(HistogramCacheOptions options = {});
+  static constexpr size_t kDefaultCapacity = 4096;
+
+  explicit HistogramCache(
+      CacheOptions options = {.capacity = kDefaultCapacity})
+      : lru_(options) {}
 
   /// On hit, copies the cached histogram (exactly `len` bins) into `out`
-  /// and returns true. A stored entry whose length differs from `len` is
-  /// treated as a miss (defensive: one cache, one model — but a mismatch
-  /// must never smear a wrong-width row into the batch matrix). An entry
-  /// stamped with a different model epoch is a miss too; older-epoch
-  /// entries are erased, newer ones are left for their own epoch's
-  /// probes.
-  bool Lookup(uint64_t key, double* out, size_t len, uint64_t epoch = 0);
-
-  /// Inserts (or refreshes) `key -> histogram[0..len)` stamped with the
-  /// caller's model `epoch`, evicting the shard's least-recently-used
-  /// entry when over budget.
-  void Insert(uint64_t key, const double* histogram, size_t len,
-              uint64_t epoch = 0);
-
-  /// Drops every entry (stats counters keep accumulating).
-  void Clear();
-
-  HistogramCacheStats stats() const;
-  size_t capacity() const { return capacity_; }
-
- private:
-  struct Entry {
-    uint64_t key;
-    uint64_t epoch;
-    std::vector<double> bins;
-  };
-  struct Shard {
-    std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<uint64_t, std::list<Entry>::iterator> index;
-  };
-
-  Shard& ShardFor(uint64_t key) {
-    // The key is already well-mixed (splitmix64 finalizer); fold the high
-    // bits in so shard choice and map bucketing use different bit ranges.
-    return shards_[(key ^ (key >> 32)) & shard_mask_];
+  /// and returns true. A stored entry whose length differs from `len` is a
+  /// miss and stays where it is (defensive: one cache, one model, but a
+  /// mismatch must never smear a wrong-width row into the batch matrix).
+  bool Lookup(uint64_t key, double* out, size_t len, uint64_t epoch = 0) {
+    return lru_.LookupBatch(
+               &key, 1, epoch,
+               [&](size_t, const std::vector<double>& bins) {
+                 if (bins.size() != len) return false;
+                 std::copy(bins.begin(), bins.end(), out);
+                 return true;
+               }) == 1;
   }
 
-  size_t capacity_ = 0;
-  size_t per_shard_capacity_ = 0;
-  size_t shard_mask_ = 0;
-  std::unique_ptr<Shard[]> shards_;
+  /// Inserts (or refreshes) `key -> histogram[0..len)` stamped with the
+  /// caller's model `epoch`.
+  void Insert(uint64_t key, const double* histogram, size_t len,
+              uint64_t epoch = 0) {
+    lru_.InsertBatch(&key, 1, epoch, [&](size_t, std::vector<double>* bins) {
+      bins->assign(histogram, histogram + len);
+    });
+  }
 
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> insertions_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidations_{0};
-  std::atomic<size_t> size_{0};
+  /// Drops every entry (stats counters keep accumulating).
+  void Clear() { lru_.Clear(); }
+
+  CacheStats stats() const { return lru_.stats(); }
+
+ private:
+  EpochLru<std::vector<double>> lru_;
 };
 
 }  // namespace wmp::engine

@@ -9,6 +9,11 @@ namespace wmp::engine {
 
 namespace {
 
+// Queries the post-publish warmer re-assigns per step. It bounds how long
+// one background chunk holds the worker pool, and how far a warm runs on
+// before it notices a newer publish and yields to it.
+constexpr size_t kWarmBatch = 512;
+
 void AtomicMax(std::atomic<uint64_t>* target, uint64_t value) {
   uint64_t current = target->load(std::memory_order_relaxed);
   while (current < value &&
@@ -30,19 +35,14 @@ ScoringService::ScoringService(
   for (std::shared_ptr<const core::LearnedWmpModel>& model : models) {
     auto shard = std::make_unique<Shard>();
     if (options_.cache_capacity > 0) {
-      HistogramCacheOptions copt;
-      copt.capacity = options_.cache_capacity;
-      copt.num_shards = options_.cache_shards;
-      shard->cache = std::make_unique<HistogramCache>(copt);
+      shard->cache = std::make_unique<HistogramCache>(
+          CacheOptions{.capacity = options_.cache_capacity});
     }
     if (options_.template_cache_capacity > 0) {
-      TemplateIdCacheOptions topt;
-      topt.capacity = options_.template_cache_capacity;
-      topt.num_shards = options_.cache_shards;
-      shard->template_cache = std::make_unique<TemplateIdCache>(topt);
+      shard->template_cache = std::make_unique<TemplateIdCache>(
+          CacheOptions{.capacity = options_.template_cache_capacity});
     }
     BatchScorerOptions sopt;
-    sopt.num_threads = options_.num_threads;
     sopt.cache = shard->cache.get();
     sopt.template_cache = shard->template_cache.get();
     shard->scorer = std::make_unique<BatchScorer>(std::move(model), sopt);
@@ -199,7 +199,7 @@ void ScoringService::SetWarmCorpus(
 }
 
 void ScoringService::StartWarm(Shard* shard) {
-  if (!options_.warm_on_publish || shard->template_cache == nullptr) return;
+  if (shard->template_cache == nullptr) return;
   {
     std::lock_guard<std::mutex> lock(warm_corpus_mutex_);
     if (warm_corpus_ == nullptr) return;
@@ -212,7 +212,7 @@ void ScoringService::StartWarm(Shard* shard) {
   // a warmer can never outlive Stop() and read a freed warm corpus.
   if (stopped_.load(std::memory_order_relaxed)) return;
   // A previous publish's warmer notices the epoch moved on at its next
-  // chunk boundary and exits, so this join is bounded by one warm_batch.
+  // chunk boundary and exits, so this join is bounded by one kWarmBatch.
   if (shard->warmer.joinable()) shard->warmer.join();
   shard->warmer = std::thread([this, shard] { WarmShard(shard); });
 }
@@ -224,10 +224,10 @@ void ScoringService::WarmShard(Shard* shard) {
     corpus = warm_corpus_;
   }
   if (corpus == nullptr) return;
-  const std::shared_ptr<const core::LearnedWmpModel> model =
-      shard->scorer->model_snapshot();
-  const uint64_t epoch = shard->scorer->model_epoch();
-  if (model == nullptr) return;
+  // Model and epoch must come from one snapshot: a publish between two
+  // separate reads would stamp the retired model's ids with the new epoch.
+  const BatchScorer::Snapshot snap = shard->scorer->PinSnapshot();
+  if (snap.model == nullptr) return;
   // The working set to restore: everything resident right now — mostly
   // entries stamped with the retired epoch, still in the LRU because
   // invalidation is lazy. Keys unknown to the corpus are skipped (their
@@ -240,22 +240,21 @@ void ScoringService::WarmShard(Shard* shard) {
     keys.push_back(key);
     indices.push_back(it->second);
   }
-  const size_t step = std::max<size_t>(options_.warm_batch, 1);
   uint64_t warmed = 0;
   std::vector<uint32_t> chunk;
-  for (size_t begin = 0; begin < keys.size(); begin += step) {
+  for (size_t begin = 0; begin < keys.size(); begin += kWarmBatch) {
     // Yield to shutdown, and to any newer publish: its own warmer owns the
     // new epoch, and inserting under a stale epoch would only create
     // entries the next probe lazily invalidates.
     if (stopped_.load(std::memory_order_relaxed)) break;
-    if (shard->scorer->model_epoch() != epoch) break;
-    const size_t end = std::min(begin + step, keys.size());
+    if (shard->scorer->PinSnapshot().epoch != snap.epoch) break;
+    const size_t end = std::min(begin + kWarmBatch, keys.size());
     chunk.assign(indices.begin() + static_cast<long>(begin),
                  indices.begin() + static_cast<long>(end));
-    auto ids = model->AssignTemplateIds(*corpus->records, chunk, nullptr);
+    auto ids = snap.model->AssignTemplateIds(*corpus->records, chunk, nullptr);
     if (!ids.ok()) break;  // corpus no longer featurizable under this model
     shard->template_cache->InsertBatch(keys.data() + begin, ids->data(),
-                                       end - begin, epoch);
+                                       end - begin, snap.epoch);
     warmed += end - begin;
   }
   if (warmed > 0) {
@@ -309,7 +308,7 @@ void ScoringService::Flush(Shard* shard,
       flushes_drain_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-  if (shard->scorer->model_snapshot() == nullptr) {
+  if (shard->scorer->PinSnapshot().model == nullptr) {
     for (auto& req : *requests) {
       Fulfill(shard, req.get(),
               Status::FailedPrecondition("scoring service has no model"));

@@ -103,22 +103,9 @@ struct ScoringServiceOptions {
   /// that spares closed-loop clients the fixed delay window.
   bool adaptive_flush = true;
   /// Histogram-cache entries per shard; 0 disables level-1 caching.
-  size_t cache_capacity = 4096;
+  size_t cache_capacity = HistogramCache::kDefaultCapacity;
   /// Template-id-cache entries per shard; 0 disables level-2 caching.
-  size_t template_cache_capacity = 1 << 16;
-  /// Lock shards inside each per-shard cache (both levels).
-  size_t cache_shards = 8;
-  /// Worker-pool budget for each dispatcher's scoring calls; 0 = library
-  /// default. Shards share the process-wide pool either way.
-  int num_threads = 0;
-  /// Re-warm each shard's template-id cache in the background after a
-  /// PublishModel/PublishAll hot-swap (requires SetWarmCorpus; see below).
-  /// Off, a swap costs one full miss pass over the working set at p99.
-  bool warm_on_publish = true;
-  /// Queries re-assigned per warming step — bounds how long one background
-  /// chunk monopolizes the worker pool, and how stale a warm can get
-  /// before noticing a newer publish and yielding to it.
-  size_t warm_batch = 512;
+  size_t template_cache_capacity = TemplateIdCache::kDefaultCapacity;
 };
 
 /// Point-in-time service counters (monotonic except queue_depth).
@@ -272,7 +259,7 @@ class ScoringService {
   /// across hot-swaps (may be null only for the degenerate no-model
   /// service).
   std::shared_ptr<const core::LearnedWmpModel> model(size_t shard) const {
-    return shards_[shard]->scorer->model_snapshot();
+    return shards_[shard]->scorer->PinSnapshot().model;
   }
 
  private:
@@ -316,7 +303,7 @@ class ScoringService {
   /// Runs the registered completion callback (if any) after a flush.
   void NotifyCompletion();
   /// Launches the background warmer for `shard` (joins a stale one first).
-  /// No-op without a corpus, a template cache, or warm_on_publish.
+  /// No-op without a corpus or a template cache.
   void StartWarm(Shard* shard);
   void WarmShard(Shard* shard);
 

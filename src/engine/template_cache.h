@@ -18,84 +18,67 @@
 /// would compute, so downstream histograms and predictions are bitwise
 /// unchanged by a hit.
 ///
-/// Model versioning mirrors HistogramCache: entries carry the model epoch
-/// of the `BatchScorer` snapshot that computed them. After a PublishModel
-/// hot-swap, probes under the new epoch treat old entries as misses and
-/// erase them lazily — a retired model's assignments can never leak into
-/// the new model's histograms. The comparison is directional: an
-/// in-flight flush still pinned to the old snapshot misses against newer
-/// entries without evicting them, and its inserts never clobber an entry
-/// the new model already learned.
-///
-/// Thread-safety: fully thread-safe (independent lock shards + atomic
-/// counters), so dispatchers of different service shards may share one
+/// Storage, sharding, thread-safety and the model-epoch rule are
+/// engine::EpochLru's (epoch_lru.h), shared with the histogram cache: a
+/// retired model's assignments can never leak into the new model's
+/// histograms, so dispatchers of different service shards may share one
 /// cache over the same model. The `View` adapter binds (cache, epoch) into
 /// the `core::TemplateIdResolver` interface the core binning path consumes
 /// and additionally tallies per-call hit/miss counts for serving stats.
 
-#include <atomic>
-#include <climits>
+#include <algorithm>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/template_resolver.h"
+#include "engine/epoch_lru.h"
 
 namespace wmp::engine {
-
-struct TemplateIdCacheOptions {
-  /// Maximum resident entries across all shards; 0 disables insertion
-  /// (every probe misses). Entries are ~32 bytes, so the default memoizes
-  /// 64k distinct queries in ~2 MB.
-  size_t capacity = 1 << 16;
-  /// Lock shards (rounded up to a power of two, >= 1).
-  size_t num_shards = 8;
-};
-
-/// Monotonic counters; `size` is the current resident entry count.
-struct TemplateIdCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  /// Entries dropped because their epoch no longer matched a probe's.
-  uint64_t invalidations = 0;
-  size_t size = 0;
-};
 
 /// \brief Thread-safe sharded LRU map: query fingerprint -> template id.
 class TemplateIdCache {
  public:
-  explicit TemplateIdCache(TemplateIdCacheOptions options = {});
+  /// Entries are ~32 bytes, so the default memoizes 64k distinct queries
+  /// in ~2 MB.
+  static constexpr size_t kDefaultCapacity = 1 << 16;
+
+  explicit TemplateIdCache(
+      CacheOptions options = {.capacity = kDefaultCapacity})
+      : lru_(options) {}
 
   /// Batched probe: for each `i` in `[0, n)`, on a hit under `epoch`
   /// writes the memoized id into `ids[i]` and sets `hit[i] = 1`, else sets
-  /// `hit[i] = 0`. Returns the hit count. Entries stamped with an older
-  /// epoch are erased (counted as invalidations + misses); entries from a
-  /// newer epoch just miss, untouched.
+  /// `hit[i] = 0`. Returns the hit count.
   size_t LookupBatch(const uint64_t* keys, size_t n, uint64_t epoch, int* ids,
-                     uint8_t* hit);
+                     uint8_t* hit) {
+    std::fill_n(hit, n, uint8_t{0});
+    return lru_.LookupBatch(keys, n, epoch, [&](size_t i, int id) {
+      ids[i] = id;
+      hit[i] = 1;
+      return true;
+    });
+  }
 
   /// Batched insert (or refresh) of `n` (key, id) pairs stamped with
-  /// `epoch`, evicting least-recently-used entries when over budget.
+  /// `epoch`.
   void InsertBatch(const uint64_t* keys, const int* ids, size_t n,
-                   uint64_t epoch);
+                   uint64_t epoch) {
+    lru_.InsertBatch(keys, n, epoch, [&](size_t i, int* id) { *id = ids[i]; });
+  }
 
   /// Drops every entry (stats counters keep accumulating).
-  void Clear();
+  void Clear() { lru_.Clear(); }
 
   /// Snapshot of up to `max_keys` resident keys, most-recently-used first
   /// within each shard, regardless of entry epoch. This is the publish-time
   /// cache warmer's working set: entries stamped with the retired epoch are
   /// still resident (invalidation is lazy), and re-assigning exactly these
   /// queries under the new model turns the post-swap miss storm into hits.
-  std::vector<uint64_t> ResidentKeys(size_t max_keys = SIZE_MAX);
+  std::vector<uint64_t> ResidentKeys(size_t max_keys = SIZE_MAX) {
+    return lru_.ResidentKeys(max_keys);
+  }
 
-  TemplateIdCacheStats stats() const;
-  size_t capacity() const { return capacity_; }
+  CacheStats stats() const { return lru_.stats(); }
 
   /// \brief Per-call resolver view bound to one model epoch.
   ///
@@ -131,34 +114,7 @@ class TemplateIdCache {
   };
 
  private:
-  struct Entry {
-    uint64_t key;
-    uint64_t epoch;
-    int id;
-  };
-  struct Shard {
-    std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<uint64_t, std::list<Entry>::iterator> index;
-  };
-
-  Shard& ShardFor(uint64_t key) {
-    // Keys are splitmix64-mixed fingerprints; fold the high bits in so
-    // shard choice and map bucketing use different bit ranges.
-    return shards_[(key ^ (key >> 32)) & shard_mask_];
-  }
-
-  size_t capacity_ = 0;
-  size_t per_shard_capacity_ = 0;
-  size_t shard_mask_ = 0;
-  std::unique_ptr<Shard[]> shards_;
-
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> insertions_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidations_{0};
-  std::atomic<size_t> size_{0};
+  EpochLru<int> lru_;
 };
 
 }  // namespace wmp::engine

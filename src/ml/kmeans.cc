@@ -249,6 +249,13 @@ Status KMeans::Fit(const Matrix& x, const KMeansOptions& options) {
       best = std::move(centroids);
     }
   }
+  if (best.rows() == 0) {
+    // Every restart's inertia was NaN or inf: a NaN in `x`, or distances
+    // that overflow a double. No centroid set is better than another.
+    return Status::InvalidArgument(
+        "KMeans::Fit: no restart reached a finite inertia (non-finite "
+        "values in the input, or squared distances that overflow)");
+  }
   centroids_ = std::move(best);
   inertia_ = best_inertia;
   return Status::OK();

@@ -51,8 +51,10 @@ class KMeans {
  public:
   KMeans() = default;
 
-  /// Clusters the rows of `x`. Returns InvalidArgument for empty input or
-  /// `num_clusters < 1`. If there are fewer distinct rows than clusters,
+  /// Clusters the rows of `x`. Returns InvalidArgument for empty input,
+  /// `num_clusters < 1`, or when no restart reaches a finite inertia (a NaN
+  /// in `x`, or squared distances that overflow a double); the object is
+  /// then left as it was. If there are fewer distinct rows than clusters,
   /// surplus centroids collapse onto existing points (still a valid fit).
   Status Fit(const Matrix& x, const KMeansOptions& options);
 

@@ -110,14 +110,16 @@ Status FleetRouter::ProbeNode(Node* node) {
     return health.status();
   }
   MarkSuccess(node, OutcomeKind::kProbe);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    node->observed_epoch = health->registry_epoch;
-  }
   // Observe even epoch 0 (node up, no model): "fresh node among published
-  // peers" is precisely a mixed-epoch fleet the map must flag.
-  epoch_map_.Observe(node->address, health->registry_epoch);
+  // peers" is precisely a mixed-epoch fleet EpochsMixed must flag.
+  ObserveEpoch(node, health->registry_epoch);
   return Status::OK();
+}
+
+void FleetRouter::ObserveEpoch(Node* node, uint64_t epoch) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  node->observed_epoch = epoch;
+  node->epoch_observed = true;
 }
 
 void FleetRouter::MarkSuccess(Node* node, OutcomeKind kind) {
@@ -306,7 +308,7 @@ FleetRolloutReport FleetRouter::PublishAll(
       if (rolled.ok()) {
         entry.compensated = true;
         entry.epoch = *rolled;
-        epoch_map_.Observe(node->address, entry.epoch);
+        ObserveEpoch(node, entry.epoch);
       } else {
         entry.error = "compensating rollback failed: " +
                       rolled.status().ToString();
@@ -338,7 +340,7 @@ FleetRolloutReport FleetRouter::PublishAll(
         if (rolled.ok()) {
           entry.compensated = true;
           entry.epoch = *rolled;
-          epoch_map_.Observe(node->address, entry.epoch);
+          ObserveEpoch(node, entry.epoch);
         } else {
           entry.error += "; compensating rollback failed: " +
                          rolled.status().ToString();
@@ -365,11 +367,7 @@ FleetRolloutReport FleetRouter::PublishAll(
   report.epoch = report.nodes[0].epoch;
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const FleetNodeRollout& entry = report.nodes[i];
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      nodes_[i]->observed_epoch = entry.epoch;
-    }
-    epoch_map_.Observe(entry.address, entry.epoch);
+    ObserveEpoch(nodes_[i].get(), entry.epoch);
     if (entry.epoch != report.epoch) {
       // All commits succeeded but epochs disagree: the nodes had already
       // diverged BEFORE this rollout. The rollout stands; flag loudly.
@@ -381,7 +379,8 @@ FleetRolloutReport FleetRouter::PublishAll(
           static_cast<unsigned long long>(report.epoch));
     }
   }
-  epoch_map_.SetTarget(report.epoch);
+  std::lock_guard<std::mutex> lock(mutex_);
+  target_epoch_ = report.epoch;
   return report;
 }
 
@@ -403,11 +402,7 @@ FleetRolloutReport FleetRouter::RollbackAll(std::string_view name) {
       entry.committed = true;
       entry.epoch = *rolled;
       MarkSuccess(node, OutcomeKind::kControl);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        node->observed_epoch = entry.epoch;
-      }
-      epoch_map_.Observe(node->address, entry.epoch);
+      ObserveEpoch(node, entry.epoch);
     } else {
       entry.error = rolled.status().ToString();
       all_ok = false;
@@ -417,7 +412,8 @@ FleetRolloutReport FleetRouter::RollbackAll(std::string_view name) {
   report.ok = all_ok;
   if (all_ok) {
     report.epoch = report.nodes[0].epoch;
-    epoch_map_.SetTarget(report.epoch);
+    std::lock_guard<std::mutex> lock(mutex_);
+    target_epoch_ = report.epoch;
   } else {
     report.failure =
         "rollback did not reach every node; fleet may be on mixed epochs "
@@ -448,6 +444,37 @@ std::vector<FleetNodeStatus> FleetRouter::Nodes() const {
 FleetRouterCounters FleetRouter::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return counters_;
+}
+
+bool FleetRouter::EpochsMixed() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const Node* first = nullptr;
+  for (const auto& node : nodes_) {
+    if (!node->epoch_observed) continue;  // never heard from: unknown
+    if (first == nullptr) {
+      first = node.get();
+    } else if (node->observed_epoch != first->observed_epoch) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<std::string> FleetRouter::DivergentNodes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::string> divergent;
+  if (target_epoch_ == 0) return divergent;
+  for (const auto& node : nodes_) {
+    if (node->epoch_observed && node->observed_epoch != target_epoch_) {
+      divergent.push_back(node->address);
+    }
+  }
+  return divergent;
+}
+
+uint64_t FleetRouter::target_epoch() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return target_epoch_;
 }
 
 }  // namespace wmp::net

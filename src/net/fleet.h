@@ -32,7 +32,7 @@
 /// traffic (suspect only when no healthy candidate remains); down nodes
 /// serve nothing until a probe succeeds. The probe also carries the
 /// node's registry epoch, so a node that restarted with stale state is
-/// caught even while it answers pings happily (see engine/fleet_map.h).
+/// caught even while it answers pings happily (see EpochsMixed).
 ///
 /// ## Two-phase fleet publish
 ///
@@ -45,7 +45,7 @@
 ///            committed) and ABORT on k+1.. (still staged) — the fleet is
 ///            never left serving mixed epochs.
 /// RollbackAll drives every live node's single-node rollback and reports
-/// per-node outcomes; the epoch map flags any divergence it leaves.
+/// per-node outcomes; DivergentNodes flags any divergence it leaves.
 ///
 /// ## Determinism
 ///
@@ -67,7 +67,6 @@
 
 #include "core/learned_wmp.h"
 #include "core/workload.h"
-#include "engine/fleet_map.h"
 #include "net/wire_client.h"
 #include "util/status.h"
 #include "workloads/query_record.h"
@@ -191,15 +190,36 @@ class FleetRouter {
 
   std::vector<FleetNodeStatus> Nodes() const;
   FleetRouterCounters counters() const;
-  const engine::FleetEpochMap& epoch_map() const { return epoch_map_; }
   size_t num_nodes() const { return nodes_.size(); }
+
+  /// Fleet epoch bookkeeping. As long as the same sequence of publishes
+  /// and rollbacks reaches every node, their registry epochs march in
+  /// lockstep; each node's epoch is the one it last reported (probe or
+  /// rollout response), against the target epoch the last successful
+  /// coordinated rollout established.
+  ///
+  /// True when nodes that have reported disagree with each other: the
+  /// mixed-epoch fleet no client should score against (a half-applied
+  /// rollout, a restarted node, a publish straight to one node). Epoch 0
+  /// ("up, nothing published") counts, so a fresh node among published
+  /// peers is mixed; a node never heard from is unknown, not mixed.
+  /// Independent of the target: a fleet consistently behind it (a rollout
+  /// in flight) is not mixed.
+  bool EpochsMixed() const;
+  /// Addresses of reported nodes whose epoch differs from the target;
+  /// empty until a rollout has set one.
+  std::vector<std::string> DivergentNodes() const;
+  /// Epoch of the last successful coordinated rollout (0 = none yet).
+  uint64_t target_epoch() const;
 
  private:
   struct Node {
     std::string address;
     NodeHealth health = NodeHealth::kProbing;
     int consecutive_failures = 0;
+    /// Last epoch the node reported; meaningful once `epoch_observed`.
     uint64_t observed_epoch = 0;
+    bool epoch_observed = false;
     uint64_t scores_ok = 0;
     uint64_t scores_failed = 0;
     uint64_t probes_ok = 0;
@@ -219,15 +239,18 @@ class FleetRouter {
 
   void MarkSuccess(Node* node, OutcomeKind kind);
   void MarkFailure(Node* node, OutcomeKind kind);
+  /// Records an epoch `node` reported (a probe or rollout response).
+  void ObserveEpoch(Node* node, uint64_t epoch);
   Status ProbeNode(Node* node);
   void ProbeLoop();
 
   std::vector<std::unique_ptr<Node>> nodes_;
   FleetRouterOptions options_;
-  engine::FleetEpochMap epoch_map_;
 
-  mutable std::mutex mutex_;  ///< health/counters state on every node
+  /// Health, counters and epochs of every node, and the target epoch.
+  mutable std::mutex mutex_;
   FleetRouterCounters counters_;
+  uint64_t target_epoch_ = 0;
   uint64_t probe_nonce_ = 1;
 
   std::mutex rollout_mutex_;  ///< serializes PublishAll/RollbackAll

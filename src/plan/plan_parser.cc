@@ -1,5 +1,6 @@
 #include "plan/plan_parser.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <vector>
@@ -87,6 +88,12 @@ Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
     if (endp == value.c_str()) {
       return Status::InvalidArgument(
           StrFormat("line %zu: non-numeric value for %s", line_no, key.c_str()));
+    }
+    if (!std::isfinite(v)) {
+      // A NaN or infinite cardinality poisons every plan feature and the
+      // k-means fit over them.
+      return Status::InvalidArgument(
+          StrFormat("line %zu: non-finite value for %s", line_no, key.c_str()));
     }
     if (key == "in") {
       out.node->input_card = v;

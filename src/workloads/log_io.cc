@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -55,8 +56,23 @@ namespace {
 // strtod and atoi read up to a NUL, and a line view has none: they would
 // read on into the next line (strtod skips a leading newline). So a field is
 // copied out before it is converted.
-double ToDouble(std::string_view field) {
-  return std::strtod(std::string(field).c_str(), nullptr);
+//
+// A memory figure must be a finite number and nothing else: one NaN label
+// trains a model that predicts NaN for every workload.
+Status ToFiniteDouble(std::string_view field, size_t line_no, double* out) {
+  const std::string text(Trim(field));
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size()) {
+    return Status::InvalidArgument(
+        StrFormat("line %zu: non-numeric value '%s'", line_no, text.c_str()));
+  }
+  if (!std::isfinite(v)) {
+    return Status::InvalidArgument(
+        StrFormat("line %zu: non-finite value '%s'", line_no, text.c_str()));
+  }
+  *out = v;
+  return Status::OK();
 }
 int ToInt(std::string_view field) {
   return std::atoi(std::string(field).c_str());
@@ -70,6 +86,7 @@ int ToInt(std::string_view field) {
 struct RecordAssembler {
   QueryRecord current;
   std::string explain_block;
+  size_t explain_line = 0;  // log line of the block's first line
   bool in_record = false;
 
   /// Finalizes the pending record (if any) into `*done`; `*completed`
@@ -88,7 +105,15 @@ struct RecordAssembler {
                     line_no));
     }
     WMP_ASSIGN_OR_RETURN(current.query, sql::Parse(current.sql_text));
-    WMP_ASSIGN_OR_RETURN(current.plan, plan::ParseExplain(explain_block));
+    auto plan = plan::ParseExplain(explain_block);
+    if (!plan.ok()) {
+      // The plan parser numbers lines within the block; name the log line
+      // the block starts on too.
+      return Status(plan.status().code(),
+                    StrFormat("EXPLAIN block at line %zu: %s", explain_line,
+                              plan.status().message().c_str()));
+    }
+    current.plan = std::move(*plan);
     current.plan_features = plan::ExtractPlanFeatures(*current.plan);
     *done = std::move(current);
     *completed = true;
@@ -114,14 +139,14 @@ struct RecordAssembler {
       return Status::OK();
     }
     if (StartsWith(raw, "-- memory_mb: ")) {
-      current.actual_memory_mb = ToDouble(raw.substr(14));
       in_record = true;
-      return Status::OK();
+      return ToFiniteDouble(raw.substr(14), line_no,
+                            &current.actual_memory_mb);
     }
     if (StartsWith(raw, "-- dbms_estimate_mb: ")) {
-      current.dbms_estimate_mb = ToDouble(raw.substr(21));
       in_record = true;
-      return Status::OK();
+      return ToFiniteDouble(raw.substr(21), line_no,
+                            &current.dbms_estimate_mb);
     }
     if (StartsWith(raw, "-- family: ")) {
       current.family_id = ToInt(raw.substr(11));
@@ -134,6 +159,7 @@ struct RecordAssembler {
     }
     // Plan line (possibly indented).
     in_record = true;
+    if (explain_block.empty()) explain_line = line_no;
     explain_block += raw;
     explain_block += '\n';
     return Status::OK();

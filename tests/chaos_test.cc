@@ -530,6 +530,11 @@ TEST_F(ChaosTest, CommitResponseLossTriggersCompensationBackToPriorEpoch) {
   // Node 2 was still staged and was aborted.
   EXPECT_FALSE(report.nodes[2].committed);
   EXPECT_TRUE(report.nodes[2].aborted);
+  // The router's own view already holds the compensated epochs, before
+  // any probe refreshes it.
+  for (const net::FleetNodeStatus& status : router.Nodes()) {
+    EXPECT_EQ(status.observed_epoch, 1u) << status.address;
+  }
 
   // Every node is back on epoch 1 with nothing parked, serving the old
   // model bitwise — the fleet was never left mixed.
@@ -543,7 +548,7 @@ TEST_F(ChaosTest, CommitResponseLossTriggersCompensationBackToPriorEpoch) {
         direct.ScoreWorkloads("t", dataset_->records, batches), want);
   }
   router.ProbeNow();
-  EXPECT_FALSE(router.epoch_map().Mixed());
+  EXPECT_FALSE(router.EpochsMixed());
   ExpectCallBitwise(router.ScoreWorkloads("t", dataset_->records, batches),
                     want);
   router.Stop();

@@ -460,6 +460,25 @@ TEST(KMeansBoundedTest, HugeValuesMatchPlainLloydBitwise) {
   ExpectBitwisePlain(huge, {1, 5, 20});
 }
 
+// A NaN anywhere, or values whose squared distances overflow, leave every
+// restart's inertia non-finite: Fit fails rather than returning OK with no
+// centroids, and the elbow sweep fails with it.
+TEST(KMeansTest, NonFiniteInertiaFailsFitAndTheElbowCurve) {
+  Matrix with_nan = ManyRows(300, 37);
+  with_nan.At(123, 7) = std::numeric_limits<double>::quiet_NaN();
+  Matrix overflowing = ManyRows(300, 37);
+  for (double& v : overflowing.data()) v *= 1e160;
+  for (const Matrix* x : {&with_nan, &overflowing}) {
+    KMeans km;
+    const Status fit = km.Fit(*x, {.num_clusters = 5, .seed = 3});
+    EXPECT_TRUE(fit.IsInvalidArgument()) << fit.ToString();
+    EXPECT_FALSE(km.fitted());
+    auto curve = KMeansElbowCurve(*x, {1, 5, 20}, {.n_init = 1, .seed = 3});
+    EXPECT_TRUE(curve.status().IsInvalidArgument())
+        << curve.status().ToString();
+  }
+}
+
 // The input the templates are learned from: the scaled plan-feature matrix
 // of a generated 3,000-query TPC-DS log, over the elbow sweep's k range.
 TEST(KMeansBoundedTest, PlanFeaturesMatchPlainLloydBitwise) {

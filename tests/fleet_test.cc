@@ -1,4 +1,4 @@
-// End-to-end tests of the fleet tier: engine::FleetEpochMap bookkeeping,
+// End-to-end tests of the fleet tier: the router's epoch bookkeeping,
 // the stage/commit/abort control plane on a single node, and
 // net::FleetRouter against several in-process reactor nodes — probe-driven
 // health states, failover scoring that stays bitwise-equal to the
@@ -17,7 +17,6 @@
 #include "core/featurizer.h"
 #include "core/learned_wmp.h"
 #include "engine/batch_scorer.h"
-#include "engine/fleet_map.h"
 #include "engine/model_registry.h"
 #include "engine/scoring_service.h"
 #include "net/fleet.h"
@@ -149,41 +148,60 @@ std::vector<uint32_t>* FleetTest::indices_ = nullptr;
 core::LearnedWmpModel* FleetTest::model_ = nullptr;
 core::LearnedWmpModel* FleetTest::model2_ = nullptr;
 
-// ---------- FleetEpochMap ----------
+// ---------- Router epoch bookkeeping ----------
 
-TEST(FleetEpochMapTest, ObservedVsTargetAndMixedDetection) {
-  engine::FleetEpochMap map;
-  EXPECT_EQ(map.Get("a").observations, 0u);
-  EXPECT_EQ(map.target(), 0u);
-  EXPECT_FALSE(map.Mixed());
-  EXPECT_TRUE(map.Divergent().empty());
+TEST_F(FleetTest, RouterEpochsMixedUnknownAndDivergent) {
+  // `fresh` is up with nothing published (epoch 0), `pub` serves epoch 1,
+  // and nothing ever listens at `ghost`.
+  TestNode fresh(model_, SocketAddress("epochs_fresh"));
+  TestNode pub(model_, SocketAddress("epochs_pub"));
+  ASSERT_TRUE(pub.registry.Record("default", Borrow(model_)).ok());
+  fresh.Up();
+  pub.Up();
+  const std::string ghost = SocketAddress("epochs_ghost");
 
+  // A node never heard from is unknown, not mixed.
+  {
+    net::FleetRouter router({pub.address, ghost}, TestOptions());
+    EXPECT_FALSE(router.EpochsMixed());
+    ASSERT_TRUE(router.Start().ok());
+    EXPECT_EQ(router.Nodes()[0].observed_epoch, 1u);
+    EXPECT_NE(router.Nodes()[1].health, net::NodeHealth::kHealthy);
+    EXPECT_FALSE(router.EpochsMixed());
+    EXPECT_TRUE(router.DivergentNodes().empty());
+    router.Stop();
+  }
+
+  net::FleetRouter router({fresh.address, pub.address}, TestOptions());
+  EXPECT_EQ(router.target_epoch(), 0u);
+  ASSERT_TRUE(router.Start().ok());
   // Epoch 0 is a real observation ("node up, nothing published"), not an
   // unset sentinel: a fresh node among published peers IS a mixed fleet.
-  map.Observe("a", 0);
-  EXPECT_FALSE(map.Mixed());
-  map.Observe("b", 2);
-  EXPECT_TRUE(map.Mixed());
-  map.Observe("a", 2);
-  EXPECT_FALSE(map.Mixed());
+  EXPECT_TRUE(router.EpochsMixed());
+  // Divergence is against the target, and silent until a rollout sets one.
+  EXPECT_TRUE(router.DivergentNodes().empty());
+  ASSERT_TRUE(fresh.registry.Record("default", Borrow(model_)).ok());
+  router.ProbeNow();
+  EXPECT_FALSE(router.EpochsMixed());
 
-  // Divergence is against the target and silent until one exists.
-  EXPECT_TRUE(map.Divergent().empty());
-  map.SetTarget(3);
-  EXPECT_EQ(map.target(), 3u);
-  auto divergent = map.Divergent();
-  ASSERT_EQ(divergent.size(), 2u);
-  map.Observe("a", 3);
-  map.Observe("b", 3);
-  EXPECT_TRUE(map.Divergent().empty());
-  EXPECT_FALSE(map.Mixed());
+  auto report = router.PublishAll("default", *model2_);
+  ASSERT_TRUE(report.ok) << report.failure;
+  EXPECT_EQ(router.target_epoch(), 2u);
+  EXPECT_TRUE(router.DivergentNodes().empty());
+  EXPECT_FALSE(router.EpochsMixed());
 
-  // Snapshot is address-ordered and counts observations.
-  auto snapshot = map.Snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].first, "a");
-  EXPECT_EQ(snapshot[0].second.observed_epoch, 3u);
-  EXPECT_EQ(snapshot[0].second.observations, 3u);
+  // A publish straight to one node: the fleet is mixed, and that node
+  // diverges from the target.
+  ASSERT_TRUE(pub.registry.Record("default", Borrow(model_)).ok());
+  router.ProbeNow();
+  EXPECT_TRUE(router.EpochsMixed());
+  EXPECT_EQ(router.DivergentNodes(), std::vector<std::string>{pub.address});
+  // Both nodes on an epoch no rollout set: consistent, yet both diverge.
+  ASSERT_TRUE(fresh.registry.Record("default", Borrow(model_)).ok());
+  router.ProbeNow();
+  EXPECT_FALSE(router.EpochsMixed());
+  EXPECT_EQ(router.DivergentNodes().size(), 2u);
+  router.Stop();
 }
 
 // ---------- Stage / commit / abort on one node ----------
@@ -279,7 +297,7 @@ TEST_F(FleetTest, RouterProbesFleetAndScoresBitwise) {
     EXPECT_EQ(status.observed_epoch, 1u);
     EXPECT_EQ(status.probes_ok, 1u);
   }
-  EXPECT_FALSE(router.epoch_map().Mixed());
+  EXPECT_FALSE(router.EpochsMixed());
 
   // Distinct tenants spread across nodes; every call must be bitwise the
   // single-node reference regardless of which replica served it.
@@ -397,9 +415,9 @@ TEST_F(FleetTest, PublishAllTwoPhaseSwapsTheWholeFleetBitwise) {
     EXPECT_FALSE(entry.compensated);
     EXPECT_EQ(entry.epoch, 2u);
   }
-  EXPECT_EQ(router.epoch_map().target(), 2u);
-  EXPECT_TRUE(router.epoch_map().Divergent().empty());
-  EXPECT_FALSE(router.epoch_map().Mixed());
+  EXPECT_EQ(router.target_epoch(), 2u);
+  EXPECT_TRUE(router.DivergentNodes().empty());
+  EXPECT_FALSE(router.EpochsMixed());
 
   // Every node — asked directly, not through the router — now serves the
   // new model bitwise, with nothing left parked.
@@ -486,8 +504,8 @@ TEST_F(FleetTest, RollbackAllRestoresThePreviousEpochFleetWide) {
   auto report = router.RollbackAll("default");
   EXPECT_TRUE(report.ok) << report.failure;
   EXPECT_EQ(report.epoch, 1u);
-  EXPECT_EQ(router.epoch_map().target(), 1u);
-  EXPECT_TRUE(router.epoch_map().Divergent().empty());
+  EXPECT_EQ(router.target_epoch(), 1u);
+  EXPECT_TRUE(router.DivergentNodes().empty());
   for (const auto& address : addresses) {
     net::WireClient direct(address);
     ExpectCallBitwise(

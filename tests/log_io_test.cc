@@ -331,6 +331,46 @@ TEST(LogIoTest, MalformedRecordReportsTheSameLineThroughLoadAndParse) {
   }
 }
 
+// A memory figure or a plan cardinality that is NaN, infinite or not a
+// number at all fails the load at its line, through both functions.
+TEST(LogIoTest, NonFiniteOrNonNumericFieldsAreRejectedAtTheirLine) {
+  const std::string good =
+      "-- query: SELECT a FROM t\n"
+      "-- memory_mb: 12.5\n"
+      "RETURN in=1 out=1 width=8\n"
+      "  TBSCAN(t) in=10 out=1 width=8\n"
+      "\n";
+  const std::string plan =
+      "RETURN in=1 out=1 width=8\n"
+      "  TBSCAN(t) in=10 out=1 width=8\n"
+      "\n";
+  const struct {
+    std::string text;
+    std::string line;
+  } cases[] = {
+      {good + "-- query: SELECT a FROM t\n-- memory_mb: nan\n" + plan,
+       "line 7"},
+      {good + "-- query: SELECT a FROM t\n-- memory_mb: abc\n" + plan,
+       "line 7"},
+      {good + "-- query: SELECT a FROM t\n-- memory_mb: 2\n" +
+           "-- dbms_estimate_mb: inf\n" + plan,
+       "line 8"},
+      {good + "-- query: SELECT a FROM t\n-- memory_mb: 2\n" +
+           "RETURN in=1 out=1 width=8\n" +
+           "  TBSCAN(t) in=nan out=nan width=8\n\n",
+       "EXPLAIN block at line 8: line 2"},
+  };
+  for (const auto& c : cases) {
+    const Status parsed = ParseQueryLog(c.text).status();
+    const Status loaded =
+        LoadQueryLog(WriteBytes("wmp_non_finite_log.txt", c.text)).status();
+    EXPECT_TRUE(parsed.IsInvalidArgument()) << parsed.ToString();
+    EXPECT_EQ(loaded.ToString(), parsed.ToString());
+    EXPECT_NE(parsed.message().find(c.line), std::string::npos)
+        << parsed.ToString();
+  }
+}
+
 TEST(LogIoTest, GeneratorFreeTrainingRejectsRuleBased) {
   Dataset dataset = SmallDataset();
   core::LearnedWmpOptions opt;

@@ -170,6 +170,10 @@ TEST(HistogramCacheTest, ZeroCapacityNeverStores) {
   EXPECT_EQ(cache.stats().size, 0u);
 }
 
+// Hit/miss/evict/invalidate races through the width-checking adapter:
+// concurrent probes and inserts (with epoch churn) must stay internally
+// consistent — a hit's bins always match its key's ground truth for the
+// epoch probed.
 TEST(HistogramCacheTest, ConcurrentMixedUseIsSafe) {
   engine::HistogramCache cache({.capacity = 64, .num_shards = 4});
   constexpr int kThreads = 8;
@@ -179,13 +183,15 @@ TEST(HistogramCacheTest, ConcurrentMixedUseIsSafe) {
     threads.emplace_back([&, t] {
       double out[4];
       for (uint64_t i = 0; i < 2000; ++i) {
+        const uint64_t epoch = i * 3 / 2000;  // three epochs per thread
         const uint64_t key = (i * 2654435761u + static_cast<uint64_t>(t)) % 128;
-        const double bins[4] = {static_cast<double>(key), 1, 2, 3};
+        // Ground truth: the bins a key maps to under an epoch.
+        const double bins[4] = {static_cast<double>(key),
+                                static_cast<double>(epoch), 2, 3};
         if (i % 3 == 0) {
-          cache.Insert(key, bins, 4);
-        } else if (cache.Lookup(key, out, 4)) {
-          // An entry's content must always match its key.
-          if (out[0] != static_cast<double>(key)) bad.fetch_add(1);
+          cache.Insert(key, bins, 4, epoch);
+        } else if (cache.Lookup(key, out, 4, epoch)) {
+          if (!std::equal(out, out + 4, bins)) bad.fetch_add(1);
         }
       }
     });

@@ -862,11 +862,11 @@ int CmdFleet(int argc, char** argv,
                   static_cast<unsigned long long>(node.probes_ok +
                                                   node.probes_failed));
     }
-    const auto& epochs = router.epoch_map();
+    const bool mixed = router.EpochsMixed();
     std::printf("fleet target epoch %llu, %s\n",
-                static_cast<unsigned long long>(epochs.target()),
-                epochs.Mixed() ? "MIXED EPOCHS" : "epochs consistent");
-    return epochs.Mixed() ? 1 : 0;
+                static_cast<unsigned long long>(router.target_epoch()),
+                mixed ? "MIXED EPOCHS" : "epochs consistent");
+    return mixed ? 1 : 0;
   }
 
   if (verb == "publish") {
