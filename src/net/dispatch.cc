@@ -29,7 +29,7 @@ std::vector<std::future<Result<double>>> RequestDispatcher::SubmitScore(
 }
 
 Frame RequestDispatcher::BuildScoreResponse(
-    uint32_t correlation_id, std::vector<Result<double>> outcomes) {
+    std::vector<Result<double>> outcomes) {
   ScoreResponse response;
   response.ok.resize(outcomes.size());
   response.predictions.assign(outcomes.size(), 0.0);
@@ -43,31 +43,43 @@ Frame RequestDispatcher::BuildScoreResponse(
       response.errors[i] = outcomes[i].status().ToString();
     }
   }
-  return Frame{FrameType::kScoreResponsePipelined,
-               EncodePipelinedPayload(correlation_id,
-                                      EncodeScoreResponse(response))};
+  return Frame{FrameType::kScoreResponse, EncodeScoreResponse(response)};
 }
 
-Frame RequestDispatcher::HandlePublish(const Frame& request) const {
-  auto decoded = DecodePublishRequest(request.payload);
-  if (!decoded.ok()) return ErrorFrame(decoded.status());
-  BinaryReader reader(std::move(decoded->model_bytes));
+Result<RequestDispatcher::StagedArtifact> RequestDispatcher::ValidateArtifact(
+    const Frame& request) const {
+  WMP_ASSIGN_OR_RETURN(PublishRequest decoded,
+                       DecodePublishRequest(request.payload));
+  BinaryReader reader(std::move(decoded.model_bytes));
   auto model = core::LearnedWmpModel::Deserialize(&reader);
   if (!model.ok()) {
-    return ErrorFrame(Status(model.status().code(),
-                             "artifact rejected: " + model.status().message()));
+    return Status(model.status().code(),
+                  "artifact rejected: " + model.status().message());
   }
-  auto fresh =
+  StagedArtifact artifact;
+  artifact.artifact_hash = decoded.artifact_hash;
+  artifact.model_name = decoded.model_name.empty() ? default_model_name_
+                                                   : decoded.model_name;
+  artifact.model =
       std::make_shared<const core::LearnedWmpModel>(std::move(*model));
-  const std::string name = decoded->model_name.empty()
-                               ? default_model_name_
-                               : decoded->model_name;
-  auto epoch = service_->PublishAll(std::move(fresh), registry_, name);
+  return artifact;
+}
+
+Frame RequestDispatcher::Install(StagedArtifact artifact,
+                                 FrameType answer) const {
+  auto epoch = service_->PublishAll(std::move(artifact.model), registry_,
+                                    artifact.model_name);
   if (!epoch.ok()) return ErrorFrame(epoch.status());
   PublishResponse response;
   response.registry_epoch = *epoch;
   response.shards_swapped = service_->num_shards();
-  return Frame{FrameType::kPublishResponse, EncodePublishResponse(response)};
+  return Frame{answer, EncodePublishResponse(response)};
+}
+
+Frame RequestDispatcher::HandlePublish(const Frame& request) const {
+  auto artifact = ValidateArtifact(request);
+  if (!artifact.ok()) return ErrorFrame(artifact.status());
+  return Install(std::move(*artifact), FrameType::kPublishResponse);
 }
 
 Frame RequestDispatcher::HandleRollback(const Frame& request) const {
@@ -107,32 +119,18 @@ Frame RequestDispatcher::HandleHealth(const Frame& request) const {
 }
 
 Frame RequestDispatcher::HandleStage(const Frame& request) {
-  // Same decode as a direct publish — the checksum gate runs here, so a
-  // corrupted artifact is refused at stage time, while the fleet can
+  // Same validation as a direct publish — the checksum gate runs here, so
+  // a corrupted artifact is refused at stage time, while the fleet can
   // still abort cheaply, not at commit time when peers already committed.
-  auto decoded = DecodePublishRequest(request.payload);
-  if (!decoded.ok()) return ErrorFrame(decoded.status());
-  const uint64_t artifact_hash = decoded->artifact_hash;
-  BinaryReader reader(std::move(decoded->model_bytes));
-  auto model = core::LearnedWmpModel::Deserialize(&reader);
-  if (!model.ok()) {
-    return ErrorFrame(
-        Status(model.status().code(),
-               "staged artifact rejected: " + model.status().message()));
-  }
-  StagedArtifact staged;
-  staged.artifact_hash = artifact_hash;
-  staged.model_name = decoded->model_name.empty() ? default_model_name_
-                                                  : decoded->model_name;
-  staged.model =
-      std::make_shared<const core::LearnedWmpModel>(std::move(*model));
+  auto staged = ValidateArtifact(request);
+  if (!staged.ok()) return ErrorFrame(staged.status());
   StageResponse response;
   {
     std::lock_guard<std::mutex> lock(stage_mutex_);
-    staged.ticket = next_ticket_++;
-    response.ticket = staged.ticket;
-    response.artifact_hash = staged.artifact_hash;
-    staged_ = std::move(staged);
+    staged->ticket = next_ticket_++;
+    response.ticket = staged->ticket;
+    response.artifact_hash = staged->artifact_hash;
+    staged_ = std::move(*staged);
   }
   return Frame{FrameType::kStageResponse, EncodeStageResponse(response)};
 }
@@ -159,14 +157,7 @@ Frame RequestDispatcher::HandleCommit(const Frame& request) {
     staged = std::move(*staged_);
     staged_.reset();
   }
-  auto epoch =
-      service_->PublishAll(std::move(staged.model), registry_,
-                           staged.model_name);
-  if (!epoch.ok()) return ErrorFrame(epoch.status());
-  PublishResponse response;
-  response.registry_epoch = *epoch;
-  response.shards_swapped = service_->num_shards();
-  return Frame{FrameType::kCommitResponse, EncodePublishResponse(response)};
+  return Install(std::move(staged), FrameType::kCommitResponse);
 }
 
 Frame RequestDispatcher::HandleAbort(const Frame& request) {

@@ -3,22 +3,22 @@
 
 /// \file dispatch.h
 /// Request execution for net::ReactorServer — the protocol boundary
-/// between WMF1 frames and engine::ScoringService / engine::ModelRegistry.
+/// between wire frames and engine::ScoringService / engine::ModelRegistry.
 ///
-/// The reactor owns only transport: sockets, buffers, frame reassembly.
-/// Everything else lives here: decode, validation (including
-/// the publish artifact checksum, which DecodePublishRequest enforces),
-/// registry/service calls, and response encoding. A response frame
-/// depends only on the request frame and the service state, which is what
-/// lets every wire test and bench gate served scores bitwise against the
-/// in-process engine::BatchScorer.
+/// The reactor owns only transport: sockets, buffers, frame reassembly,
+/// and echoing each request's id on its answer. Everything else lives
+/// here: decode, validation (including the publish artifact checksum,
+/// which DecodePublishRequest enforces), registry/service calls, and
+/// response encoding. A response frame depends only on the request frame
+/// and the service state, which is what lets every wire test and bench
+/// gate served scores bitwise against the in-process engine::BatchScorer.
 ///
 /// Scoring is the one request that is intentionally split: SubmitScore
 /// enqueues every workload of a request and hands back the futures, and
-/// BuildScoreResponse turns collected outcomes into the correlated
-/// response frame. The reactor parks the futures in between and answers
-/// as the service fulfills them, without ever blocking the event loop;
-/// every other request executes inline and answers at once.
+/// BuildScoreResponse turns collected outcomes into the response frame.
+/// The reactor parks the futures in between and answers as the service
+/// fulfills them, without ever blocking the event loop; every other
+/// request executes inline and answers at once.
 
 #include <future>
 #include <memory>
@@ -58,10 +58,8 @@ class RequestDispatcher {
   std::vector<std::future<Result<double>>> SubmitScore(
       const ScoreRequest& request) const;
 
-  /// Folds fully-collected outcomes into the kScoreResponsePipelined
-  /// frame answering request `correlation_id`.
-  static Frame BuildScoreResponse(uint32_t correlation_id,
-                                  std::vector<Result<double>> outcomes);
+  /// Folds fully-collected outcomes into a kScoreResponse frame.
+  static Frame BuildScoreResponse(std::vector<Result<double>> outcomes);
 
   /// Deserializes the carried artifact (checksum already verified at
   /// decode) and rolls it out across all shards with registry recording.
@@ -102,13 +100,21 @@ class RequestDispatcher {
   engine::ScoringService* service() const { return service_; }
 
  private:
-  /// A validated artifact waiting for commit.
+  /// A validated artifact: what a publish installs and a stage parks
+  /// (under a ticket) for commit.
   struct StagedArtifact {
     uint64_t ticket = 0;
     uint64_t artifact_hash = 0;
     std::string model_name;
     std::shared_ptr<const core::LearnedWmpModel> model;
   };
+
+  /// Decodes a publish/stage payload (the checksum gate), deserializes
+  /// its artifact and resolves an empty name to the default one.
+  Result<StagedArtifact> ValidateArtifact(const Frame& request) const;
+  /// Installs `artifact` on every shard and records it in the registry;
+  /// answers a PublishResponse payload under `answer`.
+  Frame Install(StagedArtifact artifact, FrameType answer) const;
 
   engine::ScoringService* service_;
   engine::ModelRegistry* registry_;

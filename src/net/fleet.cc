@@ -26,8 +26,6 @@ FleetRouter::FleetRouter(std::vector<std::string> node_addresses,
                          FleetRouterOptions options)
     : options_(options) {
   WireClientOptions copts;
-  copts.max_payload_bytes = options_.max_payload_bytes;
-  copts.max_inflight = options_.max_inflight;
   copts.connect_timeout_ms = options_.connect_timeout_ms;
   copts.request_timeout_ms = options_.request_timeout_ms;
   // One attempt: retry policy belongs to the router's state machine, not

@@ -101,8 +101,6 @@ struct FleetRouterOptions {
   uint32_t backoff_cap_ms = 200;
   /// Seeds tenant hashing and retry jitter (deterministic chaos tests).
   uint64_t seed = 1;
-  size_t max_inflight = 32;  ///< score requests in flight per node
-  size_t max_payload_bytes = 64ull << 20;
 };
 
 /// Point-in-time view of one node (status output + test assertions).

@@ -13,15 +13,16 @@ namespace wmp::net {
 
 namespace {
 
-constexpr uint32_t kFrameMagic = 0x31464D57;  // "WMF1" little-endian
+constexpr uint32_t kFrameMagic = 0x32464D57;  // "WMF2" little-endian
 constexpr size_t kHeaderBytes = kFrameHeaderBytes;
 
-// Writes the 9-byte frame header for a payload of `len` bytes.
-void EncodeHeader(FrameType type, uint32_t len, char* out) {
+// Writes the 13-byte frame header for a payload of `len` bytes.
+void EncodeHeader(FrameType type, uint32_t id, uint32_t len, char* out) {
   const uint32_t magic = kFrameMagic;
   std::memcpy(out, &magic, sizeof(magic));
   out[4] = static_cast<char>(type);
-  std::memcpy(out + 5, &len, sizeof(len));
+  std::memcpy(out + 5, &id, sizeof(id));
+  std::memcpy(out + 9, &len, sizeof(len));
 }
 
 // Blocking read of exactly n bytes. `*got` reports progress so the caller
@@ -45,24 +46,34 @@ Status ReadAll(int fd, char* data, size_t n, size_t* got) {
   return Status::OK();
 }
 
-Status ValidateHeader(const char* header, const FrameLimits& limits,
-                      FrameType* type, uint32_t* payload_len) {
+// Checks the first four bytes of a frame.
+Status CheckMagic(const char* header) {
   uint32_t magic = 0;
   std::memcpy(&magic, header, sizeof(magic));
   if (magic != kFrameMagic) {
     return Status::InvalidArgument(
-        StrFormat("bad frame magic 0x%08x (peer is not speaking the WMF1 "
+        StrFormat("bad frame magic 0x%08x (peer is not speaking the WMF2 "
                   "protocol, or the stream desynchronized)",
                   magic));
   }
-  *type = static_cast<FrameType>(static_cast<uint8_t>(header[4]));
-  std::memcpy(payload_len, header + 5, sizeof(*payload_len));
-  if (static_cast<size_t>(*payload_len) > limits.max_payload_bytes) {
+  return Status::OK();
+}
+
+// Fills `frame`'s type and id from the header and returns its payload
+// length.
+Result<uint32_t> DecodeHeader(const char* header, const FrameLimits& limits,
+                              Frame* frame) {
+  WMP_RETURN_IF_ERROR(CheckMagic(header));
+  frame->type = static_cast<FrameType>(static_cast<uint8_t>(header[4]));
+  std::memcpy(&frame->id, header + 5, sizeof(frame->id));
+  uint32_t payload_len = 0;
+  std::memcpy(&payload_len, header + 9, sizeof(payload_len));
+  if (static_cast<size_t>(payload_len) > limits.max_payload_bytes) {
     return Status::InvalidArgument(
         StrFormat("frame payload of %u bytes exceeds the %zu-byte limit",
-                  *payload_len, limits.max_payload_bytes));
+                  payload_len, limits.max_payload_bytes));
   }
-  return Status::OK();
+  return payload_len;
 }
 
 }  // namespace
@@ -77,9 +88,8 @@ const char* FrameTypeName(FrameType type) {
     case FrameType::kStatsResponse: return "stats-response";
     case FrameType::kRollbackRequest: return "rollback-request";
     case FrameType::kRollbackResponse: return "rollback-response";
-    case FrameType::kScoreRequestPipelined: return "score-request-pipelined";
-    case FrameType::kScoreResponsePipelined:
-      return "score-response-pipelined";
+    case FrameType::kScoreRequest: return "score-request";
+    case FrameType::kScoreResponse: return "score-response";
     case FrameType::kHealthRequest: return "health-request";
     case FrameType::kHealthResponse: return "health-response";
     case FrameType::kStageRequest: return "stage-request";
@@ -88,15 +98,15 @@ const char* FrameTypeName(FrameType type) {
     case FrameType::kCommitResponse: return "commit-response";
     case FrameType::kAbortRequest: return "abort-request";
     case FrameType::kAbortResponse: return "abort-response";
-    case FrameType::kErrorPipelined: return "error-pipelined";
     case FrameType::kError: return "error";
   }
   return "unknown";
 }
 
-std::string EncodeFrame(FrameType type, std::string_view payload) {
+std::string EncodeFrame(FrameType type, uint32_t id,
+                        std::string_view payload) {
   std::string out(kHeaderBytes, '\0');
-  EncodeHeader(type, static_cast<uint32_t>(payload.size()), out.data());
+  EncodeHeader(type, id, static_cast<uint32_t>(payload.size()), out.data());
   out.append(payload.data(), payload.size());
   return out;
 }
@@ -104,30 +114,35 @@ std::string EncodeFrame(FrameType type, std::string_view payload) {
 Result<Frame> DecodeFrame(std::string_view buf, const FrameLimits& limits,
                           size_t* consumed) {
   *consumed = 0;
+  // The magic is judged as soon as it is in, so a peer speaking another
+  // protocol (WMF1's 9-byte header included) is refused before it has
+  // sent a whole header of this one.
+  if (buf.size() >= sizeof(kFrameMagic)) {
+    WMP_RETURN_IF_ERROR(CheckMagic(buf.data()));
+  }
   if (buf.size() < kHeaderBytes) {
     return Status::OutOfRange("incomplete frame header");
   }
-  FrameType type;
-  uint32_t payload_len = 0;
-  WMP_RETURN_IF_ERROR(ValidateHeader(buf.data(), limits, &type, &payload_len));
+  Frame frame;
+  WMP_ASSIGN_OR_RETURN(const uint32_t payload_len,
+                       DecodeHeader(buf.data(), limits, &frame));
   if (buf.size() < kHeaderBytes + payload_len) {
     return Status::OutOfRange("incomplete frame payload");
   }
-  Frame frame;
-  frame.type = type;
   frame.payload.assign(buf.data() + kHeaderBytes, payload_len);
   *consumed = kHeaderBytes + payload_len;
   return frame;
 }
 
-Status WriteFrame(int fd, FrameType type, std::string_view payload) {
+Status WriteFrame(int fd, FrameType type, uint32_t id,
+                  std::string_view payload) {
   if (payload.size() > UINT32_MAX) {
     return Status::InvalidArgument("frame payload exceeds 4 GB");
   }
   // An armed FaultInjector takes over the whole write (chaos tests), and its
   // scripts count byte offsets in one header+payload buffer.
   if (FaultInjector* chaos = ActiveFaultInjector()) {
-    const std::string wire = EncodeFrame(type, payload);
+    const std::string wire = EncodeFrame(type, id, payload);
     return chaos->InjectedWrite(fd, wire.data(), wire.size());
   }
   // Otherwise the header and the caller's payload go out as two iovecs, so
@@ -137,7 +152,7 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload) {
   // armed on the fd a stalled peer surfaces as kDeadlineExceeded, not an
   // indefinite block.
   char header[kHeaderBytes];
-  EncodeHeader(type, static_cast<uint32_t>(payload.size()), header);
+  EncodeHeader(type, id, static_cast<uint32_t>(payload.size()), header);
   const size_t total = kHeaderBytes + payload.size();
   size_t off = 0;
   while (off < total) {
@@ -178,11 +193,9 @@ Result<Frame> ReadFrame(int fd, const FrameLimits& limits) {
         StrFormat("connection closed inside a frame header (%zu/%zu bytes)",
                   got, sizeof(header)));
   }
-  FrameType type;
-  uint32_t payload_len = 0;
-  WMP_RETURN_IF_ERROR(ValidateHeader(header, limits, &type, &payload_len));
   Frame frame;
-  frame.type = type;
+  WMP_ASSIGN_OR_RETURN(const uint32_t payload_len,
+                       DecodeHeader(header, limits, &frame));
   frame.payload.resize(payload_len);
   if (payload_len > 0) {
     WMP_RETURN_IF_ERROR(ReadAll(fd, frame.payload.data(), payload_len, &got));

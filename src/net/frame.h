@@ -7,16 +7,25 @@
 /// Every message between net::WireClient and net::ReactorServer is one
 /// frame:
 ///
-///   offset 0  u32  magic  0x31464D57 ("WMF1", little-endian)
-///   offset 4  u8   type   (FrameType)
-///   offset 5  u32  payload length in bytes
-///   offset 9  payload    (opaque; see net/protocol.h for the encodings)
+///   offset 0   u32  magic  0x32464D57 ("WMF2", little-endian)
+///   offset 4   u8   type   (FrameType)
+///   offset 5   u32  request id
+///   offset 9   u32  payload length in bytes
+///   offset 13  payload    (opaque; see net/protocol.h for the encodings)
+///
+/// The request id is how an answer finds its request: a client numbers
+/// each request it sends, and the server echoes that number on the
+/// answer, whatever order answers leave in. Id 0 is never issued; the
+/// server uses it for an error it cannot pin on one request (a stream
+/// that no longer frames). This codec is the only code that knows where
+/// the id sits.
 ///
 /// The magic lets a receiver reject a desynchronized or non-protocol peer
-/// immediately instead of interpreting garbage as a length; the length
-/// prefix is validated against `FrameLimits::max_payload_bytes` *before*
-/// any payload byte is read, so an adversarial or corrupt header cannot
-/// make the receiver allocate or block unboundedly.
+/// (a WMF1 peer included) immediately instead of interpreting garbage as
+/// a length; the length prefix is validated against
+/// `FrameLimits::max_payload_bytes` *before* any payload byte is read, so
+/// an adversarial or corrupt header cannot make the receiver allocate or
+/// block unboundedly.
 ///
 /// The fd-based I/O helpers speak blocking POSIX descriptors (TCP or Unix
 /// sockets; plain pipes work too, which the tests use). Both directions
@@ -35,9 +44,9 @@
 namespace wmp::net {
 
 /// Message kinds carried by a frame. Requests are even, their responses
-/// odd, so a response type is always `request | 1`. Values 2 and 3 (the
-/// retired uncorrelated score pair) stay unassigned; a server answers
-/// them with kError like any unknown type.
+/// odd, so a response type is always `request | 1`. Values 2, 3 and 253
+/// (retired frame types) stay unassigned; a server answers them with
+/// kError like any unknown type.
 enum class FrameType : uint8_t {
   kPing = 0,
   kPong = 1,
@@ -47,17 +56,14 @@ enum class FrameType : uint8_t {
   kStatsResponse = 7,
   kRollbackRequest = 8,
   kRollbackResponse = 9,
-  /// \name Scoring, the one correlated request.
+  /// \name Scoring.
   ///
-  /// Payload is a u32 correlation id followed by the
-  /// ScoreRequest/ScoreResponse encoding. A client may have many of these
-  /// in flight on one connection and the server answers in COMPLETION
-  /// order, not request order — the correlation id is how responses find
-  /// their request. Every other (plain) frame type is answered inline, in
-  /// request order.
+  /// Payload is the ScoreRequest/ScoreResponse encoding. The server
+  /// answers score frames in COMPLETION order, every other request as it
+  /// parses it; the request id matches either kind to its request.
   /// @{
-  kScoreRequestPipelined = 10,
-  kScoreResponsePipelined = 11,
+  kScoreRequest = 10,
+  kScoreResponse = 11,
   /// @}
   /// \name Fleet control plane (net::FleetRouter <-> predictor nodes).
   ///
@@ -83,24 +89,25 @@ enum class FrameType : uint8_t {
   kAbortRequest = 18,
   kAbortResponse = 19,
   /// @}
-  /// Failure of one score request: u32 correlation id + ErrorBody.
-  /// Unlike kError it indicts a single in-flight request, not the stream.
-  kErrorPipelined = 253,
-  /// Server-side failure report: payload is a protocol::ErrorBody.
+  /// Server-side failure report: payload is a protocol::ErrorBody. With a
+  /// nonzero id it fails that one request; with id 0, the stream.
   kError = 255,
 };
 
 const char* FrameTypeName(FrameType type);
 
-/// Fixed frame-header size: u32 magic + u8 type + u32 payload length.
-/// Incremental decoders (the reactor) and header-crafting tests need the
-/// number; the codec below is the only thing that interprets the bytes.
-inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 4;
+/// Fixed frame-header size: u32 magic + u8 type + u32 request id + u32
+/// payload length. Incremental decoders (the reactor) and header-crafting
+/// tests need the number; the codec below is the only thing that
+/// interprets the bytes.
+inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 4 + 4;
 
-/// One decoded frame.
+/// One frame.
 struct Frame {
   FrameType type = FrameType::kPing;
   std::string payload;
+  /// The request this frame is or answers (0: none; see the file comment).
+  uint32_t id = 0;
 };
 
 /// Receiver-side bounds.
@@ -113,7 +120,8 @@ struct FrameLimits {
 
 /// Serializes a frame into a byte string (header + payload) — the exact
 /// bytes WriteFrame puts on the wire.
-std::string EncodeFrame(FrameType type, std::string_view payload);
+std::string EncodeFrame(FrameType type, uint32_t id,
+                        std::string_view payload);
 
 /// Parses one complete frame from `buf`. Returns the frame and sets
 /// `*consumed` to the bytes used. Fails with InvalidArgument on a bad
@@ -126,7 +134,8 @@ Result<Frame> DecodeFrame(std::string_view buf, const FrameLimits& limits,
 /// and EINTR. Safe on sockets and pipes; socket writes suppress SIGPIPE.
 /// The header and `payload` go out as one gather write, without copying
 /// the payload.
-Status WriteFrame(int fd, FrameType type, std::string_view payload);
+Status WriteFrame(int fd, FrameType type, uint32_t id,
+                  std::string_view payload);
 
 /// Reads one frame from a blocking descriptor, looping over partial reads.
 /// A clean EOF before the first header byte returns NotFound ("peer

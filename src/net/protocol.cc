@@ -1,6 +1,5 @@
 #include "net/protocol.h"
 
-#include <cstring>
 #include <utility>
 
 #include "util/hash.h"
@@ -389,29 +388,6 @@ ErrorBody DecodeErrorBody(const std::string& payload) {
 uint64_t ArtifactChecksum(std::string_view model_bytes) {
   return util::HashBytes(model_bytes.data(), model_bytes.size(),
                          0x574D505055424C48ull);  // "WMPPUBLH"
-}
-
-std::string EncodePipelinedPayload(uint32_t correlation_id,
-                                   std::string_view body) {
-  std::string out;
-  out.reserve(sizeof(correlation_id) + body.size());
-  out.append(reinterpret_cast<const char*>(&correlation_id),
-             sizeof(correlation_id));
-  out.append(body.data(), body.size());
-  return out;
-}
-
-Result<uint32_t> DecodePipelinedPayload(const std::string& payload,
-                                        std::string* body) {
-  if (payload.size() < sizeof(uint32_t)) {
-    return Status::InvalidArgument(
-        "pipelined payload too short for a correlation id");
-  }
-  uint32_t correlation_id = 0;
-  std::memcpy(&correlation_id, payload.data(), sizeof(correlation_id));
-  body->assign(payload, sizeof(correlation_id),
-               payload.size() - sizeof(correlation_id));
-  return correlation_id;
 }
 
 Status StatusFromError(const ErrorBody& error) {

@@ -18,8 +18,6 @@
 ///                   + per-workload member indices; one frame scores many
 ///                   workloads — the wire analogue of a BatchScorer call.
 ///   ScoreResponse   one {ok, prediction | error} per workload, in order.
-///                   Both score payloads travel behind a correlation id
-///                   (EncodePipelinedPayload below).
 ///   PublishRequest  model name + serialized LearnedWmpModel artifact;
 ///                   the server installs it on EVERY shard (PublishAll)
 ///                   and records it in its ModelRegistry.
@@ -205,20 +203,6 @@ Status StatusFromError(const ErrorBody& error);
 /// little-endian byte stream, so the check is platform-stable wherever the
 /// artifacts themselves are.
 uint64_t ArtifactChecksum(std::string_view model_bytes);
-
-/// \name Pipelined-frame payload framing.
-///
-/// A kScoreRequestPipelined / kScoreResponsePipelined / kErrorPipelined
-/// payload is a u32 correlation id followed by the ScoreRequest,
-/// ScoreResponse or ErrorBody encoding — compose these with the
-/// Encode/Decode pairs above.
-/// @{
-std::string EncodePipelinedPayload(uint32_t correlation_id,
-                                   std::string_view body);
-/// Splits off the correlation id; `*body` receives the inner payload.
-Result<uint32_t> DecodePipelinedPayload(const std::string& payload,
-                                        std::string* body);
-/// @}
 
 }  // namespace wmp::net
 

@@ -31,6 +31,9 @@ constexpr size_t kMaxReadPerEvent = 512u << 10;
 // connections don't accrete dead bytes.
 constexpr size_t kCompactThreshold = 64u << 10;
 
+// Listen backlog: deep, since one thread accepts for everyone.
+constexpr int kListenBacklog = 128;
+
 Status Errno(const char* what) {
   return Status::IOError(StrFormat("%s: %s", what, std::strerror(errno)));
 }
@@ -157,14 +160,12 @@ ReactorServer::ReactorServer(engine::ScoringService* service,
                              std::string model_name,
                              ReactorServerOptions options)
     : dispatcher_(service, registry, std::move(model_name)),
-      options_(options) {
-  limits_.max_payload_bytes = options_.max_payload_bytes;
-}
+      options_(options) {}
 
 ReactorServer::~ReactorServer() { Shutdown(); }
 
 Status ReactorServer::Listen(const std::string& address) {
-  WMP_RETURN_IF_ERROR(listener_.Listen(address, options_.backlog));
+  WMP_RETURN_IF_ERROR(listener_.Listen(address, kListenBacklog));
   WMP_RETURN_IF_ERROR(SetNonBlocking(listener_.fd(), true));
   // Wakeup channel: the completion doorbell and Shutdown() both write it,
   // the loop reads it — the only cross-thread signal into the reactor.
@@ -330,12 +331,13 @@ void ReactorServer::ParseFrames(const std::shared_ptr<Conn>& conn) {
     const std::string_view unparsed =
         std::string_view(conn->rbuf).substr(conn->rpos);
     size_t consumed = 0;
-    auto frame = DecodeFrame(unparsed, limits_, &consumed);
+    auto frame = DecodeFrame(unparsed, FrameLimits{}, &consumed);
     if (!frame.ok()) {
       if (frame.status().IsOutOfRange()) break;  // need more bytes
       // Bad magic or oversize announced length: the stream is
       // desynchronized (or hostile) and there is no next frame boundary
-      // to find. Answer once, flush, close — neighbors keep streaming.
+      // to find. Answer once under id 0, flush, close — neighbors keep
+      // streaming.
       AppendFrame(conn, ErrorFrame(frame.status()));
       conn->closing = true;
       conn->rbuf.clear();
@@ -362,81 +364,68 @@ void ReactorServer::ParseFrames(const std::shared_ptr<Conn>& conn) {
 void ReactorServer::HandleFrame(const std::shared_ptr<Conn>& conn,
                                 Frame frame) {
   frames_served_.fetch_add(1, std::memory_order_relaxed);
+  Frame answer;
   switch (frame.type) {
     case FrameType::kPing:
-      AppendFrame(conn, Frame{FrameType::kPong, std::move(frame.payload)});
+      answer = Frame{FrameType::kPong, std::move(frame.payload)};
+      break;
+    case FrameType::kScoreRequest: {
+      auto request = DecodeScoreRequest(std::move(frame.payload));
+      if (!request.ok()) {
+        answer = ErrorFrame(request.status());
+        break;
+      }
+      auto pending = std::make_unique<PendingScore>();
+      pending->conn = conn;
+      pending->request = std::make_unique<ScoreRequest>(std::move(*request));
+      pending->id = frame.id;
+      pending->futures = dispatcher_.SubmitScore(*pending->request);
+      pending->outcomes.reserve(pending->futures.size());
+      ++conn->pending_scores;
+      pendings_.push_back(std::move(pending));
       return;
-    case FrameType::kScoreRequestPipelined:
-      HandlePipelinedScoreFrame(conn, frame);
-      return;
+    }
     case FrameType::kPublishRequest:
       // Control plane: executes inline on the loop thread. A rollout
       // serializes on the service's publish mutex anyway; the few ms of
       // deserialize+swap are invisible next to training a replacement.
-      AppendFrame(conn, dispatcher_.HandlePublish(frame));
-      return;
+      answer = dispatcher_.HandlePublish(frame);
+      break;
     case FrameType::kRollbackRequest:
-      AppendFrame(conn, dispatcher_.HandleRollback(frame));
-      return;
+      answer = dispatcher_.HandleRollback(frame);
+      break;
     case FrameType::kStatsRequest:
-      AppendFrame(conn, dispatcher_.HandleStats(WireCounters()));
-      return;
+      answer = dispatcher_.HandleStats(WireCounters());
+      break;
     case FrameType::kHealthRequest:
-      AppendFrame(conn, dispatcher_.HandleHealth(frame));
-      return;
+      answer = dispatcher_.HandleHealth(frame);
+      break;
     case FrameType::kStageRequest:
       // Inline like publish: stage validates + deserializes but installs
       // nothing; commit is the same PublishAll a kPublishRequest runs.
-      AppendFrame(conn, dispatcher_.HandleStage(frame));
-      return;
+      answer = dispatcher_.HandleStage(frame);
+      break;
     case FrameType::kCommitRequest:
-      AppendFrame(conn, dispatcher_.HandleCommit(frame));
-      return;
+      answer = dispatcher_.HandleCommit(frame);
+      break;
     case FrameType::kAbortRequest:
-      AppendFrame(conn, dispatcher_.HandleAbort(frame));
-      return;
+      answer = dispatcher_.HandleAbort(frame);
+      break;
     default:
-      AppendFrame(conn, RequestDispatcher::UnexpectedFrame(frame.type));
-      return;
+      answer = RequestDispatcher::UnexpectedFrame(frame.type);
+      break;
   }
-}
-
-void ReactorServer::HandlePipelinedScoreFrame(
-    const std::shared_ptr<Conn>& conn, const Frame& frame) {
-  std::string body;
-  auto correlation_id = DecodePipelinedPayload(frame.payload, &body);
-  if (!correlation_id.ok()) {
-    // No id to indict: degrade to a stream-level error, which the client
-    // treats as fatal for everything in flight on the connection.
-    AppendFrame(conn, ErrorFrame(correlation_id.status()));
-    return;
-  }
-  auto decoded = DecodeScoreRequest(std::move(body));
-  if (!decoded.ok()) {
-    AppendFrame(conn, Frame{FrameType::kErrorPipelined,
-                            EncodePipelinedPayload(
-                                *correlation_id,
-                                ErrorFrame(decoded.status()).payload)});
-    return;
-  }
-  auto pending = std::make_unique<PendingScore>();
-  pending->conn = conn;
-  pending->request = std::make_unique<ScoreRequest>(std::move(*decoded));
-  pending->correlation_id = *correlation_id;
-  pending->futures = dispatcher_.SubmitScore(*pending->request);
-  pending->outcomes.reserve(pending->futures.size());
-  ++conn->pending_scores;
-  pendings_.push_back(std::move(pending));
+  answer.id = frame.id;
+  AppendFrame(conn, answer);
 }
 
 void ReactorServer::AppendFrame(const std::shared_ptr<Conn>& conn,
                                 const Frame& frame) {
-  if (frame.type == FrameType::kError ||
-      frame.type == FrameType::kErrorPipelined) {
+  if (frame.type == FrameType::kError) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   }
   if (conn->fd < 0) return;
-  conn->wbuf += EncodeFrame(frame.type, frame.payload);
+  conn->wbuf += EncodeFrame(frame.type, frame.id, frame.payload);
   TryWrite(conn);
 }
 
@@ -506,9 +495,10 @@ void ReactorServer::DrainCompletions() {
     }
     const std::shared_ptr<Conn>& conn = pending.conn;
     if (conn->fd >= 0) {
-      AppendFrame(conn, RequestDispatcher::BuildScoreResponse(
-                            pending.correlation_id,
-                            std::move(pending.outcomes)));
+      Frame answer =
+          RequestDispatcher::BuildScoreResponse(std::move(pending.outcomes));
+      answer.id = pending.id;
+      AppendFrame(conn, answer);
     }
     --conn->pending_scores;
     if (conn->fd >= 0) MaybeFinishClose(conn);

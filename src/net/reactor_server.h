@@ -9,7 +9,7 @@
 ///
 ///     clients ──frames──▶ epoll/poll reactor (ONE thread)
 ///                           │  nonblocking accept + per-connection
-///                           │  read/write buffers, incremental WMF1
+///                           │  read/write buffers, incremental frame
 ///                           │  reassembly, write backpressure,
 ///                           │  idle timeouts
 ///                           ▼
@@ -35,11 +35,12 @@
 ///    zero-timeout polls and writes the responses. Publish/rollback/stats
 ///    frames execute inline — they are control-plane rare and must
 ///    serialize against rollouts anyway.
-///  * **Ordering.** Score frames (kScoreRequestPipelined) answer in
-///    completion order, matched by correlation id — that is what lets one
-///    net::WireClient keep many requests in flight per connection. Every
-///    other frame is answered inline as it is parsed, so plain responses
-///    leave in request order without any queue.
+///  * **Ordering.** Every answer echoes its request's frame id, kError
+///    included, so answers may leave in any order: score frames answer in
+///    completion order, every other frame inline as it is parsed, without
+///    any queue. That is what lets one net::WireClient keep many requests
+///    in flight per connection. An error that belongs to no request (a
+///    stream that no longer frames) carries id 0.
 ///  * **Backpressure.** Responses are buffered per connection and written
 ///    as the socket accepts them (write interest toggles on partial
 ///    writes). When a slow reader's buffer passes the high watermark the
@@ -77,10 +78,6 @@
 namespace wmp::net {
 
 struct ReactorServerOptions {
-  /// Receiver-side frame bound (see FrameLimits).
-  size_t max_payload_bytes = 64ull << 20;
-  /// Listen backlog (deep: one thread accepts for everyone).
-  int backlog = 128;
   /// Pause reading a connection whose outbound buffer exceeds this many
   /// bytes; resume below half of it.
   size_t write_high_watermark = 4ull << 20;
@@ -163,7 +160,7 @@ class ReactorServer {
     std::unique_ptr<ScoreRequest> request;
     std::vector<std::future<Result<double>>> futures;
     std::vector<Result<double>> outcomes;
-    uint32_t correlation_id = 0;
+    uint32_t id = 0;  ///< the request frame's id, echoed on the answer
   };
 
   void RunLoop();
@@ -171,11 +168,12 @@ class ReactorServer {
   void OnReadable(const std::shared_ptr<Conn>& conn);
   void OnWritable(const std::shared_ptr<Conn>& conn);
   void ParseFrames(const std::shared_ptr<Conn>& conn);
+  /// Answers `frame` inline, or parks a decoded score request until the
+  /// service answers it.
   void HandleFrame(const std::shared_ptr<Conn>& conn, Frame frame);
-  void HandlePipelinedScoreFrame(const std::shared_ptr<Conn>& conn,
-                                 const Frame& frame);
-  /// Encodes `frame` into the connection's write buffer and writes what
-  /// the socket will take now; error frames count as protocol errors.
+  /// Encodes `frame` (its id included) into the connection's write buffer
+  /// and writes what the socket will take now; error frames count as
+  /// protocol errors.
   void AppendFrame(const std::shared_ptr<Conn>& conn, const Frame& frame);
   /// Writes buffered bytes until the kernel pushes back; manages write
   /// interest, backpressure resume, and deferred close.
@@ -194,7 +192,6 @@ class ReactorServer {
 
   RequestDispatcher dispatcher_;
   ReactorServerOptions options_;
-  FrameLimits limits_;
   Listener listener_;
   std::unique_ptr<Poller> poller_;
   int wake_read_fd_ = -1;

@@ -5,8 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
-#include <deque>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -27,8 +26,7 @@ constexpr Clock::time_point kNever = Clock::time_point::max();
 
 // Reads the next frame, giving up at `deadline` with OutOfRange (the
 // codec's "nothing yet" code; ReadFrame never returns it).
-Result<Frame> ReadBefore(int fd, Clock::time_point deadline,
-                        const FrameLimits& limits) {
+Result<Frame> ReadBefore(int fd, Clock::time_point deadline) {
   if (deadline != kNever) {
     const auto left =
         std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
@@ -39,12 +37,12 @@ Result<Frame> ReadBefore(int fd, Clock::time_point deadline,
       return Status::OutOfRange("no frame before the deadline");
     }
   }
-  return ReadFrame(fd, limits);
+  return ReadFrame(fd);
 }
 
 Result<std::vector<Result<double>>> ScoreOutcomes(const Frame& frame,
                                                   size_t workloads) {
-  if (frame.type == FrameType::kErrorPipelined) {
+  if (frame.type == FrameType::kError) {
     return StatusFromError(DecodeErrorBody(frame.payload));
   }
   WMP_ASSIGN_OR_RETURN(ScoreResponse response,
@@ -68,13 +66,11 @@ Result<std::vector<Result<double>>> ScoreOutcomes(const Frame& frame,
 
 }  // namespace
 
-/// One request on the wire. A plain request is answered in order with the
-/// connection's other plain requests; a score request by its correlation
-/// id, in completion order.
+/// One request on the wire, answered by the frame that echoes its id.
 struct WireClient::Call {
   Clock::time_point deadline = kNever;
-  bool done = false;
-  Result<Frame> response = Status::Internal("unanswered");
+  /// Set once: the answer, or why the request failed.
+  std::optional<Result<Frame>> response;
 };
 
 /// One connection. Callers using it hold a reference, so the descriptor
@@ -88,10 +84,9 @@ struct WireClient::Stream {
   bool dead = false;
   Status death;
   bool reading = false;  ///< a waiting caller owns the read side
-  std::deque<std::shared_ptr<Call>> plain;  ///< unanswered, in send order
-  std::unordered_map<uint32_t, std::shared_ptr<Call>> scores;
-  /// Score ids whose deadline passed; their late answers are dropped
-  /// instead of indicting the stream.
+  std::unordered_map<uint32_t, std::shared_ptr<Call>> calls;  ///< unanswered
+  /// Ids whose deadline passed; their late answers are dropped instead of
+  /// indicting the stream.
   std::unordered_set<uint32_t> expired;
 };
 
@@ -102,7 +97,6 @@ WireClient::WireClient(std::string address, WireClientOptions options)
                      util::HashBytes(address_.data(), address_.size(),
                                      0x574D504A49545452ull)) {  // "WMPJITTR"
   options_.max_inflight = std::max<size_t>(options_.max_inflight, 1);
-  limits_.max_payload_bytes = options_.max_payload_bytes;
 }
 
 WireClient::~WireClient() { Close(); }
@@ -125,8 +119,7 @@ bool WireClient::connected() const {
 }
 
 Result<std::shared_ptr<WireClient::Stream>> WireClient::LiveStream() {
-  if (stream_ != nullptr && !stream_->reading && stream_->plain.empty() &&
-      stream_->scores.empty()) {
+  if (stream_ != nullptr && !stream_->reading && stream_->calls.empty()) {
     // Nothing is owed on an idle stream, so EOF on it means the server
     // hung up (e.g. its idle timeout). Reconnect now: a write into the
     // dead TCP stream would only fail at the response read, where a
@@ -172,7 +165,7 @@ void WireClient::ReadUntil(std::unique_lock<std::mutex>& lock, Stream& stream,
     }
     stream.reading = true;
     lock.unlock();
-    Result<Frame> frame = ReadBefore(stream.fd, deadline, limits_);
+    Result<Frame> frame = ReadBefore(stream.fd, deadline);
     lock.lock();
     stream.reading = false;
     Deliver(stream, std::move(frame));
@@ -181,40 +174,28 @@ void WireClient::ReadUntil(std::unique_lock<std::mutex>& lock, Stream& stream,
 }
 
 Result<WireClient::Pending> WireClient::Send(FrameType type,
-                                             std::string* payload) {
-  const bool correlated = type == FrameType::kScoreRequestPipelined;
+                                             std::string_view payload) {
   Pending pending;
   pending.call_ = std::make_shared<Call>();
-  Call& call = *pending.call_;
   uint32_t id = 0;
-  // Writes go out one frame at a time, and plain requests register in the
-  // order they are written: that order is how their answers find them.
+  // One writer at a time, so frames never interleave on the socket.
   std::unique_lock<std::mutex> write_lock(write_mutex_);
   {
     std::unique_lock<std::mutex> lock(mutex_);
     WMP_ASSIGN_OR_RETURN(pending.stream_, LiveStream());
     Stream& stream = *pending.stream_;
-    if (correlated) {
-      ReadUntil(lock, stream, [&] {
-        return stream.scores.size() < options_.max_inflight;
-      });
-      if (stream.dead) return stream.death;
-      id = next_id_++;
-      if (next_id_ == 0) next_id_ = 1;
-      stream.scores.emplace(id, pending.call_);
-    } else {
-      stream.plain.push_back(pending.call_);
-    }
+    ReadUntil(lock, stream,
+              [&] { return stream.calls.size() < options_.max_inflight; });
+    if (stream.dead) return stream.death;
+    id = next_id_++;
+    if (next_id_ == 0) next_id_ = 1;
+    stream.calls.emplace(id, pending.call_);
     if (options_.request_timeout_ms > 0) {
-      call.deadline = Clock::now() + std::chrono::milliseconds(
-                                         options_.request_timeout_ms);
+      pending.call_->deadline =
+          Clock::now() + std::chrono::milliseconds(options_.request_timeout_ms);
     }
   }
-  if (correlated) {
-    // The id slot EncodePipelinedPayload put at the payload's front.
-    std::memcpy(payload->data(), &id, sizeof(id));
-  }
-  const Status written = WriteFrame(pending.stream_->fd, type, *payload);
+  const Status written = WriteFrame(pending.stream_->fd, type, id, payload);
   write_lock.unlock();
   if (!written.ok()) {
     // At most a truncated frame reached the peer, which discards it
@@ -229,8 +210,9 @@ Result<WireClient::Pending> WireClient::Send(FrameType type,
 Result<Frame> WireClient::Await(const Pending& pending) {
   Call& call = *pending.call_;
   std::unique_lock<std::mutex> lock(mutex_);
-  ReadUntil(lock, *pending.stream_, [&] { return call.done; });
-  return std::move(call.response);
+  ReadUntil(lock, *pending.stream_,
+            [&] { return call.response.has_value(); });
+  return std::move(*call.response);
 }
 
 void WireClient::Deliver(Stream& stream, Result<Frame> frame) {
@@ -241,71 +223,39 @@ void WireClient::Deliver(Stream& stream, Result<Frame> frame) {
                      : frame.status());
     return;
   }
-  if (frame->type == FrameType::kScoreResponsePipelined ||
-      frame->type == FrameType::kErrorPipelined) {
-    std::string body;
-    auto id = DecodePipelinedPayload(frame->payload, &body);
-    if (!id.ok()) {
-      Kill(stream, id.status());
-      return;
-    }
-    auto it = stream.scores.find(*id);
-    if (it == stream.scores.end()) {
-      // Lateness is not desynchronization; an id never issued is.
-      if (stream.expired.erase(*id) == 0) {
-        Kill(stream, Status::Internal(StrFormat(
-                         "unmatched correlation id %u on a score response",
-                         *id)));
-      }
-      return;
-    }
-    it->second->response = Frame{frame->type, std::move(body)};
-    it->second->done = true;
-    stream.scores.erase(it);
+  auto it = stream.calls.find(frame->id);
+  if (it != stream.calls.end()) {
+    it->second->response.emplace(std::move(*frame));
+    stream.calls.erase(it);
     return;
   }
-  if (stream.plain.empty()) {
-    // Nothing plain is owed: a kError indicts the stream (e.g. a frame the
-    // server could not attribute to a request); anything else means the
-    // two sides disagree about it.
-    Kill(stream, frame->type == FrameType::kError
-                     ? StatusFromError(DecodeErrorBody(frame->payload))
-                     : Status::Internal(StrFormat(
-                           "unexpected %s frame on the connection",
-                           FrameTypeName(frame->type))));
-    return;
-  }
-  Call& call = *stream.plain.front();
-  call.response = std::move(*frame);
-  call.done = true;
-  stream.plain.pop_front();
+  // Lateness is not desynchronization; an id never issued is. Id 0 is the
+  // server's kError for a stream it can no longer frame.
+  if (stream.expired.erase(frame->id) > 0) return;
+  Kill(stream, frame->id == 0 && frame->type == FrameType::kError
+                   ? StatusFromError(DecodeErrorBody(frame->payload))
+                   : Status::Internal(StrFormat(
+                         "unmatched request id %u on a %s frame", frame->id,
+                         FrameTypeName(frame->type))));
 }
 
 Clock::time_point WireClient::ExpireOverdue(Stream& stream) {
   if (options_.request_timeout_ms <= 0 || stream.dead) return kNever;
   const Clock::time_point now = Clock::now();
-  if (!stream.plain.empty() && stream.plain.front()->deadline <= now) {
-    Kill(stream, Status::DeadlineExceeded(
-                     StrFormat("no response within %d ms; connection dropped",
-                               options_.request_timeout_ms)));
-    return kNever;
-  }
-  Clock::time_point earliest =
-      stream.plain.empty() ? kNever : stream.plain.front()->deadline;
-  for (auto it = stream.scores.begin(); it != stream.scores.end();) {
+  Clock::time_point earliest = kNever;
+  for (auto it = stream.calls.begin(); it != stream.calls.end();) {
     Call& call = *it->second;
     if (call.deadline > now) {
       earliest = std::min(earliest, call.deadline);
       ++it;
       continue;
     }
-    call.response = Status::DeadlineExceeded(
+    call.response.emplace(Status::DeadlineExceeded(
         StrFormat("no response within %d ms (stream still up; only this "
                   "request failed)",
-                  options_.request_timeout_ms));
-    call.done = true;
+                  options_.request_timeout_ms)));
     stream.expired.insert(it->first);
-    it = stream.scores.erase(it);
+    it = stream.calls.erase(it);
     cv_.notify_all();
   }
   return earliest;
@@ -318,23 +268,16 @@ void WireClient::Kill(Stream& stream, const Status& why) {
     // Wakes a reader parked in poll/read and a writer parked in send; the
     // descriptor itself closes when the last caller lets go.
     ::shutdown(stream.fd, SHUT_RDWR);
-    for (auto& call : stream.plain) {
-      call->response = why;
-      call->done = true;
-    }
-    for (auto& [id, call] : stream.scores) {
-      call->response = why;
-      call->done = true;
-    }
-    stream.plain.clear();
-    stream.scores.clear();
+    for (auto& [id, call] : stream.calls) call->response.emplace(why);
+    stream.calls.clear();
     stream.expired.clear();
   }
   if (stream_.get() == &stream) stream_.reset();
   cv_.notify_all();
 }
 
-Result<Frame> WireClient::RoundTrip(FrameType request, std::string payload,
+Result<Frame> WireClient::RoundTrip(FrameType request,
+                                    std::string_view payload,
                                     FrameType expected_response,
                                     bool idempotent) {
   // A failed *response read* may follow server-side execution, so only
@@ -357,7 +300,7 @@ Result<Frame> WireClient::RoundTrip(FrameType request, std::string payload,
         std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
       }
     }
-    auto pending = Send(request, &payload);
+    auto pending = Send(request, payload);
     if (!pending.ok()) {
       last_error = pending.status();
       continue;
@@ -368,8 +311,7 @@ Result<Frame> WireClient::RoundTrip(FrameType request, std::string payload,
       if (!idempotent) return last_error;
       continue;
     }
-    if (response->type == FrameType::kError ||
-        response->type == FrameType::kErrorPipelined) {
+    if (response->type == FrameType::kError) {
       // Protocol-level rejection: the connection is still framed and
       // reusable; only this request failed.
       return StatusFromError(DecodeErrorBody(response->payload));
@@ -401,14 +343,11 @@ Result<std::vector<Result<double>>> WireClient::ScoreWorkloads(
     std::string_view tenant,
     const std::vector<workloads::QueryRecord>& records,
     const std::vector<core::WorkloadBatch>& batches) {
-  // Built in its own statement, so the bare encoding is freed before the
-  // frame is: a large request is held twice at most, not three times.
-  std::string payload =
-      EncodePipelinedPayload(0, EncodeScoreRequest(tenant, records, batches));
-  WMP_ASSIGN_OR_RETURN(Frame frame,
-                       RoundTrip(FrameType::kScoreRequestPipelined,
-                                 std::move(payload),
-                                 FrameType::kScoreResponsePipelined));
+  WMP_ASSIGN_OR_RETURN(
+      Frame frame,
+      RoundTrip(FrameType::kScoreRequest,
+                EncodeScoreRequest(tenant, records, batches),
+                FrameType::kScoreResponse));
   return ScoreOutcomes(frame, batches.size());
 }
 
@@ -416,10 +355,10 @@ Result<WireClient::Pending> WireClient::SubmitScore(
     std::string_view tenant,
     const std::vector<workloads::QueryRecord>& records,
     const std::vector<core::WorkloadBatch>& batches) {
-  std::string payload =
-      EncodePipelinedPayload(0, EncodeScoreRequest(tenant, records, batches));
-  WMP_ASSIGN_OR_RETURN(Pending pending,
-                       Send(FrameType::kScoreRequestPipelined, &payload));
+  WMP_ASSIGN_OR_RETURN(
+      Pending pending,
+      Send(FrameType::kScoreRequest,
+           EncodeScoreRequest(tenant, records, batches)));
   pending.workloads_ = batches.size();
   return pending;
 }

@@ -9,25 +9,24 @@
 ///  * **One connection, any number of callers.** The client is
 ///    thread-safe. It connects on first use, after a stream failure, and
 ///    when the server has closed the idle connection.
-///  * **Correlated score frames.** Every score request is a
-///    kScoreRequestPipelined frame with a correlation id, answered in
-///    completion order; up to `max_inflight` share the connection.
-///    `ScoreWorkloads` is one blocking round trip, `SubmitScore` + `Wait`
-///    keep a window open. One frame carries a record batch plus every
-///    workload's member indices, so requests count per call, not per
-///    workload. Every other request is plain and answered in order.
+///  * **Numbered requests.** Every request carries an id in its frame
+///    header and its answer echoes it, so answers may come in any order;
+///    up to `max_inflight` requests share the connection. `ScoreWorkloads`
+///    is one blocking round trip, `SubmitScore` + `Wait` keep a window
+///    open. One score frame carries a record batch plus every workload's
+///    member indices, so requests count per call, not per workload.
 ///  * **No client threads.** A caller waiting for an answer reads the
 ///    socket itself, one reader at a time, and hands other callers'
 ///    frames to them; the others sleep until their frame arrives or the
 ///    reader leaves. Nothing sits between a caller and its socket.
 ///  * **Deadlines.** With `request_timeout_ms` set, each request has that
 ///    long to be answered (the waiting reader's poll timeout). An overdue
-///    score fails alone, and its late answer is dropped when it comes. An
-///    overdue plain request drops the connection: plain answers carry no
-///    id, so a late one would land on the next plain request.
-///  * **Failures.** EOF, an I/O error, or an undecodable or unmatched
-///    frame fails every request in flight on the connection; the next
-///    request reconnects.
+///    request fails alone, and its late answer is dropped when it comes.
+///  * **Failures.** A kError answer fails its one request. EOF, an I/O
+///    error, an undecodable frame, or a frame whose id matches no request
+///    (id 0 included: the server's mark for a stream-level error) fails
+///    every request in flight on the connection; the next request
+///    reconnects.
 
 #include <chrono>
 #include <condition_variable>
@@ -47,10 +46,8 @@
 namespace wmp::net {
 
 struct WireClientOptions {
-  /// Receiver-side frame bound (see FrameLimits).
-  size_t max_payload_bytes = 64ull << 20;
-  /// Score requests in flight on the connection at once. A submit beyond
-  /// it first reads responses until one is answered (flow control, not
+  /// Requests in flight on the connection at once. A send beyond it
+  /// first reads responses until one is answered (flow control, not
   /// latency): deep enough to hide wire latency, shallow enough that one
   /// client cannot monopolize the server's flush windows.
   size_t max_inflight = 32;
@@ -172,13 +169,12 @@ class WireClient {
   /// never for publish/rollback/commit (the server may have applied them
   /// before the response was lost). kError frames convert to their
   /// carried Status.
-  Result<Frame> RoundTrip(FrameType request, std::string payload,
+  Result<Frame> RoundTrip(FrameType request, std::string_view payload,
                           FrameType expected_response,
                           bool idempotent = true);
-  /// Registers and writes one request on the live stream; a score
-  /// request's payload gets its correlation id stamped in. A failure here
-  /// means the request never reached the server whole.
-  Result<Pending> Send(FrameType type, std::string* payload);
+  /// Numbers, registers and writes one request on the live stream. A
+  /// failure here means the request never reached the server whole.
+  Result<Pending> Send(FrameType type, std::string_view payload);
   /// Reads (or waits for another reader) until `pending` is answered.
   Result<Frame> Await(const Pending& pending);
   /// The live stream, (re)connecting when there is none or the server
@@ -200,15 +196,14 @@ class WireClient {
 
   std::string address_;
   WireClientOptions options_;
-  FrameLimits limits_;
-  /// Serializes frame writes (and orders plain requests as they register).
+  /// Serializes frame writes.
   std::mutex write_mutex_;
   /// Guards the stream's bookkeeping, next_id_ and backoff_state_.
   mutable std::mutex mutex_;
   /// Signaled when a response lands or the reader leaves the socket.
   std::condition_variable cv_;
   std::shared_ptr<Stream> stream_;
-  uint32_t next_id_ = 1;  ///< correlation ids; 0 is never issued
+  uint32_t next_id_ = 1;  ///< request ids; 0 is never issued
   uint64_t backoff_state_ = 0;  ///< jitter RNG; seeded in the constructor
 };
 

@@ -1,5 +1,6 @@
 #include "plan/plan_parser.h"
 
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -81,11 +82,12 @@ Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
     rest.remove_prefix(eq + 1);
     size_t val_end = rest.find(' ');
     if (val_end == std::string_view::npos) val_end = rest.size();
-    const std::string value(rest.substr(0, val_end));
+    const std::string value(Trim(rest.substr(0, val_end)));
     rest.remove_prefix(val_end);
+    // The whole field must be the number: "1abc" is not 1.
     char* endp = nullptr;
     const double v = std::strtod(value.c_str(), &endp);
-    if (endp == value.c_str()) {
+    if (value.empty() || endp != value.c_str() + value.size()) {
       return Status::InvalidArgument(
           StrFormat("line %zu: non-numeric value for %s", line_no, key.c_str()));
     }
@@ -106,6 +108,12 @@ Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
     } else if (key == "width") {
       out.node->row_width = v;
     } else if (key == "keys") {
+      // Casting a double an int cannot hold is undefined behaviour.
+      if (v < 0 || v > INT_MAX || v != std::floor(v)) {
+        return Status::InvalidArgument(StrFormat(
+            "line %zu: keys must be a whole number in [0, %d]", line_no,
+            INT_MAX));
+      }
       out.node->num_keys = static_cast<int>(v);
     } else {
       return Status::InvalidArgument(

@@ -86,6 +86,7 @@ int ToInt(std::string_view field) {
 struct RecordAssembler {
   QueryRecord current;
   std::string explain_block;
+  size_t query_line = 0;    // log line of the '-- query:' header
   size_t explain_line = 0;  // log line of the block's first line
   bool in_record = false;
 
@@ -104,7 +105,14 @@ struct RecordAssembler {
           StrFormat("record ending at line %zu has no EXPLAIN block",
                     line_no));
     }
-    WMP_ASSIGN_OR_RETURN(current.query, sql::Parse(current.sql_text));
+    auto query = sql::Parse(current.sql_text);
+    if (!query.ok()) {
+      // The SQL parser counts offsets within the query; name its log line.
+      return Status(query.status().code(),
+                    StrFormat("query at line %zu: %s", query_line,
+                              query.status().message().c_str()));
+    }
+    current.query = std::move(*query);
     auto plan = plan::ParseExplain(explain_block);
     if (!plan.ok()) {
       // The plan parser numbers lines within the block; name the log line
@@ -135,6 +143,7 @@ struct RecordAssembler {
                       line_no));
       }
       in_record = true;
+      query_line = line_no;
       current.sql_text = raw.substr(10);
       return Status::OK();
     }

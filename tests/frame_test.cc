@@ -48,43 +48,62 @@ struct Pipe {
 TEST(FrameTest, EncodeDecodeRoundTrip) {
   const std::string payload = "hello workload memory prediction";
   const std::string wire =
-      EncodeFrame(FrameType::kScoreRequestPipelined, payload);
+      EncodeFrame(FrameType::kScoreRequest, 0xC0FFEE01u, payload);
+  EXPECT_EQ(wire.size(), kFrameHeaderBytes + payload.size());
   size_t consumed = 0;
   auto frame = DecodeFrame(wire, FrameLimits{}, &consumed);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(consumed, wire.size());
-  EXPECT_EQ(frame->type, FrameType::kScoreRequestPipelined);
+  EXPECT_EQ(frame->type, FrameType::kScoreRequest);
+  EXPECT_EQ(frame->id, 0xC0FFEE01u);
   EXPECT_EQ(frame->payload, payload);
 }
 
 TEST(FrameTest, DecodeEmptyPayloadAndBackToBackFrames) {
-  const std::string wire = EncodeFrame(FrameType::kPing, "") +
-                           EncodeFrame(FrameType::kPong, "x");
+  const std::string wire = EncodeFrame(FrameType::kPing, 1, "") +
+                           EncodeFrame(FrameType::kPong, 2, "x");
   size_t consumed = 0;
   auto first = DecodeFrame(wire, FrameLimits{}, &consumed);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->type, FrameType::kPing);
+  EXPECT_EQ(first->id, 1u);
   EXPECT_TRUE(first->payload.empty());
   auto second = DecodeFrame(wire.substr(consumed), FrameLimits{}, &consumed);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->type, FrameType::kPong);
+  EXPECT_EQ(second->id, 2u);
   EXPECT_EQ(second->payload, "x");
 }
 
 TEST(FrameTest, DecodeRejectsBadMagic) {
-  std::string wire = EncodeFrame(FrameType::kPing, "abc");
+  std::string wire = EncodeFrame(FrameType::kPing, 1, "abc");
   wire[0] ^= 0x5A;  // corrupt the magic
   size_t consumed = 0;
   auto frame = DecodeFrame(wire, FrameLimits{}, &consumed);
   ASSERT_FALSE(frame.ok());
   EXPECT_TRUE(frame.status().IsInvalidArgument());
+  // A WMF1 ping (magic, type, length: a 9-byte header) is refused at
+  // once, though it is shorter than this protocol's header.
+  const uint32_t wmf1_magic = 0x31464D57;
+  const uint32_t wmf1_len = 3;
+  std::string wmf1(reinterpret_cast<const char*>(&wmf1_magic), 4);
+  wmf1.push_back(static_cast<char>(FrameType::kPing));
+  wmf1.append(reinterpret_cast<const char*>(&wmf1_len), 4);
+  wmf1 += "wmp";
+  ASSERT_LT(wmf1.size(), kFrameHeaderBytes);
+  frame = DecodeFrame(wmf1, FrameLimits{}, &consumed);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_TRUE(frame.status().IsInvalidArgument());
+  EXPECT_NE(frame.status().message().find("bad frame magic"),
+            std::string::npos)
+      << frame.status().ToString();
 }
 
 TEST(FrameTest, DecodeRejectsOversizeAnnouncedLength) {
   FrameLimits limits;
   limits.max_payload_bytes = 16;
   const std::string wire =
-      EncodeFrame(FrameType::kScoreRequestPipelined, std::string(17, 'x'));
+      EncodeFrame(FrameType::kScoreRequest, 1, std::string(17, 'x'));
   size_t consumed = 0;
   auto frame = DecodeFrame(wire, limits, &consumed);
   ASSERT_FALSE(frame.ok());
@@ -92,13 +111,14 @@ TEST(FrameTest, DecodeRejectsOversizeAnnouncedLength) {
   // The announced length is rejected from the header alone — a prefix
   // holding just the header fails identically instead of waiting for
   // bytes that may never come.
-  auto prefix = DecodeFrame(wire.substr(0, 9), limits, &consumed);
+  auto prefix =
+      DecodeFrame(wire.substr(0, kFrameHeaderBytes), limits, &consumed);
   ASSERT_FALSE(prefix.ok());
   EXPECT_TRUE(prefix.status().IsInvalidArgument());
 }
 
 TEST(FrameTest, DecodeReportsIncompleteFramesAsOutOfRange) {
-  const std::string wire = EncodeFrame(FrameType::kPing, "abcdef");
+  const std::string wire = EncodeFrame(FrameType::kPing, 1, "abcdef");
   for (size_t cut = 0; cut < wire.size(); ++cut) {
     size_t consumed = 0;
     auto frame = DecodeFrame(wire.substr(0, cut), FrameLimits{}, &consumed);
@@ -112,7 +132,8 @@ TEST(FrameTest, ReadFrameAssemblesByteDribbledInput) {
   // reads of both header and payload.
   Pipe pipe;
   const std::string payload(257, 'q');
-  const std::string wire = EncodeFrame(FrameType::kStatsRequest, payload);
+  const std::string wire =
+      EncodeFrame(FrameType::kStatsRequest, 0x01020304u, payload);
   std::thread writer([&] {
     for (char c : wire) {
       ASSERT_EQ(::write(pipe.writer(), &c, 1), 1);
@@ -122,6 +143,7 @@ TEST(FrameTest, ReadFrameAssemblesByteDribbledInput) {
   writer.join();
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(frame->type, FrameType::kStatsRequest);
+  EXPECT_EQ(frame->id, 0x01020304u);
   EXPECT_EQ(frame->payload, payload);
 }
 
@@ -132,14 +154,17 @@ TEST(FrameTest, WriteFrameSurvivesShortWritesOnAFullPipe) {
   Pipe pipe;
   const std::string payload(2 << 20, 'z');
   std::string received;
+  uint32_t received_id = 0;
   std::thread reader([&] {
     auto frame = ReadFrame(pipe.reader());
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    received_id = frame->id;
     received = std::move(frame->payload);
   });
-  ASSERT_TRUE(WriteFrame(pipe.writer(), FrameType::kPublishRequest, payload)
-                  .ok());
+  ASSERT_TRUE(
+      WriteFrame(pipe.writer(), FrameType::kPublishRequest, 77, payload).ok());
   reader.join();
+  EXPECT_EQ(received_id, 77u);
   EXPECT_EQ(received, payload);
 }
 
@@ -155,8 +180,9 @@ TEST(FrameTest, GatherWriteRoundTripsByteExactlyOverASocketpair) {
   for (size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<char>((i * 131) ^ (i >> 9));
   }
-  const std::string want = EncodeFrame(FrameType::kPublishRequest, payload) +
-                           EncodeFrame(FrameType::kPing, "");
+  const std::string want =
+      EncodeFrame(FrameType::kPublishRequest, 5, payload) +
+      EncodeFrame(FrameType::kPing, 6, "");
   struct sigaction quiet {}, previous {};
   quiet.sa_handler = [](int) {};
   sigemptyset(&quiet.sa_mask);
@@ -179,8 +205,9 @@ TEST(FrameTest, GatherWriteRoundTripsByteExactlyOverASocketpair) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   });
-  const Status big = WriteFrame(sv[0], FrameType::kPublishRequest, payload);
-  const Status empty = WriteFrame(sv[0], FrameType::kPing, "");
+  const Status big =
+      WriteFrame(sv[0], FrameType::kPublishRequest, 5, payload);
+  const Status empty = WriteFrame(sv[0], FrameType::kPing, 6, "");
   writing.store(false);
   pester.join();
   ::sigaction(SIGUSR1, &previous, nullptr);
@@ -197,11 +224,13 @@ TEST(FrameTest, GatherWriteRoundTripsByteExactlyOverASocketpair) {
   auto first = DecodeFrame(got, FrameLimits{}, &consumed);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->type, FrameType::kPublishRequest);
+  EXPECT_EQ(first->id, 5u);
   EXPECT_TRUE(first->payload == payload);
   auto second = DecodeFrame(std::string_view(got).substr(consumed),
                             FrameLimits{}, &consumed);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->type, FrameType::kPing);
+  EXPECT_EQ(second->id, 6u);
   EXPECT_TRUE(second->payload.empty());
 }
 
@@ -214,8 +243,8 @@ TEST(FrameTest, ReadFrameCleanEofIsNotFound) {
 }
 
 TEST(FrameTest, ReadFrameEofInsideHeaderOrPayloadIsIOError) {
-  const std::string wire = EncodeFrame(FrameType::kPing, "abcdef");
-  for (size_t cut : {size_t{3}, size_t{9 + 2}}) {
+  const std::string wire = EncodeFrame(FrameType::kPing, 1, "abcdef");
+  for (size_t cut : {size_t{3}, kFrameHeaderBytes + 2}) {
     Pipe pipe;
     ASSERT_EQ(::write(pipe.writer(), wire.data(), cut),
               static_cast<ssize_t>(cut));
@@ -232,7 +261,8 @@ TEST(FrameTest, ReadFrameRejectsOversizeBeforeReadingPayload) {
   limits.max_payload_bytes = 8;
   // Write only the header announcing a huge payload: the reader must
   // reject it without waiting for the (never-sent) payload bytes.
-  std::string header = EncodeFrame(FrameType::kPing, "").substr(0, 5);
+  std::string header =
+      EncodeFrame(FrameType::kPing, 1, "").substr(0, kFrameHeaderBytes - 4);
   const uint32_t huge = 1u << 30;
   header.append(reinterpret_cast<const char*>(&huge), sizeof(huge));
   ASSERT_EQ(::write(pipe.writer(), header.data(), header.size()),

@@ -303,8 +303,9 @@ TEST(LogIoTest, LoadFailsOnEmptyAndMissingFiles) {
             "cannot open for read: /no/such/wmp/log.txt");
 }
 
-// A bad directive mid-log, and a last record without an EXPLAIN block and
-// without a final newline: both functions name the same line.
+// A bad directive mid-log, a last record without an EXPLAIN block and
+// without a final newline, and SQL that does not parse: both functions
+// name the same line.
 TEST(LogIoTest, MalformedRecordReportsTheSameLineThroughLoadAndParse) {
   const std::string good =
       "-- query: SELECT a FROM t\n"
@@ -318,6 +319,9 @@ TEST(LogIoTest, MalformedRecordReportsTheSameLineThroughLoadAndParse) {
   } cases[] = {
       {good + "-- bogus-directive: nope\n\n" + good, "line 6"},
       {good + good + "-- query: SELECT b FROM t\n-- memory_mb: 3", "line 12"},
+      {good + "-- memory_mb: 3\n-- query: SELECT FROM t\n" +
+           "RETURN in=1 out=1 width=8\n\n",
+       "query at line 7"},
   };
   for (const auto& c : cases) {
     const Status parsed = ParseQueryLog(c.text).status();
@@ -358,6 +362,10 @@ TEST(LogIoTest, NonFiniteOrNonNumericFieldsAreRejectedAtTheirLine) {
       {good + "-- query: SELECT a FROM t\n-- memory_mb: 2\n" +
            "RETURN in=1 out=1 width=8\n" +
            "  TBSCAN(t) in=nan out=nan width=8\n\n",
+       "EXPLAIN block at line 8: line 2"},
+      {good + "-- query: SELECT a FROM t\n-- memory_mb: 2\n" +
+           "RETURN in=1 out=1 width=8\n" +
+           "  TBSCAN(t) in=1abc out=1 width=8\n\n",
        "EXPLAIN block at line 8: line 2"},
   };
   for (const auto& c : cases) {

@@ -378,6 +378,18 @@ TEST(PlanParserTest, RejectsMalformedInput) {
   EXPECT_TRUE(ParseExplain("RETURN in=x out=1").status().IsInvalidArgument());
   EXPECT_TRUE(
       ParseExplain("RETURN bogus=1 out=1").status().IsInvalidArgument());
+  // A numeric field is the whole field, and a key count fits an int.
+  EXPECT_TRUE(
+      ParseExplain("RETURN in=1abc out=1").status().IsInvalidArgument());
+  for (const char* keys : {"1e20", "-1", "2.5", "2147483648"}) {
+    EXPECT_TRUE(ParseExplain(std::string("RETURN in=1 out=1 keys=") + keys)
+                    .status()
+                    .IsInvalidArgument())
+        << keys;
+  }
+  auto most = ParseExplain("RETURN in=1 out=1 keys=2147483647");
+  ASSERT_TRUE(most.ok()) << most.status().ToString();
+  EXPECT_EQ((*most)->num_keys, 2147483647);
 }
 
 // ---------- features ----------

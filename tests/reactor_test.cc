@@ -162,26 +162,23 @@ TEST_F(ReactorTest, ByteAtATimeFramesReassembleCorrectly) {
       engine::MakeConsecutiveBatches(dataset_->records.size(), 30);
   const std::vector<double> want = Reference(model_, batches);
   const std::string wire =
-      net::EncodeFrame(net::FrameType::kPing, "fragmented") +
-      net::EncodeFrame(net::FrameType::kScoreRequestPipelined,
-                       net::EncodePipelinedPayload(
-                           7, net::EncodeScoreRequest("t", dataset_->records,
-                                                      batches)));
+      net::EncodeFrame(net::FrameType::kPing, 6, "fragmented") +
+      net::EncodeFrame(
+          net::FrameType::kScoreRequest, 7,
+          net::EncodeScoreRequest("t", dataset_->records, batches));
   for (char byte : wire) {
     ASSERT_EQ(::write(*fd, &byte, 1), 1);
   }
   auto pong = net::ReadFrame(*fd);
   ASSERT_TRUE(pong.ok());
   EXPECT_EQ(pong->type, net::FrameType::kPong);
+  EXPECT_EQ(pong->id, 6u);
   EXPECT_EQ(pong->payload, "fragmented");
   auto response = net::ReadFrame(*fd);
   ASSERT_TRUE(response.ok());
-  ASSERT_EQ(response->type, net::FrameType::kScoreResponsePipelined);
-  std::string body;
-  auto corr = net::DecodePipelinedPayload(response->payload, &body);
-  ASSERT_TRUE(corr.ok());
-  EXPECT_EQ(*corr, 7u);
-  auto decoded = net::DecodeScoreResponse(body);
+  ASSERT_EQ(response->type, net::FrameType::kScoreResponse);
+  EXPECT_EQ(response->id, 7u);
+  auto decoded = net::DecodeScoreResponse(response->payload);
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->size(), batches.size());
   for (size_t w = 0; w < batches.size(); ++w) {
@@ -214,7 +211,7 @@ TEST_F(ReactorTest, SlowReaderTripsBackpressureWithoutLosingFrames) {
   std::thread writer([&] {
     for (int i = 0; i < kPings; ++i) {
       ASSERT_TRUE(
-          net::WriteFrame(*fd, net::FrameType::kPing, payload).ok());
+          net::WriteFrame(*fd, net::FrameType::kPing, i + 1, payload).ok());
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -242,16 +239,15 @@ TEST_F(ReactorTest, OversizeFrameRejectedWithoutStallingOthers) {
   ASSERT_TRUE(server.Listen(address).ok());
   ASSERT_TRUE(server.Start().ok());
 
-  // Connection A announces a 65 MB payload — only the 9 header bytes ever
+  // Connection A announces a 65 MB payload — only the header bytes ever
   // travel. The reactor must reject from the header alone (no buffering
   // until the announced bytes arrive, which they never would).
   auto bad = net::ConnectTo(address);
   ASSERT_TRUE(bad.ok());
-  std::string header;
-  const uint32_t magic = 0x31464D57;
+  std::string header =
+      net::EncodeFrame(net::FrameType::kPing, 1, "")
+          .substr(0, net::kFrameHeaderBytes - 4);
   const uint32_t huge = 65u << 20;
-  header.append(reinterpret_cast<const char*>(&magic), 4);
-  header.push_back(static_cast<char>(net::FrameType::kPing));
   header.append(reinterpret_cast<const char*>(&huge), 4);
   ASSERT_EQ(::write(*bad, header.data(), header.size()),
             static_cast<ssize_t>(header.size()));
@@ -290,7 +286,8 @@ TEST_F(ReactorTest, MalformedFrameKillsOneConnectionLeavesOthersLive) {
   // A long-lived well-behaved connection, opened FIRST.
   auto good = net::ConnectTo(address);
   ASSERT_TRUE(good.ok());
-  ASSERT_TRUE(net::WriteFrame(*good, net::FrameType::kPing, "before").ok());
+  ASSERT_TRUE(
+      net::WriteFrame(*good, net::FrameType::kPing, 1, "before").ok());
   ASSERT_TRUE(net::ReadFrame(*good).ok());
 
   // Garbage magic on a second connection: one kError, then close.
@@ -307,7 +304,7 @@ TEST_F(ReactorTest, MalformedFrameKillsOneConnectionLeavesOthersLive) {
   net::CloseConnection(*bad);
 
   // The well-behaved connection never noticed.
-  ASSERT_TRUE(net::WriteFrame(*good, net::FrameType::kPing, "after").ok());
+  ASSERT_TRUE(net::WriteFrame(*good, net::FrameType::kPing, 2, "after").ok());
   auto pong = net::ReadFrame(*good);
   ASSERT_TRUE(pong.ok());
   EXPECT_EQ(pong->payload, "after");
@@ -418,33 +415,28 @@ TEST_F(ReactorTest, OneClientSharedByEightThreadsStaysBitwise) {
 
 TEST_F(ReactorTest, PipelinedClientCompletesOutOfOrderResponses) {
   // A hand-rolled server that answers three score requests in REVERSE
-  // order, encoding each request's correlation id into its prediction —
-  // each Wait must return its OWN response, not the arrival-order one.
+  // order, encoding each request's id into its prediction — each Wait
+  // must return its OWN response, not the arrival-order one.
   net::Listener listener;
   const std::string address = SocketAddress("ooo");
   ASSERT_TRUE(listener.Listen(address).ok());
   std::thread fake([&] {
     auto fd = listener.Accept();
     ASSERT_TRUE(fd.ok());
-    std::vector<uint32_t> corr_ids;
+    std::vector<uint32_t> ids;
     for (int i = 0; i < 3; ++i) {
       auto frame = net::ReadFrame(*fd);
       ASSERT_TRUE(frame.ok());
-      ASSERT_EQ(frame->type, net::FrameType::kScoreRequestPipelined);
-      std::string body;
-      auto corr = net::DecodePipelinedPayload(frame->payload, &body);
-      ASSERT_TRUE(corr.ok());
-      corr_ids.push_back(*corr);
+      ASSERT_EQ(frame->type, net::FrameType::kScoreRequest);
+      ids.push_back(frame->id);
     }
-    for (auto it = corr_ids.rbegin(); it != corr_ids.rend(); ++it) {
+    for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
       net::ScoreResponse response;
       response.ok = {1};
       response.predictions = {static_cast<double>(*it)};
       response.errors = {""};
-      ASSERT_TRUE(net::WriteFrame(
-                      *fd, net::FrameType::kScoreResponsePipelined,
-                      net::EncodePipelinedPayload(
-                          *it, net::EncodeScoreResponse(response)))
+      ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kScoreResponse, *it,
+                                  net::EncodeScoreResponse(response))
                       .ok());
     }
     net::CloseConnection(*fd);
@@ -460,7 +452,7 @@ TEST_F(ReactorTest, PipelinedClientCompletesOutOfOrderResponses) {
     ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
     pending.push_back(std::move(*submitted));
   }
-  // Correlation ids are assigned 1, 2, 3 in submit order; the fake server
+  // Request ids are assigned 1, 2, 3 in submit order; the fake server
   // answered 3, 2, 1 — each request must still see its own id.
   for (int i = 0; i < 3; ++i) {
     auto outcome = client.Wait(std::move(pending[i]));
@@ -485,7 +477,7 @@ TEST_F(ReactorTest, PipelinedScoringAgainstReactorMatchesReference) {
 
   // A window of 8 over 30 single-batch requests: submits past the window
   // read answers first, the reactor answers in completion order, and the
-  // correlation ids route them home.
+  // request ids route them home.
   net::WireClientOptions copts;
   copts.max_inflight = 8;
   net::WireClient client(address, copts);
@@ -518,23 +510,21 @@ TEST_F(ReactorTest, PipelinedErrorIndictsOneRequestNotTheStream) {
 
   auto fd = net::ConnectTo(address);
   ASSERT_TRUE(fd.ok());
-  // Correlation id decodes, body does not: kErrorPipelined carrying OUR
-  // id must come back, and the connection must stay usable.
-  ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kScoreRequestPipelined,
-                              net::EncodePipelinedPayload(42, "garbage"))
-                  .ok());
+  // A score payload that does not decode: a kError carrying OUR id must
+  // come back, and the connection must stay usable.
+  ASSERT_TRUE(
+      net::WriteFrame(*fd, net::FrameType::kScoreRequest, 42, "garbage")
+          .ok());
   auto error = net::ReadFrame(*fd);
   ASSERT_TRUE(error.ok());
-  ASSERT_EQ(error->type, net::FrameType::kErrorPipelined);
-  std::string body;
-  auto corr = net::DecodePipelinedPayload(error->payload, &body);
-  ASSERT_TRUE(corr.ok());
-  EXPECT_EQ(*corr, 42u);
-  // Still alive: a plain ping round-trips.
-  ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kPing, "alive").ok());
+  ASSERT_EQ(error->type, net::FrameType::kError);
+  EXPECT_EQ(error->id, 42u);
+  // Still alive: a ping round-trips.
+  ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kPing, 43, "alive").ok());
   auto pong = net::ReadFrame(*fd);
   ASSERT_TRUE(pong.ok());
   EXPECT_EQ(pong->type, net::FrameType::kPong);
+  EXPECT_EQ(pong->id, 43u);
   net::CloseConnection(*fd);
   server.Shutdown();
   service.Stop();
@@ -615,7 +605,7 @@ TEST_F(ReactorTest, CorruptChecksumPublishRejectedBeforeAnyEpoch) {
   auto fd = net::ConnectTo(address);
   ASSERT_TRUE(fd.ok());
   ASSERT_TRUE(
-      net::WriteFrame(*fd, net::FrameType::kPublishRequest, payload).ok());
+      net::WriteFrame(*fd, net::FrameType::kPublishRequest, 1, payload).ok());
   auto error = net::ReadFrame(*fd);
   ASSERT_TRUE(error.ok());
   ASSERT_EQ(error->type, net::FrameType::kError);
@@ -641,7 +631,7 @@ TEST_F(ReactorTest, IdleConnectionsAreReaped) {
 
   auto fd = net::ConnectTo(address);
   ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kPing, "p").ok());
+  ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kPing, 1, "p").ok());
   ASSERT_TRUE(net::ReadFrame(*fd).ok());
   // Go quiet past the timeout; the server must hang up on us.
   auto eof = net::ReadFrame(*fd);

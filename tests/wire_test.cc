@@ -426,7 +426,7 @@ TEST_F(WireTest, MalformedFramesGetCleanErrorsAndServerSurvives) {
     auto fd = net::ConnectTo(address);
     ASSERT_TRUE(fd.ok());
     const char junk[] = "GET / HTTP/1.1\r\n\r\n";
-    ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kPing, "").ok());
+    ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kPing, 1, "").ok());
     auto pong = net::ReadFrame(*fd);
     ASSERT_TRUE(pong.ok());
     EXPECT_EQ(pong->type, net::FrameType::kPong);
@@ -435,31 +435,35 @@ TEST_F(WireTest, MalformedFramesGetCleanErrorsAndServerSurvives) {
     auto error = net::ReadFrame(*fd);
     if (error.ok()) {
       EXPECT_EQ(error->type, net::FrameType::kError);
+      EXPECT_EQ(error->id, 0u) << "a stream-level error names no request";
     }  // (or the server already hung up — both are clean outcomes)
     net::CloseConnection(*fd);
   }
   {
-    // A well-framed but undecodable score payload: error frame, and the
-    // connection stays usable.
+    // A well-framed but undecodable score payload: an error frame under
+    // the request's id, and the connection stays usable.
     auto fd = net::ConnectTo(address);
     ASSERT_TRUE(fd.ok());
-    ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kScoreRequestPipelined,
-                                "nonsense")
-                    .ok());
+    ASSERT_TRUE(
+        net::WriteFrame(*fd, net::FrameType::kScoreRequest, 9, "nonsense")
+            .ok());
     auto error = net::ReadFrame(*fd);
     ASSERT_TRUE(error.ok());
-    EXPECT_EQ(error->type, net::FrameType::kErrorPipelined);
-    // The retired uncorrelated score pair (types 2 and 3) is unknown now:
-    // kError each, and the connection keeps serving.
-    for (const uint8_t retired : {2, 3}) {
+    EXPECT_EQ(error->type, net::FrameType::kError);
+    EXPECT_EQ(error->id, 9u);
+    // Retired frame types (the uncorrelated score pair 2 and 3, the
+    // per-request error 253) are unknown now: kError each, and the
+    // connection keeps serving.
+    for (const uint8_t retired : {2, 3, 253}) {
       ASSERT_TRUE(net::WriteFrame(*fd, static_cast<net::FrameType>(retired),
-                                  "nonsense")
+                                  retired, "nonsense")
                       .ok());
       auto rejected = net::ReadFrame(*fd);
       ASSERT_TRUE(rejected.ok());
       EXPECT_EQ(rejected->type, net::FrameType::kError);
+      EXPECT_EQ(rejected->id, retired);
     }
-    ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kPing, "p").ok());
+    ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kPing, 10, "p").ok());
     auto pong = net::ReadFrame(*fd);
     ASSERT_TRUE(pong.ok());
     EXPECT_EQ(pong->type, net::FrameType::kPong);
@@ -470,8 +474,7 @@ TEST_F(WireTest, MalformedFramesGetCleanErrorsAndServerSurvives) {
     auto fd = net::ConnectTo(address);
     ASSERT_TRUE(fd.ok());
     ASSERT_TRUE(
-        net::WriteFrame(*fd, net::FrameType::kScoreResponsePipelined, "")
-            .ok());
+        net::WriteFrame(*fd, net::FrameType::kScoreResponse, 1, "").ok());
     auto error = net::ReadFrame(*fd);
     ASSERT_TRUE(error.ok());
     EXPECT_EQ(error->type, net::FrameType::kError);
@@ -500,7 +503,7 @@ TEST_F(WireTest, PublishRejectsCorruptArtifactAndKeepsServing) {
   net::PublishRequest request;
   request.model_name = "default";
   request.model_bytes = "this is not a model artifact";
-  ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kPublishRequest,
+  ASSERT_TRUE(net::WriteFrame(*fd, net::FrameType::kPublishRequest, 1,
                               net::EncodePublishRequest(request))
                   .ok());
   auto error = net::ReadFrame(*fd);
@@ -556,7 +559,7 @@ TEST_F(WireTest, PublishChecksumCatchesWireCorruptionBeforeAnyEpoch) {
   auto fd = net::ConnectTo(address);
   ASSERT_TRUE(fd.ok());
   ASSERT_TRUE(
-      net::WriteFrame(*fd, net::FrameType::kPublishRequest, payload).ok());
+      net::WriteFrame(*fd, net::FrameType::kPublishRequest, 1, payload).ok());
   auto error = net::ReadFrame(*fd);
   ASSERT_TRUE(error.ok());
   ASSERT_EQ(error->type, net::FrameType::kError);
