@@ -1,5 +1,7 @@
 #include "plan/operator.h"
 
+#include <string>
+
 namespace wmp::plan {
 
 const char* OperatorTypeName(OperatorType op) {
@@ -30,12 +32,12 @@ const char* OperatorTypeName(OperatorType op) {
   return "?";
 }
 
-Result<OperatorType> OperatorTypeFromName(const std::string& name) {
+Result<OperatorType> OperatorTypeFromName(std::string_view name) {
   for (int i = 0; i < kNumOperatorTypes; ++i) {
     const auto op = static_cast<OperatorType>(i);
     if (name == OperatorTypeName(op)) return op;
   }
-  return Status::NotFound("unknown operator: " + name);
+  return Status::NotFound("unknown operator: " + std::string(name));
 }
 
 bool IsBlocking(OperatorType op) {

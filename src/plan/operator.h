@@ -8,7 +8,7 @@
 /// fixed-length vector with one (count, cardinality) slot pair per type.
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "util/status.h"
 
@@ -36,7 +36,7 @@ constexpr int kNumOperatorTypes = 11;
 const char* OperatorTypeName(OperatorType op);
 
 /// Inverse of OperatorTypeName; NotFound for unknown names.
-Result<OperatorType> OperatorTypeFromName(const std::string& name);
+Result<OperatorType> OperatorTypeFromName(std::string_view name);
 
 /// True for operators that break a pipeline (consume their input fully
 /// before producing output): SORT, TEMP, and hash GROUP BY; HSJOIN blocks

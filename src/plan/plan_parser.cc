@@ -1,8 +1,8 @@
 #include "plan/plan_parser.h"
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -18,7 +18,7 @@ struct ParsedLine {
   PlanNode* node = nullptr;
 };
 
-Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
+Result<ParsedLine> ParseLine(std::string_view line, size_t line_no,
                              util::Arena* arena) {
   ParsedLine out;
   size_t indent = 0;
@@ -29,15 +29,15 @@ Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
   }
   out.depth = static_cast<int>(indent / 2);
 
-  std::string_view rest = std::string_view(line).substr(indent);
+  std::string_view rest = line.substr(indent);
   // Operator name runs until '(' or whitespace.
   size_t name_end = 0;
   while (name_end < rest.size() && rest[name_end] != '(' &&
          rest[name_end] != ' ') {
     ++name_end;
   }
-  const std::string op_name(rest.substr(0, name_end));
-  WMP_ASSIGN_OR_RETURN(OperatorType op, OperatorTypeFromName(op_name));
+  WMP_ASSIGN_OR_RETURN(OperatorType op,
+                       OperatorTypeFromName(rest.substr(0, name_end)));
   out.node = arena->New<PlanNode>(arena, op);
   rest.remove_prefix(name_end);
 
@@ -75,27 +75,25 @@ Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
     const size_t eq = rest.find('=');
     if (eq == std::string_view::npos) {
       return Status::InvalidArgument(
-          StrFormat("line %zu: malformed field near '%s'", line_no,
-                    std::string(rest.substr(0, 16)).c_str()));
+          StrFormat("line %zu: malformed field near '%.*s'", line_no,
+                    static_cast<int>(std::min<size_t>(rest.size(), 16)),
+                    rest.data()));
     }
-    const std::string key(rest.substr(0, eq));
+    const std::string_view key = rest.substr(0, eq);
+    const int key_len = static_cast<int>(key.size());
     rest.remove_prefix(eq + 1);
     size_t val_end = rest.find(' ');
     if (val_end == std::string_view::npos) val_end = rest.size();
-    const std::string value(Trim(rest.substr(0, val_end)));
+    const std::string_view value = Trim(rest.substr(0, val_end));
     rest.remove_prefix(val_end);
-    // The whole field must be the number: "1abc" is not 1.
-    char* endp = nullptr;
-    const double v = std::strtod(value.c_str(), &endp);
-    if (value.empty() || endp != value.c_str() + value.size()) {
-      return Status::InvalidArgument(
-          StrFormat("line %zu: non-numeric value for %s", line_no, key.c_str()));
-    }
-    if (!std::isfinite(v)) {
-      // A NaN or infinite cardinality poisons every plan feature and the
-      // k-means fit over them.
-      return Status::InvalidArgument(
-          StrFormat("line %zu: non-finite value for %s", line_no, key.c_str()));
+    // The whole field must be a finite number: "1abc" is not 1, and a NaN
+    // or infinite cardinality poisons every plan feature and the k-means
+    // fit over them.
+    double v = 0.0;
+    if (Status st = ParseFiniteDouble(value, &v); !st.ok()) {
+      return Status::InvalidArgument(StrFormat("line %zu: %s for %.*s",
+                                               line_no, st.message().c_str(),
+                                               key_len, key.data()));
     }
     if (key == "in") {
       out.node->input_card = v;
@@ -116,8 +114,8 @@ Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
       }
       out.node->num_keys = static_cast<int>(v);
     } else {
-      return Status::InvalidArgument(
-          StrFormat("line %zu: unknown field '%s'", line_no, key.c_str()));
+      return Status::InvalidArgument(StrFormat(
+          "line %zu: unknown field '%.*s'", line_no, key_len, key.data()));
     }
   }
   return out;
@@ -125,14 +123,14 @@ Result<ParsedLine> ParseLine(const std::string& line, size_t line_no,
 
 }  // namespace
 
-Result<PlanNode*> ParseExplainInto(const std::string& text,
+Result<PlanNode*> ParseExplainInto(std::string_view text,
                                    util::Arena* arena) {
-  std::vector<std::string> lines = Split(text, '\n');
   // Stack of (depth, node*) for parent attachment.
   PlanNode* root = nullptr;
   std::vector<std::pair<int, PlanNode*>> stack;
   size_t line_no = 0;
-  for (const std::string& raw : lines) {
+  std::string_view raw;
+  for (LineCursor lines(text); lines.Next(&raw);) {
     ++line_no;
     if (Trim(raw).empty()) continue;
     WMP_ASSIGN_OR_RETURN(ParsedLine parsed, ParseLine(raw, line_no, arena));
@@ -162,7 +160,7 @@ Result<PlanNode*> ParseExplainInto(const std::string& text,
   return root;
 }
 
-Result<PlanTree> ParseExplain(const std::string& text) {
+Result<PlanTree> ParseExplain(std::string_view text) {
   auto arena = std::make_unique<util::Arena>(kPlanArenaChunk);
   WMP_ASSIGN_OR_RETURN(PlanNode * root, ParseExplainInto(text, arena.get()));
   return PlanTree(std::move(arena), root);

@@ -9,7 +9,7 @@
 /// without re-planning. `ParseExplain(Explain(p))` reconstructs `p` exactly
 /// (all annotated fields).
 
-#include <string>
+#include <string_view>
 
 #include "plan/plan_node.h"
 #include "util/status.h"
@@ -20,11 +20,13 @@ namespace wmp::plan {
 /// lines, bad indentation (a child more than one level deeper than its
 /// parent), unknown operators, or empty input. The returned tree owns its
 /// arena.
-Result<PlanTree> ParseExplain(const std::string& text);
+Result<PlanTree> ParseExplain(std::string_view text);
 
 /// Batch form: parses into a caller-owned arena (nodes and strings live
-/// there; reset the arena between batches to reuse its chunks).
-Result<PlanNode*> ParseExplainInto(const std::string& text,
+/// there; reset the arena between batches to reuse its chunks). Lines are
+/// read in place as views of `text`; nothing is copied but the table and
+/// detail strings the nodes keep.
+Result<PlanNode*> ParseExplainInto(std::string_view text,
                                    util::Arena* arena);
 
 }  // namespace wmp::plan

@@ -25,6 +25,18 @@ StringInterner& StringInterner::Global() {
 
 std::string_view StringInterner::Intern(std::string_view s) {
   if (s.empty()) return {};
+  // A per-thread set of canonical views in front of the shared pool, so a
+  // hit takes no lock: parse workers on the pool would otherwise meet on
+  // the shared mutex's reader count for every identifier. Sound because
+  // interned views are never freed and Global() is the only instance.
+  thread_local std::unordered_set<std::string_view> lookaside;
+  if (auto it = lookaside.find(s); it != lookaside.end()) return *it;
+  const std::string_view stored = InternShared(s);
+  lookaside.insert(stored);
+  return stored;
+}
+
+std::string_view StringInterner::InternShared(std::string_view s) {
   {
     std::shared_lock<std::shared_mutex> lock(impl_->mu);
     auto it = impl_->set.find(s);

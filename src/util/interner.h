@@ -16,7 +16,8 @@
 
 namespace wmp::util {
 
-/// \brief Thread-safe append-only intern pool.
+/// \brief Thread-safe append-only intern pool. Each thread keeps the views
+/// it has been handed, so a repeat lookup takes no lock.
 class StringInterner {
  public:
   /// The process-wide pool.
@@ -33,6 +34,9 @@ class StringInterner {
  private:
   StringInterner();
   ~StringInterner() = delete;  // never destroyed: views live forever
+
+  /// Intern through the shared pool's lock.
+  std::string_view InternShared(std::string_view s);
 
   struct Impl;
   Impl* impl_;

@@ -1,8 +1,11 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <system_error>
 
 namespace wmp {
 
@@ -23,18 +26,6 @@ std::string_view Trim(std::string_view s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
-}
-
-std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
 }
 
 std::vector<std::string> SplitWhitespace(std::string_view s) {
@@ -60,6 +51,26 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+Status ParseFiniteDouble(std::string_view text, double* out) {
+  const char* const end = text.data() + text.size();
+  double v = 0.0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  const char* problem = nullptr;
+  if (ec == std::errc::invalid_argument || stop != end) {
+    problem = "non-numeric";
+  } else if (ec == std::errc::result_out_of_range) {
+    problem = "out-of-range";
+  } else if (!std::isfinite(v)) {
+    problem = "non-finite";
+  } else {
+    *out = v;
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      StrFormat("%s value '%.*s'", problem, static_cast<int>(text.size()),
+                text.data()));
 }
 
 std::string StrFormat(const char* fmt, ...) {

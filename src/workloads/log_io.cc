@@ -6,15 +6,17 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
-#include <cstdlib>
+#include <charconv>
+#include <climits>
 #include <cstring>
 #include <fstream>
+#include <system_error>
 
 #include "plan/explain.h"
 #include "plan/features.h"
 #include "plan/plan_parser.h"
 #include "sql/parser.h"
+#include "util/parallel.h"
 #include "util/strings.h"
 
 namespace wmp::workloads {
@@ -53,154 +55,197 @@ Status WriteQueryLog(const std::vector<QueryRecord>& records,
 
 namespace {
 
-// strtod and atoi read up to a NUL, and a line view has none: they would
-// read on into the next line (strtod skips a leading newline). So a field is
-// copied out before it is converted.
-//
 // A memory figure must be a finite number and nothing else: one NaN label
 // trains a model that predicts NaN for every workload.
 Status ToFiniteDouble(std::string_view field, size_t line_no, double* out) {
-  const std::string text(Trim(field));
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size()) {
-    return Status::InvalidArgument(
-        StrFormat("line %zu: non-numeric value '%s'", line_no, text.c_str()));
-  }
-  if (!std::isfinite(v)) {
-    return Status::InvalidArgument(
-        StrFormat("line %zu: non-finite value '%s'", line_no, text.c_str()));
+  const Status st = ParseFiniteDouble(Trim(field), out);
+  if (st.ok()) return st;
+  return Status::InvalidArgument(
+      StrFormat("line %zu: %s", line_no, st.message().c_str()));
+}
+
+// A family is a whole number in [0, INT_MAX]; the writer omits the line for
+// a record without one (-1).
+Status ToFamily(std::string_view field, size_t line_no, int* out) {
+  const std::string_view text = Trim(field);
+  const char* const end = text.data() + text.size();
+  int v = -1;
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || stop != end || v < 0) {
+    return Status::InvalidArgument(StrFormat(
+        "line %zu: family must be a whole number in [0, %d], not '%.*s'",
+        line_no, INT_MAX, static_cast<int>(text.size()), text.data()));
   }
   *out = v;
   return Status::OK();
 }
-int ToInt(std::string_view field) {
-  return std::atoi(std::string(field).c_str());
-}
 
-/// Incremental single-record parser shared by the whole-text ParseQueryLog
-/// and the streaming QueryLogReader — the format's record boundary is a
-/// blank line, so one line of lookahead is never needed and a record can
-/// be finalized (SQL re-parsed, EXPLAIN block re-planned, features
-/// recomputed) the moment its terminator arrives.
-struct RecordAssembler {
-  QueryRecord current;
-  std::string explain_block;
+// One record as the framing pass leaves it: header fields read, SQL and
+// EXPLAIN still views of the log text.
+struct FramedRecord {
+  std::string_view sql;
+  // First plan line through the last. When directive lines sit between
+  // plan lines (`interleaved`), it holds those too.
+  std::string_view explain;
   size_t query_line = 0;    // log line of the '-- query:' header
-  size_t explain_line = 0;  // log line of the block's first line
-  bool in_record = false;
+  size_t explain_line = 0;  // log line of the first plan line; 0 = none
+  bool interleaved = false;
+  double actual_memory_mb = 0.0;
+  double dbms_estimate_mb = 0.0;
+  int family_id = -1;
+};
 
-  /// Finalizes the pending record (if any) into `*done`; `*completed`
-  /// says whether one was produced.
-  Status Complete(size_t line_no, QueryRecord* done, bool* completed) {
-    *completed = false;
+// The serial pass: walks the lines of `text`, numbered on from `*line_no`,
+// reads each record's header fields and notes its SQL and EXPLAIN text,
+// parsing neither. A blank line ends a record, and so does the end of
+// `text`. Returns the first framing error; `*framed` then holds the records
+// that ended before it.
+Status FrameRecords(std::string_view text, size_t* line_no,
+                    std::vector<FramedRecord>* framed) {
+  FramedRecord r;
+  bool in_record = false;
+  size_t last_plan_line = 0;
+  const auto complete = [&](size_t end_line) {
     if (!in_record) return Status::OK();
-    if (current.sql_text.empty()) {
+    if (r.sql.empty()) {
       return Status::InvalidArgument(
           StrFormat("record ending at line %zu has no '-- query:' header",
-                    line_no));
+                    end_line));
     }
-    if (explain_block.empty()) {
+    if (r.explain_line == 0) {
       return Status::InvalidArgument(
           StrFormat("record ending at line %zu has no EXPLAIN block",
-                    line_no));
+                    end_line));
     }
-    auto query = sql::Parse(current.sql_text);
-    if (!query.ok()) {
-      // The SQL parser counts offsets within the query; name its log line.
-      return Status(query.status().code(),
-                    StrFormat("query at line %zu: %s", query_line,
-                              query.status().message().c_str()));
-    }
-    current.query = std::move(*query);
-    auto plan = plan::ParseExplain(explain_block);
-    if (!plan.ok()) {
-      // The plan parser numbers lines within the block; name the log line
-      // the block starts on too.
-      return Status(plan.status().code(),
-                    StrFormat("EXPLAIN block at line %zu: %s", explain_line,
-                              plan.status().message().c_str()));
-    }
-    current.plan = std::move(*plan);
-    current.plan_features = plan::ExtractPlanFeatures(*current.plan);
-    *done = std::move(current);
-    *completed = true;
-    current = QueryRecord{};
-    explain_block.clear();
+    framed->push_back(r);
+    r = FramedRecord{};
     in_record = false;
     return Status::OK();
-  }
-
-  /// Consumes one line; a blank line completes the pending record.
-  Status Feed(std::string_view raw, size_t line_no, QueryRecord* done,
-              bool* completed) {
-    *completed = false;
-    if (Trim(raw).empty()) return Complete(line_no, done, completed);
-    if (StartsWith(raw, "-- query: ")) {
-      if (in_record && !current.sql_text.empty()) {
-        return Status::InvalidArgument(
-            StrFormat("line %zu: duplicate '-- query:' in one record",
-                      line_no));
-      }
-      in_record = true;
-      query_line = line_no;
-      current.sql_text = raw.substr(10);
-      return Status::OK();
+  };
+  std::string_view raw;
+  for (LineCursor lines(text); lines.Next(&raw);) {
+    const size_t n = ++*line_no;
+    if (Trim(raw).empty()) {
+      WMP_RETURN_IF_ERROR(complete(n));
+      continue;
     }
-    if (StartsWith(raw, "-- memory_mb: ")) {
-      in_record = true;
-      return ToFiniteDouble(raw.substr(14), line_no,
-                            &current.actual_memory_mb);
-    }
-    if (StartsWith(raw, "-- dbms_estimate_mb: ")) {
-      in_record = true;
-      return ToFiniteDouble(raw.substr(21), line_no,
-                            &current.dbms_estimate_mb);
-    }
-    if (StartsWith(raw, "-- family: ")) {
-      current.family_id = ToInt(raw.substr(11));
-      in_record = true;
-      return Status::OK();
-    }
-    if (StartsWith(raw, "--")) {
-      return Status::InvalidArgument(
-          StrFormat("line %zu: unknown log directive", line_no));
-    }
-    // Plan line (possibly indented).
     in_record = true;
-    if (explain_block.empty()) explain_line = line_no;
-    explain_block += raw;
-    explain_block += '\n';
-    return Status::OK();
+    if (StartsWith(raw, "-- query: ")) {
+      if (!r.sql.empty()) {
+        return Status::InvalidArgument(
+            StrFormat("line %zu: duplicate '-- query:' in one record", n));
+      }
+      r.query_line = n;
+      r.sql = raw.substr(10);
+    } else if (StartsWith(raw, "-- memory_mb: ")) {
+      WMP_RETURN_IF_ERROR(
+          ToFiniteDouble(raw.substr(14), n, &r.actual_memory_mb));
+    } else if (StartsWith(raw, "-- dbms_estimate_mb: ")) {
+      WMP_RETURN_IF_ERROR(
+          ToFiniteDouble(raw.substr(21), n, &r.dbms_estimate_mb));
+    } else if (StartsWith(raw, "-- family: ")) {
+      WMP_RETURN_IF_ERROR(ToFamily(raw.substr(11), n, &r.family_id));
+    } else if (StartsWith(raw, "--")) {
+      return Status::InvalidArgument(
+          StrFormat("line %zu: unknown log directive", n));
+    } else if (r.explain_line == 0) {  // plan line, possibly indented
+      r.explain_line = n;
+      r.explain = raw;
+      last_plan_line = n;
+    } else {
+      r.interleaved = r.interleaved || n != last_plan_line + 1;
+      r.explain = std::string_view(
+          r.explain.data(),
+          static_cast<size_t>(raw.data() + raw.size() - r.explain.data()));
+      last_plan_line = n;
+    }
   }
-};
+  return complete(*line_no);
+}
+
+// The plan lines of an interleaved block, each ended by '\n': the text a
+// line-by-line parse fed the plan parser, so plan line numbers match.
+std::string PlanLines(std::string_view block) {
+  std::string out;
+  std::string_view line;
+  for (LineCursor lines(block); lines.Next(&line);) {
+    if (StartsWith(line, "--")) continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+// The per-record work of the parallel pass: parses the framed SQL and
+// EXPLAIN text into `*r` and fills everything derived from them.
+Status FinishRecord(const FramedRecord& f, QueryRecord* r) {
+  r->sql_text.assign(f.sql);
+  auto query = sql::Parse(r->sql_text);
+  if (!query.ok()) {
+    // The SQL parser counts offsets within the query; name its log line.
+    return Status(query.status().code(),
+                  StrFormat("query at line %zu: %s", f.query_line,
+                            query.status().message().c_str()));
+  }
+  r->query = std::move(*query);
+  auto plan = f.interleaved ? plan::ParseExplain(PlanLines(f.explain))
+                            : plan::ParseExplain(f.explain);
+  if (!plan.ok()) {
+    // The plan parser numbers lines within the block; name the log line
+    // the block starts on too.
+    return Status(plan.status().code(),
+                  StrFormat("EXPLAIN block at line %zu: %s", f.explain_line,
+                            plan.status().message().c_str()));
+  }
+  r->plan = std::move(*plan);
+  r->plan_features = plan::ExtractPlanFeatures(*r->plan);
+  r->actual_memory_mb = f.actual_memory_mb;
+  r->dbms_estimate_mb = f.dbms_estimate_mb;
+  r->family_id = f.family_id;
+  // Memoize the serving-layer content hash while the row is hot.
+  r->content_fingerprint = ContentFingerprint(*r);
+  return Status::OK();
+}
+
+// Records per ParallelFor chunk: each costs tens of microseconds.
+constexpr size_t kFinishGrain = 16;
+
+// Frames `text` serially, then finishes its records on the pool, each into
+// its own slot appended to `*out`. Returns the error a line-by-line parse
+// returns: the earliest failure in line order, where a record's SQL or
+// EXPLAIN failure counts at the line that ends the record, so it comes
+// before any framing failure (which stops framing). On error `*out` is left
+// as it was.
+Status ParseRecords(std::string_view text, size_t* line_no,
+                    std::vector<QueryRecord>* out) {
+  std::vector<FramedRecord> framed;
+  const Status framing = FrameRecords(text, line_no, &framed);
+  const size_t base = out->size();
+  out->resize(base + framed.size());
+  std::vector<Status> failures(framed.size());
+  util::ParallelFor(framed.size(), kFinishGrain, [&](size_t begin,
+                                                     size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      failures[i] = FinishRecord(framed[i], &(*out)[base + i]);
+      if (!failures[i].ok()) break;  // nothing later in the range is first
+    }
+  });
+  const auto failed = std::find_if(failures.begin(), failures.end(),
+                                   [](const Status& s) { return !s.ok(); });
+  const Status status = failed != failures.end() ? *failed : framing;
+  if (!status.ok()) out->resize(base);
+  return status;
+}
 
 }  // namespace
 
 Result<std::vector<QueryRecord>> ParseQueryLog(std::string_view text) {
   std::vector<QueryRecord> records;
-  RecordAssembler assembler;
   size_t line_no = 0;
-  QueryRecord done;
-  bool completed = false;
-  // Lines are views into `text`: one before each '\n', then the rest after
-  // the last one (empty when `text` ends in '\n'), numbered from 1.
-  for (size_t start = 0;;) {
-    const size_t end = std::min(text.find('\n', start), text.size());
-    ++line_no;
-    WMP_RETURN_IF_ERROR(assembler.Feed(text.substr(start, end - start),
-                                       line_no, &done, &completed));
-    if (completed) records.push_back(std::move(done));
-    if (end == text.size()) break;
-    start = end + 1;
-  }
-  WMP_RETURN_IF_ERROR(assembler.Complete(line_no, &done, &completed));
-  if (completed) records.push_back(std::move(done));
+  WMP_RETURN_IF_ERROR(ParseRecords(text, &line_no, &records));
   if (records.empty()) {
     return Status::InvalidArgument("query log contains no records");
   }
-  // Memoize the serving-layer content hash while the rows are hot.
-  FingerprintRecords(&records);
   return records;
 }
 
@@ -241,42 +286,29 @@ Result<QueryLogReader> QueryLogReader::Open(const std::string& path) {
 Result<size_t> QueryLogReader::ReadChunk(size_t max_records,
                                          std::vector<QueryRecord>* out) {
   if (exhausted_ || max_records == 0) return static_cast<size_t>(0);
-  // ReadChunk always leaves the stream at a record boundary (it returns
-  // only after a record completes or at end of log), so the assembler
-  // carries no state between chunks.
-  RecordAssembler assembler;
+  // Read whole records: every line up to the blank line that ends the
+  // max_records-th record, or to end of file. A chunk so always ends at a
+  // record boundary, and nothing carries over to the next one.
+  chunk_.clear();
+  size_t lines = 0;
+  size_t records = 0;
+  bool in_record = false;
+  while (records < max_records && std::getline(in_, line_)) {
+    if (lines++ > 0) chunk_ += '\n';
+    chunk_ += line_;
+    if (!Trim(line_).empty()) {
+      in_record = true;
+    } else if (in_record) {
+      ++records;
+      in_record = false;
+    }
+  }
+  if (records < max_records) exhausted_ = true;  // getline hit end of file
+  if (lines == 0) return static_cast<size_t>(0);
   const size_t base = out->size();
-  size_t appended = 0;
-  QueryRecord done;
-  bool completed = false;
-  std::string raw;
-  while (appended < max_records && std::getline(in_, raw)) {
-    ++line_no_;
-    WMP_RETURN_IF_ERROR(assembler.Feed(raw, line_no_, &done, &completed));
-    if (completed) {
-      out->push_back(std::move(done));
-      ++appended;
-    }
-  }
-  if (appended < max_records) {
-    // getline hit end of file; flush a final unterminated record.
-    WMP_RETURN_IF_ERROR(assembler.Complete(line_no_, &done, &completed));
-    if (completed) {
-      out->push_back(std::move(done));
-      ++appended;
-    }
-    exhausted_ = true;
-  }
+  WMP_RETURN_IF_ERROR(ParseRecords(chunk_, &line_no_, out));
+  const size_t appended = out->size() - base;
   records_read_ += appended;
-  // Fingerprint just the fresh rows (FingerprintRecords over the whole
-  // vector would be correct — it skips memoized rows — but would rescan
-  // the caller's carry-over on every chunk).
-  for (size_t i = base; i < out->size(); ++i) {
-    QueryRecord& r = (*out)[i];
-    if (r.content_fingerprint == 0) {
-      r.content_fingerprint = ContentFingerprint(r);
-    }
-  }
   return appended;
 }
 

@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "util/hash.h"
-#include "util/parallel.h"
 #include "util/strings.h"
 
 namespace wmp::workloads {
@@ -32,17 +31,6 @@ uint64_t ContentFingerprint(const QueryRecord& record) {
   const uint64_t family =
       static_cast<uint64_t>(static_cast<int64_t>(record.family_id));
   return Mix64(h ^ Mix64(family));
-}
-
-void FingerprintRecords(std::vector<QueryRecord>* records) {
-  util::ParallelFor(records->size(), 64, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      QueryRecord& record = (*records)[i];
-      if (record.content_fingerprint == 0) {
-        record.content_fingerprint = ContentFingerprint(record);
-      }
-    }
-  });
 }
 
 }  // namespace wmp::workloads

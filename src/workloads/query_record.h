@@ -58,11 +58,6 @@ std::string SummarizeRecord(const QueryRecord& record);
 /// process, which is all a cache key needs.
 uint64_t ContentFingerprint(const QueryRecord& record);
 
-/// Fills `content_fingerprint` for every record that does not have one
-/// yet (parallel over rows). Idempotent, so appending a fresh chunk to an
-/// already-fingerprinted log re-hashes only the new rows.
-void FingerprintRecords(std::vector<QueryRecord>* records);
-
 }  // namespace wmp::workloads
 
 #endif  // WMP_WORKLOADS_QUERY_RECORD_H_

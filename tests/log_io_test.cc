@@ -13,6 +13,8 @@
 #include "core/featurizer.h"
 #include "core/learned_wmp.h"
 #include "plan/explain.h"
+#include "sql/printer.h"
+#include "util/parallel.h"
 #include "workloads/dataset.h"
 #include "workloads/log_io.h"
 
@@ -221,21 +223,44 @@ std::string WriteBytes(const std::string& name, const std::string& bytes) {
   return path;
 }
 
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+// Two plan trees alike in every field, doubles by their bits. As strict
+// as comparing their EXPLAIN text, and cheap enough for 3,000-plan logs
+// under the sanitizers.
+bool SamePlan(const plan::PlanNode& a, const plan::PlanNode& b) {
+  if (a.op != b.op || a.table != b.table || a.detail != b.detail ||
+      a.num_keys != b.num_keys || a.hash_mode != b.hash_mode ||
+      Bits(a.input_card) != Bits(b.input_card) ||
+      Bits(a.output_card) != Bits(b.output_card) ||
+      Bits(a.true_input_card) != Bits(b.true_input_card) ||
+      Bits(a.true_output_card) != Bits(b.true_output_card) ||
+      Bits(a.row_width) != Bits(b.row_width) ||
+      a.children.size() != b.children.size()) {
+    return false;
+  }
+  for (size_t c = 0; c < a.children.size(); ++c) {
+    if (!SamePlan(*a.children[c], *b.children[c])) return false;
+  }
+  return true;
+}
+
 // Field by field, doubles by their bits.
 void ExpectSameRecords(const std::vector<QueryRecord>& got,
                        const std::vector<QueryRecord>& want) {
   ASSERT_EQ(got.size(), want.size());
-  const auto bits = [](double v) {
-    uint64_t b = 0;
-    std::memcpy(&b, &v, sizeof(b));
-    return b;
-  };
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].sql_text, want[i].sql_text) << i;
-    EXPECT_EQ(bits(got[i].actual_memory_mb), bits(want[i].actual_memory_mb));
-    EXPECT_EQ(bits(got[i].dbms_estimate_mb), bits(want[i].dbms_estimate_mb));
+    EXPECT_EQ(Bits(got[i].actual_memory_mb), Bits(want[i].actual_memory_mb));
+    EXPECT_EQ(Bits(got[i].dbms_estimate_mb), Bits(want[i].dbms_estimate_mb));
     EXPECT_EQ(got[i].family_id, want[i].family_id) << i;
-    EXPECT_EQ(plan::Explain(*got[i].plan), plan::Explain(*want[i].plan)) << i;
+    EXPECT_TRUE(SamePlan(*got[i].plan, *want[i].plan))
+        << i << ":\n" << plan::Explain(*got[i].plan) << "against\n"
+        << plan::Explain(*want[i].plan);
     EXPECT_EQ(got[i].plan_features, want[i].plan_features) << i;
     EXPECT_EQ(got[i].content_fingerprint, want[i].content_fingerprint) << i;
   }
@@ -376,6 +401,244 @@ TEST(LogIoTest, NonFiniteOrNonNumericFieldsAreRejectedAtTheirLine) {
     EXPECT_EQ(loaded.ToString(), parsed.ToString());
     EXPECT_NE(parsed.message().find(c.line), std::string::npos)
         << parsed.ToString();
+  }
+}
+
+// ---------- Parallel ingest: serial framing, finishing on the pool ----------
+
+// Reads `path` to its end through QueryLogReader in `chunk`-record chunks.
+Result<std::vector<QueryRecord>> ReadInChunks(const std::string& path,
+                                              size_t chunk) {
+  WMP_ASSIGN_OR_RETURN(QueryLogReader reader, QueryLogReader::Open(path));
+  std::vector<QueryRecord> records;
+  for (;;) {
+    WMP_ASSIGN_OR_RETURN(size_t appended, reader.ReadChunk(chunk, &records));
+    if (appended == 0) return records;
+  }
+}
+
+// ExpectSameRecords, plus each SQL AST printed back when `want_sql` is
+// given.
+void ExpectSameParse(const Result<std::vector<QueryRecord>>& got,
+                     const std::vector<QueryRecord>& want,
+                     const std::vector<std::string>* want_sql,
+                     const std::string& where) {
+  ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+  SCOPED_TRACE(where);
+  ExpectSameRecords(*got, want);
+  if (want_sql == nullptr) return;
+  ASSERT_EQ(got->size(), want_sql->size());
+  for (size_t i = 0; i < want_sql->size(); ++i) {
+    ASSERT_EQ(sql::Print((*got)[i].query), (*want_sql)[i]) << "record " << i;
+  }
+}
+
+std::vector<std::string> PrintQueries(const std::vector<QueryRecord>& records) {
+  std::vector<std::string> out;
+  for (const QueryRecord& r : records) out.push_back(sql::Print(r.query));
+  return out;
+}
+
+// Records are parsed on the pool, each into its own slot; every entry
+// point at every thread count must give the single-thread parse bit for
+// bit.
+TEST(LogIoTest, ParallelIngestEqualsSerial) {
+  for (Benchmark benchmark :
+       {Benchmark::kTpcds, Benchmark::kTpcc, Benchmark::kJob}) {
+    DatasetOptions opt;
+    opt.num_queries = 3000;
+    opt.seed = 43;
+    auto dataset = BuildDataset(benchmark, opt);
+    ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+    const std::string text = SerializeQueryLog(dataset->records);
+    const std::string path = WriteBytes("wmp_parallel_log.txt", text);
+    std::vector<QueryRecord> serial;
+    {
+      util::ScopedParallelism one(1);
+      auto parsed = ParseQueryLog(text);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      serial = std::move(*parsed);
+    }
+    ASSERT_EQ(serial.size(), opt.num_queries);
+    const std::vector<std::string> serial_sql = PrintQueries(serial);
+    for (int threads : {1, 0}) {  // 0: the process default, every core
+      util::ScopedParallelism scope(threads);
+      const std::string at = std::string(BenchmarkName(benchmark)) +
+                             " threads=" + std::to_string(threads);
+      // One thread parses each query exactly as the reference did, so its
+      // ASTs are printed back only where the pool ran (printing 3,000
+      // ASTs is the slowest step under TSan).
+      const std::vector<std::string>* want_sql =
+          threads == 1 ? nullptr : &serial_sql;
+      ExpectSameParse(LoadQueryLog(path), serial, want_sql, at + " load");
+      ExpectSameParse(ParseQueryLog(text), serial, want_sql, at + " parse");
+      for (size_t chunk : {size_t{1}, size_t{7}, size_t{1000}}) {
+        ExpectSameParse(ReadInChunks(path, chunk), serial, want_sql,
+                        at + " chunk=" + std::to_string(chunk));
+      }
+    }
+  }
+}
+
+// `n` small valid records, five lines each.
+std::string GoodRecords(size_t n) {
+  std::string out;
+  for (size_t i = 0; i < n; ++i) {
+    out +=
+        "-- query: SELECT a FROM t\n"
+        "-- memory_mb: 12.5\n"
+        "RETURN in=1 out=1 width=8\n"
+        "  TBSCAN(t) in=10 out=1 width=8\n"
+        "\n";
+  }
+  return out;
+}
+
+// Every entry point at 1 and 4 threads; returns the statuses' strings.
+std::vector<std::string> LoadStatuses(const std::string& text) {
+  const std::string path = WriteBytes("wmp_first_error_log.txt", text);
+  std::vector<std::string> out;
+  for (int threads : {1, 4}) {
+    util::ScopedParallelism scope(threads);
+    out.push_back(ParseQueryLog(text).status().ToString());
+    out.push_back(LoadQueryLog(path).status().ToString());
+    for (size_t chunk : {size_t{7}, size_t{1000}}) {
+      out.push_back(ReadInChunks(path, chunk).status().ToString());
+    }
+  }
+  return out;
+}
+
+// Two broken records far apart, so at 4 threads they land in different
+// pool chunks: the load fails with the first one in file order, whichever
+// kind of failure each is. SQL and EXPLAIN are parsed on the pool after
+// framing; a directive or a header figure fails framing itself.
+TEST(LogIoTest, FirstErrorInFileOrderAtEveryThreadCount) {
+  // Each broken record starts at line 1501, after 300 good ones.
+  const std::string bad_sql =
+      "-- query: SELECT FROM t\n"
+      "-- memory_mb: 1\n"
+      "RETURN in=1 out=1 width=8\n"
+      "\n";
+  const std::string bad_directive =
+      "-- query: SELECT a FROM t\n"
+      "-- bogus: 1\n"
+      "RETURN in=1 out=1 width=8\n"
+      "\n";
+  const std::string bad_memory =
+      "-- query: SELECT a FROM t\n"
+      "-- memory_mb: abc\n"
+      "RETURN in=1 out=1 width=8\n"
+      "\n";
+  const std::string bad_explain =
+      "-- query: SELECT a FROM t\n"
+      "-- memory_mb: 1\n"
+      "RETURN in=1 out=1 width=8\n"
+      "  TBSCAN(t) in=x out=1 width=8\n"
+      "\n";
+  const struct {
+    const std::string& first;
+    const std::string& second;
+    std::string message;
+  } cases[] = {
+      {bad_sql, bad_directive, "InvalidArgument: query at line 1501: "},
+      {bad_directive, bad_sql,
+       "InvalidArgument: line 1502: unknown log directive"},
+      {bad_memory, bad_explain,
+       "InvalidArgument: line 1502: non-numeric value 'abc'"},
+      {bad_explain, bad_memory,
+       "InvalidArgument: EXPLAIN block at line 1503: line 2: non-numeric "
+       "value 'x' for in"},
+      {bad_explain, bad_sql, "InvalidArgument: EXPLAIN block at line 1503: "},
+      {bad_sql, bad_explain, "InvalidArgument: query at line 1501: "},
+  };
+  for (const auto& c : cases) {
+    const std::string text = GoodRecords(300) + c.first + GoodRecords(300) +
+                             c.second + GoodRecords(300);
+    const std::vector<std::string> statuses = LoadStatuses(text);
+    EXPECT_EQ(statuses[0].rfind(c.message, 0), 0u) << statuses[0];
+    for (const std::string& status : statuses) {
+      EXPECT_EQ(status, statuses[0]);
+    }
+  }
+}
+
+// A directive between two plan lines leaves the block in two pieces of the
+// text. It still parses as one plan, and the plan parser still numbers the
+// block's plan lines only.
+TEST(LogIoTest, DirectiveBetweenPlanLinesStillParses) {
+  const std::string contiguous =
+      "-- query: SELECT a FROM t\n"
+      "-- memory_mb: 12.5\n"
+      "-- family: 3\n"
+      "RETURN in=1 out=1 width=8\n"
+      "  TBSCAN(t) in=10 out=1 width=8\n"
+      "\n";
+  const std::string interleaved =
+      "-- query: SELECT a FROM t\n"
+      "RETURN in=1 out=1 width=8\n"
+      "-- family: 3\n"
+      "  TBSCAN(t) in=10 out=1 width=8\n"
+      "-- memory_mb: 12.5\n"
+      "\n";
+  std::string contiguous_log, interleaved_log;
+  for (int i = 0; i < 200; ++i) {
+    contiguous_log += contiguous;
+    interleaved_log += interleaved;
+  }
+  auto want = ParseQueryLog(contiguous_log);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_EQ((*want)[0].plan->TreeSize(), 2u);
+  EXPECT_EQ((*want)[0].family_id, 3);
+  const std::vector<std::string> want_sql = PrintQueries(*want);
+  const std::string path = WriteBytes("wmp_interleaved_log.txt",
+                                      interleaved_log);
+  for (int threads : {1, 4}) {
+    util::ScopedParallelism scope(threads);
+    ExpectSameParse(ParseQueryLog(interleaved_log), *want, &want_sql,
+                    "parse");
+    ExpectSameParse(LoadQueryLog(path), *want, &want_sql, "load");
+    ExpectSameParse(ReadInChunks(path, 7), *want, &want_sql, "chunk=7");
+  }
+
+  const std::string broken = GoodRecords(1) +
+                             "-- query: SELECT a FROM t\n"
+                             "RETURN in=1 out=1 width=8\n"
+                             "-- family: 3\n"
+                             "  TBSCAN(t) in=x out=1 width=8\n"
+                             "\n";
+  for (const std::string& status : LoadStatuses(broken)) {
+    EXPECT_EQ(status,
+              "InvalidArgument: EXPLAIN block at line 7: line 2: "
+              "non-numeric value 'x' for in");
+  }
+}
+
+// `-- family:` holds a whole number in [0, INT_MAX]; anything else fails
+// the load at its line, as a bad memory figure does.
+TEST(LogIoTest, FamilyMustBeAWholeNumberInRange) {
+  const auto log = [](const std::string& family) {
+    return GoodRecords(1) +
+           "-- query: SELECT a FROM t\n"
+           "-- memory_mb: 1\n"
+           "-- family: " + family + "\n"
+           "RETURN in=1 out=1 width=8\n"
+           "\n";
+  };
+  for (const char* bad :
+       {"7x", "abc", "2.5", "99999999999", "2147483648", "-1", "+3", ""}) {
+    const Status parsed = ParseQueryLog(log(bad)).status();
+    EXPECT_TRUE(parsed.IsInvalidArgument()) << bad;
+    EXPECT_EQ(parsed.message().rfind("line 8: family must be", 0), 0u)
+        << bad << ": " << parsed.ToString();
+    const Status loaded =
+        LoadQueryLog(WriteBytes("wmp_family_log.txt", log(bad))).status();
+    EXPECT_EQ(loaded.ToString(), parsed.ToString());
+  }
+  for (int good : {0, 7, 2147483647}) {
+    auto parsed = ParseQueryLog(log(std::to_string(good)));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ((*parsed)[1].family_id, good);
   }
 }
 

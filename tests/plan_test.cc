@@ -381,6 +381,18 @@ TEST(PlanParserTest, RejectsMalformedInput) {
   // A numeric field is the whole field, and a key count fits an int.
   EXPECT_TRUE(
       ParseExplain("RETURN in=1abc out=1").status().IsInvalidArgument());
+  // Fields are read with std::from_chars. strtod also took a leading '+'
+  // and hex; Explain writes neither.
+  for (const char* in : {"+1", "0x10", "1e400", "nan", "inf"}) {
+    EXPECT_TRUE(ParseExplain(std::string("RETURN in=") + in + " out=1")
+                    .status()
+                    .IsInvalidArgument())
+        << in;
+  }
+  auto read = ParseExplain("RETURN in=1e5 out=.5");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ((*read)->input_card, 1e5);
+  EXPECT_EQ((*read)->output_card, 0.5);
   for (const char* keys : {"1e20", "-1", "2.5", "2147483648"}) {
     EXPECT_TRUE(ParseExplain(std::string("RETURN in=1 out=1 keys=") + keys)
                     .status()

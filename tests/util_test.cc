@@ -304,12 +304,6 @@ TEST(StringsTest, Trim) {
   EXPECT_EQ(Trim("abc"), "abc");
 }
 
-TEST(StringsTest, SplitKeepsEmptyPieces) {
-  auto parts = Split("a,,b", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[1], "");
-}
-
 TEST(StringsTest, SplitWhitespaceDropsEmpty) {
   auto parts = SplitWhitespace("  select   a  from t ");
   ASSERT_EQ(parts.size(), 4u);
@@ -321,6 +315,54 @@ TEST(StringsTest, JoinAndStartsWith) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_TRUE(StartsWith("TBSCAN(t)", "TBSCAN"));
   EXPECT_FALSE(StartsWith("TB", "TBSCAN"));
+}
+
+TEST(StringsTest, LineCursorKeepsEmptyLines) {
+  const std::vector<std::pair<const char*, std::vector<std::string>>> cases =
+      {{"", {""}},
+       {"a", {"a"}},
+       {"a\n", {"a", ""}},
+       {"a\nb", {"a", "b"}},
+       {"\n\n", {"", "", ""}},
+       {"a\r\n b\n\n", {"a\r", " b", "", ""}}};
+  for (const auto& [text, want] : cases) {
+    std::vector<std::string> lines;
+    std::string_view line;
+    for (LineCursor cursor(text); cursor.Next(&line);) {
+      lines.emplace_back(line);
+    }
+    EXPECT_EQ(lines, want) << text;
+  }
+}
+
+TEST(StringsTest, ParseFiniteDoubleReadsTheWholeField) {
+  double v = -1.0;
+  for (const auto& [text, want] :
+       std::vector<std::pair<const char*, double>>{
+           {"1e5", 1e5}, {".5", 0.5}, {"-0", -0.0}, {"12.5", 12.5},
+           {"4.9406564584124654e-324", 4.9406564584124654e-324},
+           {"1.7976931348623157e+308", 1.7976931348623157e+308}}) {
+    ASSERT_TRUE(ParseFiniteDouble(text, &v).ok()) << text;
+    EXPECT_EQ(v, want) << text;
+  }
+  const struct {
+    const char* text;
+    const char* message;
+  } bad[] = {
+      {"", "non-numeric value ''"},        {"+1", "non-numeric value '+1'"},
+      {"0x10", "non-numeric value '0x10'"}, {" 1", "non-numeric value ' 1'"},
+      {"1 ", "non-numeric value '1 '"},     {"1abc", "non-numeric value '1abc'"},
+      {"nan", "non-finite value 'nan'"},    {"-inf", "non-finite value '-inf'"},
+      {"1e400", "out-of-range value '1e400'"},
+      {"1e-400", "out-of-range value '1e-400'"},
+  };
+  for (const auto& c : bad) {
+    v = 7.0;
+    const Status st = ParseFiniteDouble(c.text, &v);
+    EXPECT_TRUE(st.IsInvalidArgument()) << c.text;
+    EXPECT_EQ(st.message(), c.message);
+    EXPECT_EQ(v, 7.0) << "a failed read leaves the output alone";
+  }
 }
 
 TEST(StringsTest, StrFormat) {
