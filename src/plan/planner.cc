@@ -332,11 +332,15 @@ Result<PlanNode*> Planner::CreatePlanInto(const sql::Query& query,
     const double out_width = outer->width + inner->width;
 
     PlanNode* join = arena->New<PlanNode>(arena, method);
-    join->detail = best_edge == nullptr
-                       ? std::string_view("cross")
-                       : arena->CopyString(best_edge->pred->lhs.ToString() +
-                                           "=" +
-                                           best_edge->pred->rhs.ToString());
+    if (best_edge == nullptr) {
+      join->detail = "cross";
+    } else {
+      std::string detail;
+      best_edge->pred->lhs.AppendTo(&detail);
+      detail.push_back('=');
+      best_edge->pred->rhs.AppendTo(&detail);
+      join->detail = arena->CopyString(detail);
+    }
     join->input_card = outer->est_card + inner->est_card;
     join->output_card = out_est;
     join->true_input_card = outer->true_card + inner->true_card;

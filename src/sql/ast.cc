@@ -1,9 +1,9 @@
 #include "sql/ast.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "sql/lexer.h"
-#include "util/strings.h"
 
 namespace wmp::sql {
 
@@ -17,27 +17,41 @@ bool NeedsQuoting(std::string_view id) {
     const unsigned char c = static_cast<unsigned char>(ch);
     if (!(std::islower(c) || std::isdigit(c) || ch == '_')) return true;
   }
-  return IsReservedKeyword(ToUpper(id));
+  return IsReservedKeyword(id);
+}
+
+// Appends `text` between `quote`s, doubling every `quote` inside it.
+void AppendQuoted(std::string_view text, char quote, std::string* out) {
+  out->push_back(quote);
+  for (char c : text) {
+    if (c == quote) out->push_back(quote);
+    out->push_back(c);
+  }
+  out->push_back(quote);
 }
 
 }  // namespace
 
-std::string QuoteIdentifier(std::string_view id) {
-  if (!NeedsQuoting(id)) return std::string(id);
-  std::string out;
-  out.reserve(id.size() + 2);
-  out.push_back('"');
-  for (char c : id) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
+void AppendIdentifier(std::string_view id, std::string* out) {
+  if (NeedsQuoting(id)) {
+    AppendQuoted(id, '"', out);
+  } else {
+    out->append(id);
   }
-  out.push_back('"');
+}
+
+std::string QuoteIdentifier(std::string_view id) {
+  std::string out;
+  AppendIdentifier(id, &out);
   return out;
 }
 
-std::string ColumnRef::ToString() const {
-  if (table.empty()) return QuoteIdentifier(column);
-  return QuoteIdentifier(table) + "." + QuoteIdentifier(column);
+void ColumnRef::AppendTo(std::string* out) const {
+  if (!table.empty()) {
+    AppendIdentifier(table, out);
+    out->push_back('.');
+  }
+  AppendIdentifier(column, out);
 }
 
 const char* CompareOpName(CompareOp op) {
@@ -64,23 +78,32 @@ const char* CompareOpName(CompareOp op) {
   return "?";
 }
 
-std::string Literal::ToString() const {
+void Literal::AppendTo(std::string* out) const {
   if (is_string) {
-    std::string out;
-    out.reserve(text.size() + 2);
-    out.push_back('\'');
-    for (char c : text) {
-      if (c == '\'') out.push_back('\'');  // '' escape, mirrors the lexer
-      out.push_back(c);
-    }
-    out.push_back('\'');
-    return out;
+    AppendQuoted(text, '\'', out);  // '' escape, mirrors the lexer
+    return;
   }
-  // Integral literals print without a trailing ".000000".
-  if (number == static_cast<double>(static_cast<int64_t>(number))) {
-    return StrFormat("%lld", static_cast<long long>(number));
+  char buf[32];  // "%g" needs at most 13 characters, an int64_t 20
+  std::to_chars_result printed;
+  // Integral literals print without a trailing ".000000". The range check
+  // comes first: casting a double an int64_t cannot hold (1e30, NaN) is
+  // undefined.
+  if (number >= -0x1p63 && number < 0x1p63 &&
+      number == static_cast<double>(static_cast<int64_t>(number))) {
+    printed = std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<int64_t>(number));
+  } else {
+    // chars_format::general at precision 6 is defined as printf's "%g".
+    printed = std::to_chars(buf, buf + sizeof(buf), number,
+                            std::chars_format::general, 6);
   }
-  return StrFormat("%g", number);
+  out->append(buf, static_cast<size_t>(printed.ptr - buf));
+}
+
+std::string Literal::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 Predicate Predicate::Comparison(ColumnRef col, CompareOp op,

@@ -38,10 +38,13 @@ enum class CompareOp : uint8_t {
 /// SQL spelling of an operator ("=", "<", "BETWEEN", ...).
 const char* CompareOpName(CompareOp op);
 
-/// Renders an identifier as SQL text: bare when it is a plain lower-case
+/// Appends an identifier as SQL text: bare when it is a plain lower-case
 /// word, double-quoted (with "" escaping) when it contains other characters,
 /// starts with a digit, or collides with a reserved keyword — so
 /// Parse(Print(q)) reproduces the identifier exactly.
+void AppendIdentifier(std::string_view id, std::string* out);
+
+/// AppendIdentifier into a fresh string.
 std::string QuoteIdentifier(std::string_view id);
 
 /// \brief Qualified column reference; `table` may be an alias or empty when
@@ -53,8 +56,9 @@ struct ColumnRef {
   bool operator==(const ColumnRef& o) const {
     return table == o.table && column == o.column;
   }
-  /// Quoted SQL spelling (`table.column` with each part quoted as needed).
-  std::string ToString() const;
+  /// Appends the quoted SQL spelling (`table.column` with each part quoted
+  /// as needed).
+  void AppendTo(std::string* out) const;
 };
 
 /// \brief A literal operand: numeric or string.
@@ -65,6 +69,10 @@ struct Literal {
 
   static Literal Number(double v) { return {v, {}, false}; }
   static Literal String(std::string s) { return {0.0, std::move(s), true}; }
+  /// Appends the SQL spelling: a string quoted with '' escaping, an
+  /// integral number an int64_t holds as an integer ("42"), any other
+  /// number as printf's "%g" would ("2.5", "1e+30").
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 };
 

@@ -37,10 +37,23 @@ const char* SymbolText(char c) {
   return "?";
 }
 
+// The keyword `word` spells in any case, as its canonical view into the
+// keyword table; empty when it is none. Upper-cases into a stack buffer.
+std::string_view CanonicalKeyword(std::string_view word) {
+  if (word.size() > kMaxKeywordLen) return {};
+  char upper[kMaxKeywordLen];
+  for (size_t j = 0; j < word.size(); ++j) {
+    upper[j] =
+        static_cast<char>(std::toupper(static_cast<unsigned char>(word[j])));
+  }
+  const auto it = Keywords().find(std::string_view(upper, word.size()));
+  return it == Keywords().end() ? std::string_view() : *it;
+}
+
 }  // namespace
 
-bool IsReservedKeyword(std::string_view upper_word) {
-  return Keywords().count(upper_word) > 0;
+bool IsReservedKeyword(std::string_view word) {
+  return !CanonicalKeyword(word).empty();
 }
 
 Status LexInto(std::string_view input, util::Arena* arena,
@@ -63,17 +76,10 @@ Status LexInto(std::string_view input, util::Arena* arena,
         ++i;
       }
       const std::string_view word = input.substr(start, i - start);
-      if (word.size() <= kMaxKeywordLen) {
-        char upper[kMaxKeywordLen];
-        for (size_t j = 0; j < word.size(); ++j) {
-          upper[j] = static_cast<char>(
-              std::toupper(static_cast<unsigned char>(word[j])));
-        }
-        auto it = Keywords().find(std::string_view(upper, word.size()));
-        if (it != Keywords().end()) {
-          out->push_back({TokenType::kKeyword, *it, start});
-          continue;
-        }
+      if (const std::string_view keyword = CanonicalKeyword(word);
+          !keyword.empty()) {
+        out->push_back({TokenType::kKeyword, keyword, start});
+        continue;
       }
       std::string_view text = word;
       if (has_upper) {  // lowered copy in the arena

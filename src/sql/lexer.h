@@ -57,8 +57,8 @@ Status LexInto(std::string_view input, util::Arena* arena,
 /// returned tokens are valid until the next Lex/Parse call on this thread.
 Result<std::vector<Token>> Lex(const std::string& input);
 
-/// True if `upper_word` is a reserved keyword (callers upper-case first).
-bool IsReservedKeyword(std::string_view upper_word);
+/// True if `word`, in any case, is a reserved keyword ("order", "Select").
+bool IsReservedKeyword(std::string_view word);
 
 }  // namespace wmp::sql
 

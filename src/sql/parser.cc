@@ -1,8 +1,5 @@
 #include "sql/parser.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "sql/lexer.h"
 #include "util/arena.h"
 #include "util/interner.h"
@@ -42,8 +39,9 @@ class Parser {
     }
     if (AcceptKeyword("LIMIT")) {
       WMP_ASSIGN_OR_RETURN(Literal lit, ParseLiteral());
-      if (lit.is_string || lit.number < 0) {
-        return Error("LIMIT requires a non-negative number");
+      // Range first: casting a double an int64_t cannot hold is undefined.
+      if (lit.is_string || !(lit.number >= 0 && lit.number < 0x1p63)) {
+        return Error("LIMIT requires a non-negative number below 2^63");
       }
       q.limit = static_cast<int64_t>(lit.number);
     }
@@ -112,14 +110,14 @@ class Parser {
 
   Result<Literal> ParseLiteral() {
     if (Peek().type == TokenType::kNumber) {
-      // Token text is not NUL-terminated; strtod needs a bounded copy.
-      char buf[64];
-      const std::string_view text = Advance().text;
-      const size_t len = text.size() < sizeof(buf) - 1 ? text.size()
-                                                       : sizeof(buf) - 1;
-      std::memcpy(buf, text.data(), len);
-      buf[len] = '\0';
-      return Literal::Number(std::strtod(buf, nullptr));
+      // The whole token must be one finite number, read in place: the
+      // lexer takes any run of digits, dots and exponents ("1.2.3", "1e").
+      double value = 0.0;
+      if (Status st = ParseFiniteDouble(Peek().text, &value); !st.ok()) {
+        return Error(st.message());
+      }
+      ++pos_;
+      return Literal::Number(value);
     }
     if (Peek().type == TokenType::kString) {
       return Literal::String(std::string(Advance().text));

@@ -1,36 +1,68 @@
 #include "sql/printer.h"
 
-#include "util/strings.h"
+#include <charconv>
+#include <functional>
 
 namespace wmp::sql {
 
 namespace {
 
-std::string PrintSelectItem(const SelectItem& item) {
-  if (item.agg == AggFunc::kNone) {
-    return item.is_star ? "*" : item.column.ToString();
+// Appends `items` separated by `sep`, each through `append(item, out)`
+// (a function or an `AppendTo` member).
+template <typename T, typename AppendFn>
+void AppendList(const std::vector<T>& items, std::string_view sep,
+                std::string* out, AppendFn append) {
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out->append(sep);
+    std::invoke(append, items[i], out);
   }
-  const std::string arg = item.is_star ? "*" : item.column.ToString();
-  return std::string(AggFuncName(item.agg)) + "(" + arg + ")";
 }
 
-std::string PrintPredicate(const Predicate& p) {
-  if (p.kind == Predicate::Kind::kJoin) {
-    return p.lhs.ToString() + " = " + p.rhs.ToString();
+void AppendSelectItem(const SelectItem& item, std::string* out) {
+  const bool agg = item.agg != AggFunc::kNone;
+  if (agg) {
+    out->append(AggFuncName(item.agg));
+    out->push_back('(');
   }
+  if (item.is_star) {
+    out->push_back('*');
+  } else {
+    item.column.AppendTo(out);
+  }
+  if (agg) out->push_back(')');
+}
+
+void AppendTable(const TableRef& t, std::string* out) {
+  AppendIdentifier(t.table, out);
+  if (!t.alias.empty()) {
+    out->push_back(' ');
+    AppendIdentifier(t.alias, out);
+  }
+}
+
+void AppendPredicate(const Predicate& p, std::string* out) {
+  p.lhs.AppendTo(out);
+  if (p.kind == Predicate::Kind::kJoin) {
+    out->append(" = ");
+    p.rhs.AppendTo(out);
+    return;
+  }
+  out->push_back(' ');
+  out->append(CompareOpName(p.op));
+  out->push_back(' ');
   switch (p.op) {
     case CompareOp::kBetween:
-      return p.lhs.ToString() + " BETWEEN " + p.values[0].ToString() +
-             " AND " + p.values[1].ToString();
-    case CompareOp::kIn: {
-      std::vector<std::string> vals;
-      vals.reserve(p.values.size());
-      for (const Literal& v : p.values) vals.push_back(v.ToString());
-      return p.lhs.ToString() + " IN (" + Join(vals, ", ") + ")";
-    }
+      p.values[0].AppendTo(out);
+      out->append(" AND ");
+      p.values[1].AppendTo(out);
+      break;
+    case CompareOp::kIn:
+      out->push_back('(');
+      AppendList(p.values, ", ", out, &Literal::AppendTo);
+      out->push_back(')');
+      break;
     default:
-      return p.lhs.ToString() + " " + CompareOpName(p.op) + " " +
-             p.values[0].ToString();
+      p.values[0].AppendTo(out);
   }
 }
 
@@ -39,47 +71,26 @@ std::string PrintPredicate(const Predicate& p) {
 std::string Print(const Query& query) {
   std::string out = "SELECT ";
   if (query.distinct) out += "DISTINCT ";
-  {
-    std::vector<std::string> items;
-    items.reserve(query.select_list.size());
-    for (const SelectItem& item : query.select_list) {
-      items.push_back(PrintSelectItem(item));
-    }
-    out += Join(items, ", ");
-  }
+  AppendList(query.select_list, ", ", &out, AppendSelectItem);
   out += " FROM ";
-  {
-    std::vector<std::string> tables;
-    tables.reserve(query.from.size());
-    for (const TableRef& t : query.from) {
-      tables.push_back(t.alias.empty()
-                           ? QuoteIdentifier(t.table)
-                           : QuoteIdentifier(t.table) + " " +
-                                 QuoteIdentifier(t.alias));
-    }
-    out += Join(tables, ", ");
-  }
+  AppendList(query.from, ", ", &out, AppendTable);
   if (!query.where.empty()) {
     out += " WHERE ";
-    std::vector<std::string> preds;
-    preds.reserve(query.where.size());
-    for (const Predicate& p : query.where) preds.push_back(PrintPredicate(p));
-    out += Join(preds, " AND ");
+    AppendList(query.where, " AND ", &out, AppendPredicate);
   }
   if (!query.group_by.empty()) {
-    std::vector<std::string> cols;
-    cols.reserve(query.group_by.size());
-    for (const ColumnRef& c : query.group_by) cols.push_back(c.ToString());
-    out += " GROUP BY " + Join(cols, ", ");
+    out += " GROUP BY ";
+    AppendList(query.group_by, ", ", &out, &ColumnRef::AppendTo);
   }
   if (!query.order_by.empty()) {
-    std::vector<std::string> cols;
-    cols.reserve(query.order_by.size());
-    for (const ColumnRef& c : query.order_by) cols.push_back(c.ToString());
-    out += " ORDER BY " + Join(cols, ", ");
+    out += " ORDER BY ";
+    AppendList(query.order_by, ", ", &out, &ColumnRef::AppendTo);
   }
   if (query.limit >= 0) {
-    out += StrFormat(" LIMIT %lld", static_cast<long long>(query.limit));
+    char buf[24];
+    const auto printed = std::to_chars(buf, buf + sizeof(buf), query.limit);
+    out += " LIMIT ";
+    out.append(buf, static_cast<size_t>(printed.ptr - buf));
   }
   return out;
 }

@@ -15,12 +15,6 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
-std::string ToUpper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return out;
-}
-
 std::string_view Trim(std::string_view s) {
   size_t b = 0, e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
@@ -36,15 +30,6 @@ std::vector<std::string> SplitWhitespace(std::string_view s) {
     size_t start = i;
     while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
     if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
   }
   return out;
 }

@@ -15,17 +15,12 @@ namespace wmp {
 
 /// ASCII lower-case copy.
 std::string ToLower(std::string_view s);
-/// ASCII upper-case copy.
-std::string ToUpper(std::string_view s);
 
 /// Strips leading/trailing whitespace.
 std::string_view Trim(std::string_view s);
 
 /// Splits on any whitespace run; empty pieces are dropped.
 std::vector<std::string> SplitWhitespace(std::string_view s);
-
-/// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// True if `s` starts with `prefix` (case-sensitive).
 bool StartsWith(std::string_view s, std::string_view prefix);

@@ -48,6 +48,27 @@ std::unique_ptr<WorkloadGenerator> CreateGenerator(Benchmark b) {
   return nullptr;
 }
 
+namespace {
+
+// Records per ParallelFor chunk in the print-and-plan pass.
+constexpr size_t kFinishGrain = 32;
+
+// Everything about `record` after its RNG draws: the SQL text, the plan, TR2
+// featurization, the DBMS heuristic estimate and the serving-layer content
+// fingerprint. Reads nothing but the record, so records finish in any order.
+Status FinishRecord(const plan::Planner& planner,
+                    const engine::DbmsEstimatorOptions& dbms,
+                    QueryRecord* record) {
+  record->sql_text = sql::Print(record->query);
+  WMP_ASSIGN_OR_RETURN(record->plan, planner.CreatePlan(record->query));
+  record->plan_features = plan::ExtractPlanFeatures(*record->plan);
+  record->dbms_estimate_mb = engine::DbmsEstimateMemoryMb(*record->plan, dbms);
+  record->content_fingerprint = ContentFingerprint(*record);
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<Dataset> BuildDataset(Benchmark benchmark,
                              const DatasetOptions& options) {
   Dataset dataset;
@@ -64,32 +85,41 @@ Result<Dataset> BuildDataset(Benchmark benchmark,
   sim_options.seed ^= options.seed;
   engine::Simulator simulator(sim_options);
 
-  // Phase 1 (serial — the RNG draw order defines the dataset): sample the
-  // family, generate the query, and plan it.
+  // Phase 1 (serial): the RNG draws and nothing else. One stream feeds every
+  // family sample and literal in index order, so the order of these calls
+  // defines the dataset. A generation failure stops the draws at its record.
   Rng rng(options.seed);
-  dataset.records.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    QueryRecord record;
+  dataset.records.resize(n);
+  size_t generated = 0;
+  Status generation;
+  for (; generated < n; ++generated) {
+    QueryRecord& record = dataset.records[generated];
     record.family_id = dataset.generator->SampleFamily(&rng);
-    WMP_ASSIGN_OR_RETURN(
-        record.query, dataset.generator->GenerateQuery(record.family_id, &rng));
-    record.sql_text = sql::Print(record.query);
-    WMP_ASSIGN_OR_RETURN(record.plan, planner.CreatePlan(record.query));
-    dataset.records.push_back(std::move(record));
+    Result<sql::Query> query =
+        dataset.generator->GenerateQuery(record.family_id, &rng);
+    if (!query.ok()) {
+      generation = query.status();
+      break;
+    }
+    record.query = std::move(*query);
   }
 
-  // Phase 2 (parallel — pure per-plan analyses): TR2 featurization, the
-  // DBMS heuristic estimate, and the serving-layer content fingerprint run
-  // on the worker pool.
-  util::ParallelFor(n, 32, [&](size_t begin, size_t end) {
+  // Phase 2 (worker pool): print, plan, featurize, estimate and fingerprint
+  // every generated record in its own slot. Safe in parallel: the planner is
+  // const and plans into each tree's own arena, the interner answers
+  // repeats per thread, and the cardinality models' Zipf prefix tables are
+  // thread_local. The error is the one a serial loop returns: the earliest
+  // failing record in index order, so a generation failure counts only when
+  // every record before it planned.
+  std::vector<Status> failures(generated);
+  util::ParallelFor(generated, kFinishGrain, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      QueryRecord& record = dataset.records[i];
-      record.plan_features = plan::ExtractPlanFeatures(*record.plan);
-      record.dbms_estimate_mb =
-          engine::DbmsEstimateMemoryMb(*record.plan, options.dbms);
-      record.content_fingerprint = ContentFingerprint(record);
+      failures[i] = FinishRecord(planner, options.dbms, &dataset.records[i]);
+      if (!failures[i].ok()) break;  // nothing later in the range is first
     }
   });
+  for (const Status& failure : failures) WMP_RETURN_IF_ERROR(failure);
+  WMP_RETURN_IF_ERROR(generation);
 
   // Phase 3 (parallel analysis + serial noise stream inside the batch
   // call): simulated memory labels, bitwise identical to the per-query

@@ -58,6 +58,14 @@ struct Dataset {
 };
 
 /// \brief Builds the full dataset for `benchmark`.
+///
+/// Only the RNG draws are serial: one stream samples every record's family
+/// and literals in index order, and that order defines the dataset. Printing
+/// the SQL, planning, featurization, the DBMS estimate and the fingerprint
+/// then run on the worker pool, one record per slot, and the labels' batch
+/// simulation draws its noise serially in index order. Every record is so
+/// the same at every thread count. On failure returns the error of the
+/// earliest failing record in index order.
 Result<Dataset> BuildDataset(Benchmark benchmark,
                              const DatasetOptions& options = {});
 

@@ -121,6 +121,34 @@ TEST(EscapedStringTest, RoundTripThroughPredicate) {
   EXPECT_EQ(q2->where[0].values[0].text, "%o'brien%");
 }
 
+// ---------- number literals ----------
+
+// The lexer takes any run of digits, dots and exponents as one number token;
+// the parser must read all of it as one finite double or fail at its offset.
+TEST(NumberLiteralTest, MalformedOrInfiniteNumbersFailAtTheirOffset) {
+  for (const char* number : {"1.2.3", "1e", "1e400", "-1e400"}) {
+    const std::string sql = std::string("SELECT a FROM t WHERE a = ") + number;
+    auto q = Parse(sql);
+    ASSERT_TRUE(q.status().IsInvalidArgument()) << sql;
+    EXPECT_NE(q.status().message().find("at offset 26"), std::string::npos)
+        << q.status().ToString();
+  }
+}
+
+TEST(NumberLiteralTest, LongLiteralReadsWhole) {
+  const std::string digits = "1" + std::string(99, '0');
+  auto q = Parse("SELECT a FROM t WHERE a = " + digits);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->where[0].values[0].number, 1e99);
+}
+
+TEST(NumberLiteralTest, LimitMustFitInt64) {
+  EXPECT_TRUE(Parse("SELECT a FROM t LIMIT 1e30").status().IsInvalidArgument());
+  auto q = Parse("SELECT a FROM t LIMIT 9007199254740992");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->limit, int64_t{1} << 53);
+}
+
 // ---------- adversarial identifier lengths ----------
 
 TEST(LongIdentTest, EightKilobyteIdentifierRoundTrips) {

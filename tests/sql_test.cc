@@ -172,6 +172,36 @@ TEST(AstTest, LiteralPrinting) {
   EXPECT_EQ(Literal::Number(42).ToString(), "42");
   EXPECT_EQ(Literal::Number(2.5).ToString(), "2.5");
   EXPECT_EQ(Literal::String("abc").ToString(), "'abc'");
+  // Other numbers print as printf's "%g": six significant digits, with an
+  // exponent below 1e-4 and from 1e6 on.
+  EXPECT_EQ(Literal::Number(0.1).ToString(), "0.1");
+  EXPECT_EQ(Literal::Number(1e-05).ToString(), "1e-05");
+  EXPECT_EQ(Literal::Number(123456789.5).ToString(), "1.23457e+08");
+  EXPECT_EQ(Literal::Number(-0.5).ToString(), "-0.5");
+  EXPECT_EQ(Literal::Number(-0x1p63).ToString(), "-9223372036854775808");
+  // A whole number an int64_t cannot hold prints as "%g" too, with no cast.
+  EXPECT_EQ(Literal::Number(1e30).ToString(), "1e+30");
+  EXPECT_EQ(Literal::Number(0x1p63).ToString(), "9.22337e+18");
+  auto q = Parse("SELECT a FROM t WHERE a = 1e30");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(Print(*q), "SELECT a FROM t WHERE a = 1e+30");
+}
+
+// The printer's exact bytes: generated logs, their fingerprints and every
+// model trained from them depend on them, so Print(Parse(sql)) == sql here.
+TEST(PrinterTest, ExactText) {
+  const std::string sql =
+      "SELECT DISTINCT s.ss_customer_sk, \"Order\".\"limit\", COUNT(*) "
+      "FROM store_sales s, \"Order\" "
+      "WHERE s.ss_customer_sk = \"Order\".customer_id "
+      "AND s.ss_quantity IN (1, 20, 300) "
+      "AND s.ss_sales_price BETWEEN 0.5 AND 100 AND s.ss_quantity >= 5 "
+      "AND \"Order\".note = 'o''brien' "
+      "GROUP BY s.ss_customer_sk, \"Order\".\"limit\" "
+      "ORDER BY s.ss_customer_sk LIMIT 10";
+  auto q = Parse(sql);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(Print(*q), sql);
 }
 
 TEST(AstTest, PredicateTrueSelectivityDefaultsUnknown) {

@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 
+#include "plan/explain.h"
 #include "plan/planner.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
 #include "plan/features.h"
+#include "util/parallel.h"
 #include "workloads/dataset.h"
 
 namespace wmp::workloads {
@@ -165,20 +169,58 @@ TEST(DatasetTest, BuildProducesCompleteRecords) {
   EXPECT_GT(families.size(), 6u);  // uniform sampling hits most families
 }
 
-TEST(DatasetTest, DeterministicForSameSeed) {
+// Only the RNG draws are serial; printing, planning, featurization and the
+// labels' analyses run on the worker pool. Every field of every record must
+// be the same at one thread, at three (uneven chunks) and at the default.
+class DatasetDeterminismTest : public ::testing::TestWithParam<Benchmark> {};
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST_P(DatasetDeterminismTest, DeterministicForSameSeed) {
   DatasetOptions opt;
-  opt.num_queries = 40;
+  opt.num_queries = 500;
   opt.seed = 9;
-  auto a = BuildDataset(Benchmark::kJob, opt);
-  auto b = BuildDataset(Benchmark::kJob, opt);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  for (size_t i = 0; i < 40; ++i) {
-    EXPECT_EQ(a->records[i].sql_text, b->records[i].sql_text);
-    EXPECT_DOUBLE_EQ(a->records[i].actual_memory_mb,
-                     b->records[i].actual_memory_mb);
+  auto build = [&](int threads) {
+    util::ScopedParallelism scope(threads);  // 0: the default thread count
+    return BuildDataset(GetParam(), opt);
+  };
+  const auto reference = build(1);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(reference->records.size(), opt.num_queries);
+  for (int threads : {1, 3, 0}) {
+    const auto other = build(threads);
+    ASSERT_TRUE(other.ok()) << other.status().ToString();
+    ASSERT_EQ(other->records.size(), opt.num_queries);
+    for (size_t i = 0; i < opt.num_queries; ++i) {
+      const QueryRecord& a = reference->records[i];
+      const QueryRecord& b = other->records[i];
+      SCOPED_TRACE(testing::Message() << "threads " << threads << ", record "
+                                      << i);
+      EXPECT_EQ(a.family_id, b.family_id);
+      EXPECT_EQ(a.sql_text, b.sql_text);
+      EXPECT_EQ(plan::Explain(*a.plan), plan::Explain(*b.plan));
+      ASSERT_EQ(a.plan_features.size(), b.plan_features.size());
+      for (size_t f = 0; f < a.plan_features.size(); ++f) {
+        EXPECT_EQ(Bits(a.plan_features[f]), Bits(b.plan_features[f]));
+      }
+      EXPECT_EQ(Bits(a.actual_memory_mb), Bits(b.actual_memory_mb));
+      EXPECT_EQ(Bits(a.dbms_estimate_mb), Bits(b.dbms_estimate_mb));
+      EXPECT_EQ(a.content_fingerprint, b.content_fingerprint);
+    }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Benchmarks, DatasetDeterminismTest, ::testing::ValuesIn(AllBenchmarks()),
+    [](const ::testing::TestParamInfo<Benchmark>& info) {
+      std::string name = BenchmarkName(info.param);
+      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+      return name;
+    });
 
 TEST(DatasetTest, AnalyticQueriesNeedMoreMemoryThanTransactional) {
   DatasetOptions opt;

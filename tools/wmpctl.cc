@@ -52,10 +52,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -103,6 +106,29 @@ std::string FlagOr(const std::map<std::string, std::string>& flags,
                    const std::string& key, const std::string& fallback) {
   auto it = flags.find(key);
   return it == flags.end() ? fallback : it->second;
+}
+
+// Reads integer flag `key` as a T, or `fallback` when it is absent. The
+// whole value must be one decimal integer that T holds (std::from_chars: no
+// sign for an unsigned T, no suffix, no spaces); anything else exits 2
+// naming the flag, so `--queries=5k` never runs as 5 queries.
+template <typename T>
+T IntFlagOr(const std::map<std::string, std::string>& flags,
+            const std::string& key, T fallback) {
+  auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  const std::string& text = it->second;
+  const char* const end = text.data() + text.size();
+  T value{};
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end) {
+    std::fprintf(stderr, "error: --%s=%s is not an integer in [%s, %s]\n",
+                 key.c_str(), text.c_str(),
+                 std::to_string(std::numeric_limits<T>::min()).c_str(),
+                 std::to_string(std::numeric_limits<T>::max()).c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 int Usage() {
@@ -166,9 +192,8 @@ int CmdGenerate(const std::map<std::string, std::string>& flags) {
   if (out.empty()) return Usage();
 
   workloads::DatasetOptions opt;
-  opt.num_queries =
-      static_cast<size_t>(std::atoll(FlagOr(flags, "queries", "1000").c_str()));
-  opt.seed = std::strtoull(FlagOr(flags, "seed", "42").c_str(), nullptr, 10);
+  opt.num_queries = IntFlagOr<size_t>(flags, "queries", 1000);
+  opt.seed = IntFlagOr<uint64_t>(flags, "seed", 42);
   auto dataset = workloads::BuildDataset(benchmark, opt);
   if (!dataset.ok()) return Fail(dataset.status());
   if (Status st = workloads::WriteQueryLog(dataset->records, out); !st.ok()) {
@@ -308,10 +333,9 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   }
 
   core::LearnedWmpOptions opt;
-  opt.templates.num_templates =
-      std::atoi(FlagOr(flags, "templates", "0").c_str());
-  opt.batch_size = std::atoi(FlagOr(flags, "batch", "10").c_str());
-  opt.seed = std::strtoull(FlagOr(flags, "seed", "42").c_str(), nullptr, 10);
+  opt.templates.num_templates = IntFlagOr(flags, "templates", 0);
+  opt.batch_size = IntFlagOr(flags, "batch", 10);
+  opt.seed = IntFlagOr<uint64_t>(flags, "seed", 42);
   const auto indices = core::AllIndices(records->size());
   if (opt.templates.num_templates <= 0) {
     // Elbow-tune k over a standard candidate grid.
@@ -380,7 +404,7 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
   if (!model.ok()) return Fail(model.status());
 
   core::WorkloadSetOptions wopt;
-  wopt.batch_size = std::atoi(FlagOr(flags, "batch", "10").c_str());
+  wopt.batch_size = IntFlagOr(flags, "batch", 10);
   auto batches = core::BuildWorkloads(*records, core::AllIndices(records->size()),
                                       wopt);
   if (batches.empty()) {
@@ -456,20 +480,19 @@ int CmdServeBench(const std::map<std::string, std::string>& flags) {
   auto model =
       std::make_shared<const core::LearnedWmpModel>(std::move(*loaded));
 
-  const int clients = std::max(std::atoi(FlagOr(flags, "clients", "8").c_str()), 1);
-  const int num_shards = std::max(std::atoi(FlagOr(flags, "shards", "1").c_str()), 1);
-  const int batch_size = std::max(std::atoi(FlagOr(flags, "batch", "10").c_str()), 1);
-  const int repeat = std::max(std::atoi(FlagOr(flags, "repeat", "3").c_str()), 1);
+  const int clients = std::max(IntFlagOr(flags, "clients", 8), 1);
+  const int num_shards = std::max(IntFlagOr(flags, "shards", 1), 1);
+  const int batch_size = std::max(IntFlagOr(flags, "batch", 10), 1);
+  const int repeat = std::max(IntFlagOr(flags, "repeat", 3), 1);
 
   engine::ScoringServiceOptions sopt;
-  sopt.max_batch = static_cast<size_t>(
-      std::max(std::atoi(FlagOr(flags, "max-batch", "64").c_str()), 1));
-  sopt.max_delay_us = std::atoll(FlagOr(flags, "max-delay-us", "200").c_str());
+  sopt.max_batch =
+      static_cast<size_t>(std::max(IntFlagOr(flags, "max-batch", 64), 1));
+  sopt.max_delay_us = IntFlagOr<int64_t>(flags, "max-delay-us", 200);
   sopt.adaptive_flush = FlagOr(flags, "adaptive", "1") != "0";
-  sopt.cache_capacity = static_cast<size_t>(
-      std::atoll(FlagOr(flags, "cache", "4096").c_str()));
-  sopt.template_cache_capacity = static_cast<size_t>(
-      std::atoll(FlagOr(flags, "template-cache", "65536").c_str()));
+  sopt.cache_capacity = IntFlagOr<size_t>(flags, "cache", 4096);
+  sopt.template_cache_capacity =
+      IntFlagOr<size_t>(flags, "template-cache", 65536);
   // All shards serve the one trained model; sharding spreads dispatch.
   engine::ScoringService service(
       std::vector<std::shared_ptr<const core::LearnedWmpModel>>(
@@ -569,8 +592,7 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
   const std::string model_path = FlagOr(flags, "model", "");
   if (address.empty() || model_path.empty()) return Usage();
   const std::string name = FlagOr(flags, "name", "default");
-  const int num_shards =
-      std::max(std::atoi(FlagOr(flags, "shards", "1").c_str()), 1);
+  const int num_shards = std::max(IntFlagOr(flags, "shards", 1), 1);
 
   // Block the shutdown signals FIRST, before any thread exists: every
   // thread the service/server spawn inherits this mask, so a
@@ -589,14 +611,13 @@ int CmdServe(const std::map<std::string, std::string>& flags) {
       std::make_shared<const core::LearnedWmpModel>(std::move(*loaded));
 
   engine::ScoringServiceOptions sopt;
-  sopt.max_batch = static_cast<size_t>(
-      std::max(std::atoi(FlagOr(flags, "max-batch", "64").c_str()), 1));
-  sopt.max_delay_us = std::atoll(FlagOr(flags, "max-delay-us", "200").c_str());
+  sopt.max_batch =
+      static_cast<size_t>(std::max(IntFlagOr(flags, "max-batch", 64), 1));
+  sopt.max_delay_us = IntFlagOr<int64_t>(flags, "max-delay-us", 200);
   sopt.adaptive_flush = FlagOr(flags, "adaptive", "1") != "0";
-  sopt.cache_capacity =
-      static_cast<size_t>(std::atoll(FlagOr(flags, "cache", "4096").c_str()));
-  sopt.template_cache_capacity = static_cast<size_t>(
-      std::atoll(FlagOr(flags, "template-cache", "65536").c_str()));
+  sopt.cache_capacity = IntFlagOr<size_t>(flags, "cache", 4096);
+  sopt.template_cache_capacity =
+      IntFlagOr<size_t>(flags, "template-cache", 65536);
   engine::ScoringService service(
       std::vector<std::shared_ptr<const core::LearnedWmpModel>>(
           static_cast<size_t>(num_shards), model),
@@ -676,11 +697,9 @@ int CmdScore(const std::map<std::string, std::string>& flags) {
   if (log_path.empty() || (address.empty() && model_path.empty())) {
     return Usage();
   }
-  const int batch_size =
-      std::max(std::atoi(FlagOr(flags, "batch", "10").c_str()), 1);
-  const size_t chunk = static_cast<size_t>(
-      std::max(std::atoll(FlagOr(flags, "chunk", "4096").c_str()),
-               static_cast<long long>(batch_size)));
+  const int batch_size = std::max(IntFlagOr(flags, "batch", 10), 1);
+  const size_t chunk = std::max(IntFlagOr<size_t>(flags, "chunk", 4096),
+                                static_cast<size_t>(batch_size));
   const std::string tenant = FlagOr(flags, "tenant", "wmpctl");
 
   Result<core::LearnedWmpModel> local_model = Status::NotFound("unused");
@@ -839,15 +858,11 @@ int CmdFleet(int argc, char** argv,
   if (addresses.empty()) return Usage();
 
   net::FleetRouterOptions ropt;
-  ropt.connect_timeout_ms =
-      std::atoi(FlagOr(flags, "connect-timeout-ms", "1000").c_str());
-  ropt.request_timeout_ms =
-      std::atoi(FlagOr(flags, "request-timeout-ms", "2000").c_str());
-  ropt.probe_interval_ms =
-      std::atoi(FlagOr(flags, "probe-interval-ms", "200").c_str());
-  ropt.max_score_attempts =
-      std::max(std::atoi(FlagOr(flags, "attempts", "4").c_str()), 1);
-  ropt.seed = std::strtoull(FlagOr(flags, "seed", "1").c_str(), nullptr, 10);
+  ropt.connect_timeout_ms = IntFlagOr(flags, "connect-timeout-ms", 1000);
+  ropt.request_timeout_ms = IntFlagOr(flags, "request-timeout-ms", 2000);
+  ropt.probe_interval_ms = IntFlagOr(flags, "probe-interval-ms", 200);
+  ropt.max_score_attempts = std::max(IntFlagOr(flags, "attempts", 4), 1);
+  ropt.seed = IntFlagOr<uint64_t>(flags, "seed", 1);
   net::FleetRouter router(addresses, ropt);
   if (Status st = router.Start(); !st.ok()) return Fail(st);
   const std::string name = FlagOr(flags, "name", "default");
@@ -888,11 +903,9 @@ int CmdFleet(int argc, char** argv,
   if (verb == "score") {
     const std::string log_path = FlagOr(flags, "log", "");
     if (log_path.empty()) return Usage();
-    const int batch_size =
-        std::max(std::atoi(FlagOr(flags, "batch", "10").c_str()), 1);
-    const size_t chunk = static_cast<size_t>(
-        std::max(std::atoll(FlagOr(flags, "chunk", "4096").c_str()),
-                 static_cast<long long>(batch_size)));
+    const int batch_size = std::max(IntFlagOr(flags, "batch", 10), 1);
+    const size_t chunk = std::max(IntFlagOr<size_t>(flags, "chunk", 4096),
+                                  static_cast<size_t>(batch_size));
     const std::string tenant = FlagOr(flags, "tenant", "wmpctl");
     auto reader = workloads::QueryLogReader::Open(log_path);
     if (!reader.ok()) return Fail(reader.status());
@@ -966,7 +979,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
   const auto flags = ParseFlags(argc, argv);
-  util::SetDefaultParallelism(std::atoi(FlagOr(flags, "threads", "0").c_str()));
+  util::SetDefaultParallelism(IntFlagOr(flags, "threads", 0));
   if (cmd == "generate") return CmdGenerate(flags);
   if (cmd == "train") return CmdTrain(flags);
   if (cmd == "evaluate") return CmdEvaluate(flags);
