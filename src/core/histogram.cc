@@ -113,7 +113,9 @@ Status BuildHistogramRows(const std::vector<int>& template_ids,
   }
   constexpr int kNoBadId = std::numeric_limits<int>::min();
   std::atomic<int> bad_id{kNoBadId};
-  util::ParallelFor(row_map.size(), 16, [&](size_t begin, size_t end) {
+  const size_t grain = util::GrainForWork(row_map.size(), offsets.back(),
+                                         kQueriesPerChunk);
+  util::ParallelFor(row_map.size(), grain, [&](size_t begin, size_t end) {
     for (size_t w = begin; w < end; ++w) {
       double* row = out->RowPtr(row_map[w]);
       std::fill(row, row + out->cols(), 0.0);

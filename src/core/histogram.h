@@ -15,6 +15,13 @@
 
 namespace wmp::core {
 
+/// Queries per ParallelFor chunk in the serving path's per-flush loops
+/// (workload fingerprints, the template-id memo keys, histogram rows).
+/// Each query costs a few ns there, so a smaller chunk hands a worker less
+/// work than the hand-off costs: one 64-workload frame of 10-query
+/// workloads runs all three loops on the calling thread.
+inline constexpr size_t kQueriesPerChunk = 2048;
+
 /// \brief Counts template assignments into a k-bin histogram.
 ///
 /// Fails if any id lies outside `[0, num_templates)`.

@@ -244,7 +244,7 @@ Result<std::vector<int>> LearnedWmpModel::AssignTemplateIds(
   // Resolve: per-query content fingerprints (memoized at ingest; records
   // from other sources hash here), then one batched memo probe.
   std::vector<uint64_t> keys(n);
-  util::ParallelFor(n, 512, [&](size_t begin, size_t end) {
+  util::ParallelFor(n, kQueriesPerChunk, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       keys[i] = QueryFingerprint(records[indices[i]]);
     }

@@ -12,10 +12,10 @@
 ///
 /// This interface is what `LearnedWmpModel::AssignTemplateIds` consults to
 /// split IN3 into a resolve-hits / featurize-misses / backfill pipeline.
-/// The serving-side implementation is `engine::TemplateIdCache` (a sharded
-/// LRU keyed by `QueryRecord::content_fingerprint`, versioned on model
-/// identity); core only sees this abstract memo so the dependency points
-/// engine -> core, never back.
+/// The serving-side implementation is `engine::TemplateIdCache` (a
+/// set-associative cache keyed by `QueryRecord::content_fingerprint`,
+/// versioned on model identity); core only sees this abstract memo so the
+/// dependency points engine -> core, never back.
 ///
 /// Thread-safety contract: implementations must tolerate concurrent
 /// Resolve/Learn calls — dispatcher threads of different services may share

@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/histogram.h"
 #include "engine/histogram_cache.h"
 #include "engine/template_cache.h"
 #include "util/parallel.h"
@@ -65,13 +66,18 @@ Result<std::vector<double>> BatchScorer::ScoreWithCache(
   std::vector<uint64_t> keys;
   std::vector<size_t> miss_rows;
   if (options_.cache != nullptr) {
-    // Fingerprinting hashes every member query's content; on large flushes
-    // it rivals featurize/assign, so spread it over the worker pool instead
-    // of serializing the dispatcher on it. Grain 1: a flush of
-    // few-but-large workloads (batch-1000 streams) still spreads across
-    // workers.
+    // Fingerprinting combines every member query's fingerprint; a large
+    // flush spreads it over the worker pool, sized by member queries so a
+    // flush of few-but-large workloads (batch-1000 streams) still spreads
+    // and a small frame stays on the dispatcher.
+    size_t num_queries = 0;
+    for (const core::WorkloadBatch& b : batches) {
+      num_queries += b.query_indices.size();
+    }
     keys.resize(batches.size());
-    util::ParallelFor(batches.size(), 1, [&](size_t begin, size_t end) {
+    const size_t grain = util::GrainForWork(batches.size(), num_queries,
+                                            core::kQueriesPerChunk);
+    util::ParallelFor(batches.size(), grain, [&](size_t begin, size_t end) {
       for (size_t w = begin; w < end; ++w) {
         keys[w] = core::WorkloadFingerprint(records, batches[w].query_indices);
       }

@@ -229,7 +229,7 @@ void ScoringService::WarmShard(Shard* shard) {
   const BatchScorer::Snapshot snap = shard->scorer->PinSnapshot();
   if (snap.model == nullptr) return;
   // The working set to restore: everything resident right now — mostly
-  // entries stamped with the retired epoch, still in the LRU because
+  // entries stamped with the retired epoch, still in the table because
   // invalidation is lazy. Keys unknown to the corpus are skipped (their
   // queries will re-learn on first miss as before).
   std::vector<uint64_t> keys;

@@ -33,7 +33,7 @@
 ///    pure added latency. Open-loop clients keep deep queues and still
 ///    flush full batches; `ServiceStats` counts each flush's trigger so
 ///    the controller's behavior is observable.
-///  * **Two-level caching.** Each shard owns a sharded-LRU
+///  * **Two-level caching.** Each shard owns a set-associative
 ///    `engine::HistogramCache` (whole workloads, keyed by
 ///    `core::WorkloadFingerprint`) and a `engine::TemplateIdCache`
 ///    (per-query template ids, keyed by content fingerprint) — so exact

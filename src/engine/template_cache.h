@@ -2,7 +2,7 @@
 #define WMP_ENGINE_TEMPLATE_CACHE_H_
 
 /// \file template_cache.h
-/// Sharded LRU cache of per-query template ids, keyed by
+/// Set-associative cache of per-query template ids, keyed by
 /// `QueryRecord::content_fingerprint` — the second cache level of the
 /// serving path.
 ///
@@ -18,7 +18,8 @@
 /// would compute, so downstream histograms and predictions are bitwise
 /// unchanged by a hit.
 ///
-/// Storage, sharding, thread-safety and the model-epoch rule are
+/// Storage (lock shards of 8-way sets, two candidate sets per key, exact
+/// LRU over a key's 16 ways), thread-safety and the model-epoch rule are
 /// engine::EpochLru's (epoch_lru.h), shared with the histogram cache: a
 /// retired model's assignments can never leak into the new model's
 /// histograms, so dispatchers of different service shards may share one
@@ -35,11 +36,12 @@
 
 namespace wmp::engine {
 
-/// \brief Thread-safe sharded LRU map: query fingerprint -> template id.
+/// \brief Thread-safe set-associative map: query fingerprint -> template
+/// id.
 class TemplateIdCache {
  public:
-  /// Entries are ~32 bytes, so the default memoizes 64k distinct queries
-  /// in ~2 MB.
+  /// A way takes 32 bytes (key, stamp, epoch and id, no heap node), so the
+  /// default memoizes 64k distinct queries in one 2 MiB array.
   static constexpr size_t kDefaultCapacity = 1 << 16;
 
   explicit TemplateIdCache(
@@ -69,8 +71,8 @@ class TemplateIdCache {
   /// Drops every entry (stats counters keep accumulating).
   void Clear() { lru_.Clear(); }
 
-  /// Snapshot of up to `max_keys` resident keys, most-recently-used first
-  /// within each shard, regardless of entry epoch. This is the publish-time
+  /// Snapshot of up to `max_keys` resident keys, in table order,
+  /// regardless of entry epoch. This is the publish-time
   /// cache warmer's working set: entries stamped with the retired epoch are
   /// still resident (invalidation is lazy), and re-assigning exactly these
   /// queries under the new model turns the post-swap miss storm into hits.

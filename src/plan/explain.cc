@@ -17,14 +17,22 @@ void ExplainNode(const PlanNode& node, const ExplainOptions& options,
   }
   // %.17g round-trips IEEE doubles exactly, so ParseExplain(Explain(p))
   // reconstructs every annotation bit-for-bit.
-  out->append(
-      StrFormat(" in=%.17g out=%.17g", node.input_card, node.output_card));
+  out->append(" in=");
+  AppendDouble17g(node.input_card, out);
+  out->append(" out=");
+  AppendDouble17g(node.output_card, out);
   if (options.include_true_cardinalities && node.true_output_card >= 0.0) {
-    out->append(StrFormat(" tin=%.17g tout=%.17g", node.true_input_card,
-                          node.true_output_card));
+    out->append(" tin=");
+    AppendDouble17g(node.true_input_card, out);
+    out->append(" tout=");
+    AppendDouble17g(node.true_output_card, out);
   }
-  out->append(StrFormat(" width=%.17g", node.row_width));
-  if (node.num_keys > 0) out->append(StrFormat(" keys=%d", node.num_keys));
+  out->append(" width=");
+  AppendDouble17g(node.row_width, out);
+  if (node.num_keys > 0) {
+    out->append(" keys=");
+    AppendInt(node.num_keys, out);
+  }
   if (node.hash_mode) out->append(" hash");
   if (!node.detail.empty()) {
     out->append(" detail=\"");
@@ -39,9 +47,14 @@ void ExplainNode(const PlanNode& node, const ExplainOptions& options,
 
 }  // namespace
 
+void AppendExplain(const PlanNode& root, const ExplainOptions& options,
+                   std::string* out) {
+  ExplainNode(root, options, 0, out);
+}
+
 std::string Explain(const PlanNode& root, const ExplainOptions& options) {
   std::string out;
-  ExplainNode(root, options, 0, &out);
+  AppendExplain(root, options, &out);
   return out;
 }
 

@@ -26,6 +26,10 @@ struct ExplainOptions {
 /// \brief Renders `root` as indented EXPLAIN text.
 std::string Explain(const PlanNode& root, const ExplainOptions& options = {});
 
+/// Explain, appended to `out`.
+void AppendExplain(const PlanNode& root, const ExplainOptions& options,
+                   std::string* out);
+
 }  // namespace wmp::plan
 
 #endif  // WMP_PLAN_EXPLAIN_H_

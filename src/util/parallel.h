@@ -54,6 +54,15 @@ void ParallelFor(size_t n, size_t grain,
                  const std::function<void(size_t, size_t)>& fn,
                  int num_threads = 0);
 
+/// Grain for a ParallelFor over `n` items that hold `work` units between
+/// them (queries in workloads, say): about `work_per_chunk` units per
+/// chunk, and at least one item.
+inline size_t GrainForWork(size_t n, size_t work, size_t work_per_chunk) {
+  if (work == 0) return n > 0 ? n : 1;
+  const size_t grain = (n * work_per_chunk + work - 1) / work;
+  return grain > 0 ? grain : 1;
+}
+
 /// \brief Scopes a worker-count override to the calling thread.
 ///
 /// While alive, ParallelFor calls issued from this thread (with

@@ -22,18 +22,6 @@ std::string_view Trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-std::vector<std::string> SplitWhitespace(std::string_view s) {
-  std::vector<std::string> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
@@ -74,14 +62,17 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-std::string HumanBytes(double bytes) {
-  const char* units[] = {"B", "KB", "MB", "GB", "TB"};
-  int u = 0;
-  while (bytes >= 1024.0 && u < 4) {
-    bytes /= 1024.0;
-    ++u;
-  }
-  return StrFormat("%.1f %s", bytes, units[u]);
+void AppendDouble17g(double v, std::string* out) {
+  char buf[32];  // "%.17g" needs at most 24 characters
+  const auto printed =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out->append(buf, static_cast<size_t>(printed.ptr - buf));
+}
+
+void AppendInt(int64_t v, std::string* out) {
+  char buf[24];
+  const auto printed = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, static_cast<size_t>(printed.ptr - buf));
 }
 
 }  // namespace wmp

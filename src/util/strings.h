@@ -5,9 +5,9 @@
 /// Small string utilities shared across the SQL lexer, plan parser, and
 /// report printers.
 
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/status.h"
 
@@ -18,9 +18,6 @@ std::string ToLower(std::string_view s);
 
 /// Strips leading/trailing whitespace.
 std::string_view Trim(std::string_view s);
-
-/// Splits on any whitespace run; empty pieces are dropped.
-std::vector<std::string> SplitWhitespace(std::string_view s);
 
 /// True if `s` starts with `prefix` (case-sensitive).
 bool StartsWith(std::string_view s, std::string_view prefix);
@@ -59,8 +56,12 @@ Status ParseFiniteDouble(std::string_view text, double* out);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// Renders a byte count as a human-readable "12.3 KB" style string.
-std::string HumanBytes(double bytes);
+/// Appends `v` as printf's "%.17g" prints it (std::to_chars, general
+/// format, precision 17): enough digits to read every double back exactly.
+void AppendDouble17g(double v, std::string* out);
+
+/// Appends `v` in decimal, as printf's "%d" prints it.
+void AppendInt(int64_t v, std::string* out);
 
 }  // namespace wmp
 

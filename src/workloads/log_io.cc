@@ -21,20 +21,34 @@
 
 namespace wmp::workloads {
 
+namespace {
+
+// Appends one record in the query log format, the blank line included.
+void AppendRecord(const QueryRecord& r, std::string* out) {
+  out->append("-- query: ");
+  out->append(r.sql_text);
+  out->append("\n-- memory_mb: ");
+  AppendDouble17g(r.actual_memory_mb, out);
+  out->push_back('\n');
+  if (r.dbms_estimate_mb > 0.0) {
+    out->append("-- dbms_estimate_mb: ");
+    AppendDouble17g(r.dbms_estimate_mb, out);
+    out->push_back('\n');
+  }
+  if (r.family_id >= 0) {
+    out->append("-- family: ");
+    AppendInt(r.family_id, out);
+    out->push_back('\n');
+  }
+  plan::AppendExplain(*r.plan, {}, out);
+  out->push_back('\n');  // blank line terminates the record
+}
+
+}  // namespace
+
 std::string SerializeQueryLog(const std::vector<QueryRecord>& records) {
   std::string out;
-  for (const QueryRecord& r : records) {
-    out += "-- query: " + r.sql_text + "\n";
-    out += StrFormat("-- memory_mb: %.17g\n", r.actual_memory_mb);
-    if (r.dbms_estimate_mb > 0.0) {
-      out += StrFormat("-- dbms_estimate_mb: %.17g\n", r.dbms_estimate_mb);
-    }
-    if (r.family_id >= 0) {
-      out += StrFormat("-- family: %d\n", r.family_id);
-    }
-    out += plan::Explain(*r.plan);
-    out += "\n";  // blank line terminates the record
-  }
+  for (const QueryRecord& r : records) AppendRecord(r, &out);
   return out;
 }
 
@@ -48,7 +62,18 @@ Status WriteQueryLog(const std::vector<QueryRecord>& records,
   }
   std::ofstream out(path, std::ios::trunc);
   if (!out) return Status::IOError("cannot open for write: " + path);
-  out << SerializeQueryLog(records);
+  // Records go out in chunks of about kChunk bytes, so the log text is
+  // never held whole.
+  constexpr size_t kChunk = size_t{1} << 20;
+  std::string chunk;
+  for (const QueryRecord& r : records) {
+    AppendRecord(r, &chunk);
+    if (chunk.size() >= kChunk) {
+      out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+      chunk.clear();
+    }
+  }
+  out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
   if (!out) return Status::IOError("short write: " + path);
   return Status::OK();
 }

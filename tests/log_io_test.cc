@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 
 #include "core/featurizer.h"
@@ -56,6 +58,24 @@ TEST(LogIoTest, FileRoundTrip) {
   auto loaded = LoadQueryLog(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->size(), dataset.records.size());
+}
+
+// WriteQueryLog formats and writes in bounded chunks; the file must hold
+// exactly SerializeQueryLog's bytes across chunk boundaries.
+TEST(LogIoTest, FileBytesEqualSerializeAcrossWriteChunks) {
+  DatasetOptions opt;
+  opt.num_queries = 1000;
+  opt.seed = 53;
+  auto dataset = BuildDataset(Benchmark::kTpcds, opt);
+  ASSERT_TRUE(dataset.ok());
+  const std::string text = SerializeQueryLog(dataset->records);
+  ASSERT_GT(text.size(), size_t{1} << 20);  // more than one write chunk
+  const std::string path = ::testing::TempDir() + "/wmp_chunked_write.txt";
+  ASSERT_TRUE(WriteQueryLog(dataset->records, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, text);
 }
 
 TEST(LogIoTest, OptionalFieldsDefault) {

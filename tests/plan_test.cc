@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "plan/cardinality.h"
 #include "plan/explain.h"
@@ -338,6 +340,35 @@ TEST_F(PlanTest, ExplainContainsOperatorsAndCards) {
   EXPECT_NE(text.find("GRPBY"), std::string::npos);
   EXPECT_NE(text.find("out="), std::string::npos);
   EXPECT_NE(text.find("tout="), std::string::npos);
+}
+
+// Explain prints numbers with std::to_chars; every field must read as
+// printf's "%.17g" (and "%d" for keys) would print it, down to the sign of
+// zero, the subnormals and the exponent form.
+TEST(ExplainFormatTest, FieldsMatchPrintf17g) {
+  const auto printf17g = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  util::Arena arena;
+  for (const double v : {0.1, -0.0, 5e-324, 1e300, 0x1p53 + 2.0,
+                         123456789.125}) {
+    PlanNode node(&arena, OperatorType::kReturn);
+    node.input_card = v;
+    node.output_card = -v;
+    node.true_input_card = v / 3;
+    node.true_output_card = 0.0;
+    node.row_width = v * 7;
+    node.num_keys = 2147483647;
+    const std::string want = "RETURN in=" + printf17g(v) +
+                             " out=" + printf17g(-v) +
+                             " tin=" + printf17g(v / 3) +
+                             " tout=" + printf17g(0.0) +
+                             " width=" + printf17g(v * 7) +
+                             " keys=2147483647\n";
+    EXPECT_EQ(Explain(node), want) << printf17g(v);
+  }
 }
 
 class ExplainRoundTrip : public PlanTest,

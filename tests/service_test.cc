@@ -10,10 +10,12 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <list>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/featurizer.h"
@@ -22,6 +24,9 @@
 #include "engine/histogram_cache.h"
 #include "engine/scoring_service.h"
 #include "engine/template_cache.h"
+#include "util/hash.h"
+#include "util/random.h"
+#include "util/strings.h"
 #include "util/sync.h"
 #include "util/timer.h"
 #include "workloads/dataset.h"
@@ -297,6 +302,145 @@ TEST(TemplateIdCacheTest, ConcurrentMixedUseIsSafe) {
   const auto st = cache.stats();
   EXPECT_LE(st.size, 64u + 4u);  // per-shard rounding slack
   EXPECT_GT(st.hits + st.misses, 0u);
+}
+
+// ---------- The set-associative table behind both caches ----------
+
+// Exact LRU over the whole capacity: the eviction order the table's
+// two-set LRU approximates.
+class ExactLru {
+ public:
+  explicit ExactLru(size_t capacity) : capacity_(capacity) {}
+
+  bool Lookup(uint64_t key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    order_.splice(order_.begin(), order_, it->second);
+    return true;
+  }
+
+  void Insert(uint64_t key) {
+    if (Lookup(key)) return;  // a repeat miss of one batch only refreshes
+    order_.push_front(key);
+    index_.emplace(key, order_.begin());
+    if (order_.size() > capacity_) {
+      index_.erase(order_.back());
+      order_.pop_back();
+    }
+  }
+
+ private:
+  size_t capacity_;
+  std::list<uint64_t> order_;  // front = most recently used
+  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> index_;
+};
+
+// Seeded Zipf key streams over 1.5x capacity distinct fingerprints, 40x
+// capacity probes in 64-key batches (look the batch up, then insert its
+// misses, as AssignTemplateIds does): the table's hit rate stays within
+// 0.005 of an exact LRU of the same size.
+TEST(CacheTableTest, HitRateParityWithExactLru) {
+  constexpr size_t kBatch = 64;
+  for (const size_t capacity : {size_t{4096}, size_t{65536}}) {
+    for (const double s : {0.6, 0.8, 1.0}) {
+      SCOPED_TRACE(StrFormat("capacity %zu, s %.1f", capacity, s));
+      engine::TemplateIdCache cache({.capacity = capacity});
+      ExactLru oracle(capacity);
+      const ZipfDistribution zipf(capacity * 3 / 2, s);
+      Rng rng(capacity + static_cast<uint64_t>(s * 10));
+      uint64_t keys[kBatch], misses[kBatch], oracle_misses[kBatch];
+      const int ids[kBatch] = {};
+      int got[kBatch];
+      uint8_t hit[kBatch];
+      size_t cache_hits = 0, oracle_hits = 0;
+      const size_t probes = capacity * 40;
+      for (size_t done = 0; done < probes; done += kBatch) {
+        for (uint64_t& key : keys) key = util::Mix64(zipf.Sample(&rng));
+        cache_hits += cache.LookupBatch(keys, kBatch, 0, got, hit);
+        size_t n_miss = 0, n_oracle_miss = 0;
+        for (size_t j = 0; j < kBatch; ++j) {
+          if (!hit[j]) misses[n_miss++] = keys[j];
+          if (oracle.Lookup(keys[j])) {
+            ++oracle_hits;
+          } else {
+            oracle_misses[n_oracle_miss++] = keys[j];
+          }
+        }
+        cache.InsertBatch(misses, ids, n_miss, 0);
+        for (size_t j = 0; j < n_oracle_miss; ++j) {
+          oracle.Insert(oracle_misses[j]);
+        }
+      }
+      const double cache_rate = static_cast<double>(cache_hits) / probes;
+      const double oracle_rate = static_cast<double>(oracle_hits) / probes;
+      EXPECT_NEAR(cache_rate, oracle_rate, 0.005);
+      EXPECT_EQ(cache.stats().size, capacity);
+    }
+  }
+}
+
+// Per-shard capacity rounds up to whole 8-way sets (a tiny shard is one
+// set of fewer ways); the table never holds more, fills to exactly that,
+// lists every resident key once, and Clear empties it.
+TEST(CacheTableTest, CapacityRoundsToWholeSetsAndContentsListOnce) {
+  struct Case {
+    size_t capacity, num_shards, rounded;
+  };
+  const Case cases[] = {
+      {100, 8, 128},   // 13 per shard -> two sets of 8
+      {2, 1, 2},       // one set of 2 ways
+      {5, 4, 8},       // 2 per shard -> one set of 2 ways each
+      {64, 4, 64},     // exact
+      {1000, 3, 1024}, // 4 shards of 250 -> 32 sets each
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(StrFormat("capacity %zu over %zu shards", c.capacity,
+                           c.num_shards));
+    engine::TemplateIdCache cache(
+        {.capacity = c.capacity, .num_shards = c.num_shards});
+    std::vector<uint64_t> all;
+    constexpr size_t kBatch = 16;
+    for (size_t b = 0; b < 20 * c.rounded / kBatch + 1; ++b) {
+      uint64_t keys[kBatch];
+      int ids[kBatch];
+      for (size_t j = 0; j < kBatch; ++j) {
+        keys[j] = util::Mix64(all.size());
+        ids[j] = static_cast<int>(all.size() % 1000);
+        all.push_back(keys[j]);
+      }
+      cache.InsertBatch(keys, ids, kBatch, 0);
+      ASSERT_LE(cache.stats().size, c.rounded);
+    }
+    EXPECT_EQ(cache.stats().size, c.rounded);
+
+    const std::vector<uint64_t> resident = cache.ResidentKeys();
+    const std::set<uint64_t> unique(resident.begin(), resident.end());
+    EXPECT_EQ(resident.size(), c.rounded);
+    EXPECT_EQ(unique.size(), resident.size());
+    EXPECT_EQ(cache.ResidentKeys(3).size(), std::min<size_t>(3, c.rounded));
+    // Exactly the listed keys hit, each with the id it was inserted with.
+    std::vector<int> got(all.size());
+    std::vector<uint8_t> hit(all.size());
+    EXPECT_EQ(cache.LookupBatch(all.data(), all.size(), 0, got.data(),
+                                hit.data()),
+              c.rounded);
+    for (size_t i = 0; i < all.size(); ++i) {
+      ASSERT_EQ(hit[i] != 0, unique.count(all[i]) == 1) << i;
+      if (hit[i]) {
+        EXPECT_EQ(got[i], static_cast<int>(i % 1000));
+      }
+    }
+
+    cache.Clear();
+    EXPECT_EQ(cache.stats().size, 0u);
+    EXPECT_TRUE(cache.ResidentKeys().empty());
+    EXPECT_EQ(cache.LookupBatch(all.data(), all.size(), 0, got.data(),
+                                hit.data()),
+              0u);
+    // The cleared table refills to the same size.
+    cache.InsertBatch(all.data(), got.data(), all.size(), 1);
+    EXPECT_EQ(cache.stats().size, c.rounded);
+  }
 }
 
 // ---------- ScoringService ----------

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/hash.h"
 #include "util/io.h"
 #include "util/mpsc_queue.h"
 #include "util/random.h"
@@ -303,13 +304,6 @@ TEST(StringsTest, Trim) {
   EXPECT_EQ(Trim("abc"), "abc");
 }
 
-TEST(StringsTest, SplitWhitespaceDropsEmpty) {
-  auto parts = SplitWhitespace("  select   a  from t ");
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "select");
-  EXPECT_EQ(parts[3], "t");
-}
-
 TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("TBSCAN(t)", "TBSCAN"));
   EXPECT_FALSE(StartsWith("TB", "TBSCAN"));
@@ -368,10 +362,34 @@ TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
 }
 
-TEST(StringsTest, HumanBytes) {
-  EXPECT_EQ(HumanBytes(512), "512.0 B");
-  EXPECT_EQ(HumanBytes(2048), "2.0 KB");
-  EXPECT_EQ(HumanBytes(3.5 * 1024 * 1024), "3.5 MB");
+// ---------- hashing ----------
+
+// HashBytes is part of the wire protocol (record fingerprints, the publish
+// checksum) and routes tenants to shards and nodes, so its values are
+// pinned and a change to them is deliberate. Inputs under 32 bytes take
+// the serial word chain alone; longer ones run the four lanes first.
+TEST(HashTest, HashBytesGoldenValues) {
+  std::string text;
+  for (int i = 0; i < 200; ++i) {
+    text.push_back(static_cast<char>('a' + (i * 7) % 26));
+  }
+  const struct {
+    size_t len;
+    uint64_t seed;
+    uint64_t want;
+  } cases[] = {
+      {0, 0, 0x6E789E6AA1B965F4ull},    {1, 0, 0x4C540E1AB04E72E1ull},
+      {7, 42, 0x82D1FB64C2E46D0Bull},   {8, 42, 0xB34FCAC972575A24ull},
+      {9, 0, 0x4B48F544335E47C9ull},    {31, 42, 0x1E594E10956C8960ull},
+      {32, 0, 0x4D4BDD5B1E31890Eull},   {33, 42, 0x10589E5BDE52C68Bull},
+      {63, 0, 0x32739B56331EFA1Aull},   {64, 42, 0x065F7C3BFA9FD972ull},
+      {100, 42, 0x8976E8CC660A686Cull}, {200, 0, 0x2939D4F8DD6B1CDAull},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(util::HashBytes(text.data(), c.len, c.seed), c.want)
+        << "len " << c.len << " seed " << c.seed;
+  }
+  EXPECT_EQ(util::HashString("tenant-7"), 0x9688821AB665A357ull);
 }
 
 // ---------- table printer ----------
